@@ -212,14 +212,16 @@ def monitor(trace: TimeTrace, G: NonlinearityG,
             j = 1
         sub = trace.restricted(times[j] + 1e-15)
         fj = trace.field(j)
+        mj = mass(fj)
+        ej = energy(fj, G, pad=pad)
         entries.append(MonitorEntry(
             t=float(times[j]),
             snorm_to_t=snorm(sub, rc, check=check),
             aux_xnorm_to_t=xnorm(sub, sl, rc, check=check),
-            mass=mass(fj),
-            mass_drift=abs(mass(fj) - m0) / m0 if m0 > 0 else 0.0,
-            energy=energy(fj, G, pad=pad),
-            energy_drift=abs(energy(fj, G, pad=pad) - e0) / escale,
+            mass=mj,
+            mass_drift=abs(mj - m0) / m0 if m0 > 0 else 0.0,
+            energy=ej,
+            energy_drift=abs(ej - e0) / escale,
             lhat={f"{r:g}": lhat_norm(fj, r) for r in aux_lhat},
             sobolev={f"{s:g}": sobolev_norm(fj, s) for s in aux_sobolev},
             boundary_mass_fraction=boundary_mass_fraction(fj),

@@ -23,7 +23,9 @@ from .spectral import (
     Grid1D,
     SpectralField,
     apply_pointwise_matrix,
+    coeffs_to_values,
     hermitian_project,
+    pad_coeffs,
 )
 
 ALPHA_LOWER = 21.0 / 5.0
@@ -186,11 +188,6 @@ def nonlinearity(u: SpectralField, G: NonlinearityG, pad: int = 2) -> SpectralFi
     return SpectralField(u.grid, c, is_real=True)
 
 
-def _nonlinearity_rows(coeffs: np.ndarray, grid: Grid1D, G: NonlinearityG,
-                       pad: int) -> np.ndarray:
-    return apply_pointwise_matrix(coeffs, grid, G.apply_values, pad=pad, real=True)
-
-
 def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     dt = np.diff(times)
     out = np.zeros_like(rows)
@@ -231,7 +228,8 @@ def duhamel_map(v: TimeTrace, u0: SpectralField, t0: float, G: NonlinearityG,
     """
     if v.grid != u0.grid:
         raise ValueError("iterate and datum live on different grids")
-    g_rows = _nonlinearity_rows(v.coeffs, v.grid, G, cfg.pad)
+    g_rows = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad,
+                                    real=True)
     flux = (1j * v.grid.frequencies)[None, :] * g_rows
     forcing = TimeTrace(v.grid, v.times, flux, is_real=True)
     ret = retarded_integral(forcing, t0)
@@ -466,10 +464,11 @@ def reference_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> T
     xi3 = xi ** 3
     initial_size = lhat_norm(u0, critical_exponent(G.alpha)) if G.alpha > 1 else 1.0
     limit = BLOWUP_FACTOR * max(initial_size, 1e-300)
+    flux_multiplier = G.mu * 1j * xi
 
     def flux(c: np.ndarray) -> np.ndarray:
         rows = apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad, real=True)
-        return G.mu * 1j * xi * rows
+        return flux_multiplier * rows
 
     out = np.empty((times.size, grid.size), dtype=complex)
     c = u0.coeffs.copy()
@@ -521,8 +520,7 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
         raise ValueError("energy is defined for the power nonlinearity")
     kinetic = 0.5 * float(np.sum((u.grid.frequencies * np.abs(u.coeffs)) ** 2)
                           * u.grid.dxi)
-    fine = Grid1D(u.grid.half_length, pad * u.grid.size)
-    from .spectral import coeffs_to_values, pad_coeffs
+    fine = u.grid.refined(pad)
     vals = coeffs_to_values(pad_coeffs(u.coeffs, pad), fine, real=True)
     potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * fine.dx)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential

@@ -61,16 +61,58 @@ class Grid1D:
     def __hash__(self) -> int:
         return hash((self.half_length, self.size))
 
+    def refined(self, factor: int) -> "Grid1D":
+        """The grid on the same interval with factor times as many points.
+
+        The result is cached and shared, so its arrays are read-only.
+        """
+        return _plan(self.half_length, factor * self.size).grid
+
 
 def make_grid(half_length: float, size: int) -> Grid1D:
     """Build a Grid1D, validating half_length > 0 and even size >= 8."""
     return Grid1D(half_length, size)
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    # (-1)^k for k = -n/2 .. n/2-1; shifts the DFT origin to x = -L.
-    k = np.arange(-n // 2, n // 2)
-    return np.where(k % 2 == 0, 1.0, -1.0)
+# A run touches a handful of grids; the bound only caps sweeps over many.
+_PLAN_LIMIT = 32
+_plans: dict = {}
+
+
+class _Plan:
+    """Read-only transform tables of one (half_length, size) grid."""
+
+    __slots__ = ("grid", "signs", "forward_scale", "inverse_scale", "half")
+
+    def __init__(self, half_length: float, size: int) -> None:
+        grid = Grid1D(half_length, size)
+        k = np.arange(-size // 2, size // 2)
+        # (-1)^k for k = -N/2 .. N/2-1; shifts the DFT origin to x = -L.
+        signs = np.where(k % 2 == 0, 1.0, -1.0)
+        forward_scale = (grid.dx / SQRT_2PI) * signs
+        for arr in (grid.points, grid.frequencies, signs, forward_scale):
+            arr.flags.writeable = False
+        self.grid = grid
+        self.signs = signs
+        self.forward_scale = forward_scale
+        self.inverse_scale = grid.size * grid.dxi / SQRT_2PI
+        self.half = size // 2
+
+    def swap(self, a: np.ndarray) -> np.ndarray:
+        """Swap the halves of the last axis: fftshift, equal to ifftshift for even N."""
+        h = self.half
+        return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
+
+
+def _plan(half_length: float, size: int) -> _Plan:
+    key = (half_length, size)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _Plan(half_length, size)
+        if len(_plans) >= _PLAN_LIMIT:
+            del _plans[next(iter(_plans))]
+        _plans[key] = plan
+    return plan
 
 
 def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -84,9 +126,8 @@ def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
         raise ValueError(
             f"last axis has length {values.shape[-1]}, expected {grid.size}"
         )
-    signs = _alternating_signs(grid.size)
-    spec = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
-    return (grid.dx / SQRT_2PI) * signs * spec
+    plan = _plan(grid.half_length, grid.size)
+    return plan.forward_scale * plan.swap(np.fft.fft(values, axis=-1))
 
 
 def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np.ndarray:
@@ -99,9 +140,9 @@ def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np
         raise ValueError(
             f"last axis has length {coeffs.shape[-1]}, expected {grid.size}"
         )
-    signs = _alternating_signs(grid.size)
-    vals = np.fft.ifft(np.fft.ifftshift(coeffs * signs, axes=-1), axis=-1)
-    vals = vals * (grid.size * grid.dxi / SQRT_2PI)
+    plan = _plan(grid.half_length, grid.size)
+    vals = np.fft.ifft(plan.swap(coeffs * plan.signs), axis=-1)
+    vals = vals * plan.inverse_scale
     return vals.real if real else vals
 
 
@@ -148,7 +189,7 @@ class SpectralField:
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * scalar,
-                             self.is_real and not isinstance(scalar, complex))
+                             self.is_real and not np.iscomplexobj(scalar))
 
     __rmul__ = __mul__
 
@@ -351,7 +392,7 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     and truncated to the original band.  With real=True the result is
     Hermitian-projected (truncation orphans the finest retained mode).
     """
-    fine = Grid1D(grid.half_length, pad * grid.size)
+    fine = grid.refined(pad)
     vals = coeffs_to_values(pad_coeffs(coeffs, pad), fine, real=real)
     mapped = func(vals)
     back = truncate_coeffs(values_to_coeffs(mapped, fine), grid.size)
@@ -374,7 +415,7 @@ def pointwise_product(f: SpectralField, g: SpectralField, pad: int = 2) -> Spect
         raise ValueError("fields live on different grids")
     if not (f.is_real and g.is_real):
         raise ValueError("pointwise products are defined for real fields only")
-    fine = Grid1D(f.grid.half_length, pad * f.grid.size)
+    fine = f.grid.refined(pad)
     u = coeffs_to_values(pad_coeffs(f.coeffs, pad), fine, real=True)
     v = coeffs_to_values(pad_coeffs(g.coeffs, pad), fine, real=True)
     back = truncate_coeffs(values_to_coeffs(u * v, fine), f.grid.size)

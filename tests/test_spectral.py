@@ -4,20 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkdvlab import spectral
 from gkdvlab.spectral import (
+    SQRT_2PI,
     Grid1D,
     SpectralField,
     airy_propagate,
+    apply_pointwise_matrix,
     coeffs_to_values,
     forward_transform,
     gaussian_profile,
     hermitian_defect,
+    hermitian_project,
     inverse_transform,
     littlewood_paley_block,
+    pad_coeffs,
     random_band_limited,
     riesz_potential,
     riesz_weights,
+    truncate_coeffs,
     values_to_coeffs,
 )
 
@@ -145,3 +152,94 @@ def test_spectral_field_rejects_bad_symmetry():
     c[9] = 1.0  # positive mode without its mirror
     with pytest.raises(ValueError):
         SpectralField(Grid1D(8.0, 16), c, True)
+
+
+def test_complex_numpy_scalar_clears_is_real():
+    f = gaussian_profile(Grid1D(8.0, 16), 0.5)
+    g = f * np.complex64(2j)
+    assert not g.is_real
+    np.testing.assert_array_equal(g.coeffs, f.coeffs * np.complex64(2j))
+    assert (np.float32(2.0) * f).is_real
+
+
+# Reference transforms as first written: fresh signs, numpy's shifts and a
+# fresh fine grid on every call.  The cached tables must reproduce them bit
+# for bit.
+
+def _reference_signs(n):
+    k = np.arange(-n // 2, n // 2)
+    return np.where(k % 2 == 0, 1.0, -1.0)
+
+
+def _reference_forward(values, grid):
+    spec = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    return (grid.dx / SQRT_2PI) * _reference_signs(grid.size) * spec
+
+
+def _reference_inverse(coeffs, grid, real=False):
+    coeffs = np.asarray(coeffs, dtype=complex)
+    signs = _reference_signs(grid.size)
+    vals = np.fft.ifft(np.fft.ifftshift(coeffs * signs, axes=-1), axis=-1)
+    vals = vals * (grid.size * grid.dxi / SQRT_2PI)
+    return vals.real if real else vals
+
+
+def _reference_pointwise(coeffs, grid, func, pad, real):
+    fine = Grid1D(grid.half_length, pad * grid.size)
+    vals = _reference_inverse(pad_coeffs(coeffs, pad), fine, real=real)
+    back = truncate_coeffs(_reference_forward(func(vals), fine), grid.size)
+    return hermitian_project(back) if real else back
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _cube(v):
+    return v * v * v
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_length=st.floats(min_value=0.5, max_value=200.0),
+       other_length=st.floats(min_value=0.5, max_value=200.0),
+       half_size=st.integers(min_value=4, max_value=160),
+       pad=st.sampled_from([2, 3]),
+       rows=st.sampled_from([1, 3]),
+       real=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
+                                                     half_size, pad, rows, real,
+                                                     seed):
+    n = 2 * half_size
+    shape = (n,) if rows == 1 else (rows, n)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def check(grid):
+        coeffs = values_to_coeffs(vals, grid)
+        _assert_same_bytes(coeffs, _reference_forward(vals, grid))
+        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=real),
+                           _reference_inverse(coeffs, grid, real=real))
+        _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad, real=real),
+                           _reference_pointwise(coeffs, grid, _cube, pad, real))
+        return coeffs
+
+    grids = (Grid1D(half_length, n), Grid1D(other_length, n))
+    # interleave two grids that share N: neither may reuse the other's scales
+    for grid in grids + grids:
+        check(grid)
+    if half_length != other_length:
+        assert not np.array_equal(spectral._plan(half_length, n).forward_scale,
+                                  spectral._plan(other_length, n).forward_scale)
+
+    grid = grids[0]
+    coeffs = check(grid)
+    for out in (values_to_coeffs(vals, grid), coeffs_to_values(coeffs, grid, real=real),
+                apply_pointwise_matrix(coeffs, grid, _cube, pad=pad, real=real)):
+        out[...] = 7.0
+    check(grid)
+    fine = grid.refined(pad)
+    assert fine == Grid1D(half_length, pad * n)
+    with pytest.raises(ValueError):
+        fine.points[0] = 0.0
