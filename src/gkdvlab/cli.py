@@ -263,7 +263,9 @@ def _cmd_verify(cfg: dict) -> int:
     for entry in report.refinement[1:]:
         if "interval" in entry:
             continue  # interval growth is reported, not gated
-        drift = max(drift, abs(entry["max_ratio"] - base) / base)
+        gap = abs(entry["max_ratio"] - base)
+        # a zero base is stable only if the refined leg is zero too
+        drift = max(drift, gap / base if base else (math.inf if gap else 0.0))
     finite = all(math.isfinite(x) for x in report.ratios)
     passed = finite and drift <= threshold
     doc = _report_skeleton("verify", cfg)
@@ -552,7 +554,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return _EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

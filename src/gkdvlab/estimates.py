@@ -33,12 +33,20 @@ from .solver import (
     critical_exponent,
     retarded_integral,
 )
-from .spacetime import TimeTrace, classify_pair, free_evolution, mixed_norm, snorm, xnorm, ynorm
+from .spacetime import (
+    TimeTrace,
+    _shared_tables,
+    classify_pair,
+    free_evolution,
+    mixed_norm,
+    snorm,
+    xnorm,
+    ynorm,
+)
 from .spectral import (
     Grid1D,
     SpectralField,
     apply_pointwise_matrix,
-    pointwise_product,
     random_band_limited,
     riesz_weights,
 )
@@ -193,25 +201,29 @@ def _sup_lhat(trace: TimeTrace, r: float) -> float:
     return best
 
 
-def _each_sample(spec: EstimateSpec):
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.ensemble)
-    for i, child in enumerate(seeds):
-        yield i, spec.decays[i % len(spec.decays)], child
+def _ensemble(spec: EstimateSpec, one: Callable,
+              start: int = 0) -> Tuple[List[float], List[dict]]:
+    """Ratios of samples start .. start + spec.ensemble - 1 of the seed's ensemble.
 
-
-def _ensemble(spec: EstimateSpec, one: Callable) -> Tuple[List[float], List[dict], dict]:
+    Child seeds of a larger spawn begin with those of a smaller one, so the
+    samples from start on are the ones a full ensemble of start +
+    spec.ensemble would draw there.  Phase tables are shared within the leg.
+    """
     grid = spec.grid()
     times = spec.times()
     band = spec.resolved_band()
+    seeds = np.random.SeedSequence(spec.seed).spawn(start + spec.ensemble)[start:]
     ratios, rows = [], []
-    for i, decay, child in _each_sample(spec):
-        num, den = one(grid, times, band, decay, child)
-        if not den > 0:
-            raise ArithmeticError(f"degenerate right-hand side for sample {i}")
-        ratio = float(num / den)
-        ratios.append(ratio)
-        rows.append({"sample": i, "decay": decay, "ratio": ratio})
-    return ratios, rows, {}
+    with _shared_tables():
+        for i, child in enumerate(seeds, start):
+            decay = spec.decays[i % len(spec.decays)]
+            num, den = one(grid, times, band, decay, child)
+            if not den > 0:
+                raise ArithmeticError(f"degenerate right-hand side for sample {i}")
+            ratio = float(num / den)
+            ratios.append(ratio)
+            rows.append({"sample": i, "decay": decay, "ratio": ratio})
+    return ratios, rows
 
 
 def _datum(grid, band, decay, seed, amplitude) -> SpectralField:
@@ -237,7 +249,7 @@ def _run_stein_tomas(spec, rp):
         tr = _weighted_trace(free_evolution(f, times), 1.0 / r)
         return mixed_norm(tr, r, r, "x_outer"), lhat_norm(f, r / 3.0)
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _check_kenig_ruiz(params: dict) -> dict:
@@ -251,7 +263,7 @@ def _run_kenig_ruiz(spec, rp):
         # the time sup is a sample maximum, hence a certified lower bound
         return mixed_norm(tr, 4.0, math.inf, "x_outer"), lebesgue_norm(f, 2.0)
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _check_kato(params: dict) -> dict:
@@ -270,7 +282,7 @@ def _run_kato(spec, rp):
         tr = _weighted_trace(free_evolution(f, times), s)
         return mixed_norm(tr, math.inf, q, "x_outer"), lhat_norm(f, q)
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _check_strichartz(params: dict) -> dict:
@@ -294,8 +306,7 @@ def _run_strichartz(spec, rp):
         tr = _weighted_trace(free_evolution(f, times), s)
         return mixed_norm(tr, p, q, "x_outer"), lhat_norm(f, r)
 
-    ratios, rows, _ = _ensemble(spec, one)
-    return ratios, rows, {"exponents": {"p": p, "q": q}, "boundary_pair": rp["boundary"]}
+    return one, {"exponents": {"p": p, "q": q}, "boundary_pair": rp["boundary"]}
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +329,6 @@ def _require_duhamel_window(tag: str, s: float, inv_rho: float) -> Tuple[float, 
     p = math.inf if invp == 0.0 else 1.0 / invp
     q = math.inf if invq == 0.0 else 1.0 / invq
     return p, q
-
-
-def _dual(p: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 def _check_inhom_linf(params: dict) -> dict:
@@ -363,7 +368,7 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
 
 def _run_inhom_linf(spec, rp):
     r, s2 = rp["r"], rp["s2"]
-    pd, qd = _dual(rp["p2"]), _dual(rp["q2"])
+    pd, qd = holder_conjugate(rp["p2"]), holder_conjugate(rp["q2"])
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
@@ -372,13 +377,13 @@ def _run_inhom_linf(spec, rp):
         den = mixed_norm(_weighted_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _run_inhom_xy(spec, rp):
     r, s1, s2 = rp["r"], rp["s1"], rp["s2"]
     p1, q1 = rp["p1"], rp["q1"]
-    pd, qd = _dual(rp["p2"]), _dual(rp["q2"])
+    pd, qd = holder_conjugate(rp["p2"]), holder_conjugate(rp["q2"])
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
@@ -387,7 +392,7 @@ def _run_inhom_xy(spec, rp):
         den = mixed_norm(_weighted_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +435,7 @@ def _run_interpolation(spec, rp):
         )
         return num, den
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _check_leibniz(params: dict) -> dict:
@@ -452,9 +457,9 @@ def _check_leibniz(params: dict) -> dict:
 
 
 def _product_trace(u: TimeTrace, v: TimeTrace, pad: int = 2) -> TimeTrace:
-    rows = np.empty_like(u.coeffs)
-    for m in range(u.coeffs.shape[0]):
-        rows[m] = pointwise_product(u.field(m), v.field(m), pad=pad).coeffs
+    """Dealiased product of two real traces: one stacked map over all rows."""
+    rows = apply_pointwise_matrix(np.stack((u.coeffs, v.coeffs)), u.grid,
+                                  lambda w: w[0] * w[1], pad=pad)
     return TimeTrace(u.grid, u.times, rows, u.is_real and v.is_real)
 
 
@@ -476,7 +481,7 @@ def _run_leibniz(spec, rp):
         )
         return num, den
 
-    return _ensemble(spec, one)
+    return one, {}
 
 
 def _check_chain_rule(params: dict) -> dict:
@@ -520,8 +525,7 @@ def _run_chain_rule(spec, rp):
         )
         return num, den
 
-    ratios, rows, _ = _ensemble(spec, one)
-    return ratios, rows, {"lip_bound": lip}
+    return one, {"lip_bound": lip}
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +569,7 @@ def _run_nonlinear_i(spec, rp):
         den = snorm(u, rc) ** (alpha - 1.0) * xnorm(u, s, r)
         return num, den
 
-    ratios, rows, _ = _ensemble(spec, one)
-    return ratios, rows, {"boundary_pair": rp["boundary"]}
+    return one, {"boundary_pair": rp["boundary"]}
 
 
 def _run_nonlinear_ii(spec, rp):
@@ -588,8 +591,7 @@ def _run_nonlinear_ii(spec, rp):
         )
         return num, den
 
-    ratios, rows, _ = _ensemble(spec, one)
-    return ratios, rows, {"boundary_pair": rp["boundary"]}
+    return one, {"boundary_pair": rp["boundary"]}
 
 
 # ---------------------------------------------------------------------------
@@ -614,29 +616,24 @@ def _check_inclusion(params: dict) -> dict:
 
 def _run_inclusion(spec, rp):
     case, r = rp["case"], rp["r"]
-    grid = spec.grid()
-    band = spec.resolved_band()
     small = r <= 2.0
-    ratios, rows = [], []
-    for i, decay, child in _each_sample(spec):
+
+    def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
         if case == "hausdorff_young":
-            num, den = (lhat_norm(f, r), lebesgue_norm(f, r)) if small \
+            return (lhat_norm(f, r), lebesgue_norm(f, r)) if small \
                 else (lebesgue_norm(f, r), lhat_norm(f, r))
-        elif case == "weighted":
+        if case == "weighted":
             s = 1.0 / r - 0.5
-            num, den = (lhat_norm(f, r), weighted_norm(f, s)) if small \
+            return (lhat_norm(f, r), weighted_norm(f, s)) if small \
                 else (weighted_norm(f, s), lhat_norm(f, r))
-        else:
-            s = 0.5 - 1.0 / r
-            q = holder_conjugate(r)
-            num, den = (besov_norm(f, s, q), lhat_norm(f, r)) if small \
-                else (lhat_norm(f, r), besov_norm(f, s, q))
-        ratio = float(num / den)
-        ratios.append(ratio)
-        rows.append({"sample": i, "decay": decay, "ratio": ratio})
+        s = 0.5 - 1.0 / r
+        q = holder_conjugate(r)
+        return (besov_norm(f, s, q), lhat_norm(f, r)) if small \
+            else (lhat_norm(f, r), besov_norm(f, s, q))
+
     direction = "into_fourier_lebesgue" if small else "out_of_fourier_lebesgue"
-    return ratios, rows, {"case": case, "direction": direction}
+    return one, {"case": case, "direction": direction}
 
 
 _FAMILY_ALIASES = {"fn": "sharp_band", "gn": "log_tail"}
@@ -825,29 +822,30 @@ def verify(spec: EstimateSpec) -> EstimateReport:
     started = time.perf_counter()
     checker, runner = _RUNNERS[spec.estimate_id]
     resolved = checker(spec.params)
-    ratios, rows, extras = runner(spec, resolved)
     if spec.estimate_id == "counterexample":
-        entries = [{"size": int(resolved["size"]), "ensemble": len(ratios), **_stats(ratios)}]
-    else:
-        entries = [{"size": spec.size, "ensemble": spec.ensemble, **_stats(ratios)}]
-    if spec.estimate_id == "counterexample":
+        ratios, rows, extras = runner(spec, resolved)
         finer = dict(resolved)
         finer["half_length"] = 2.0 * resolved["half_length"]
         finer["size"] = 2 * resolved["size"]
         fine_ratios, _, _ = runner(spec, finer)
-        entries.append({"size": finer["size"], "ensemble": len(fine_ratios),
-                        **_stats(fine_ratios)})
+        entries = [{"size": int(resolved["size"]), "ensemble": len(ratios), **_stats(ratios)},
+                   {"size": finer["size"], "ensemble": len(fine_ratios),
+                    **_stats(fine_ratios)}]
     else:
+        one, extras = runner(spec, resolved)
+        ratios, rows = _ensemble(spec, one)
+        entries = [{"size": spec.size, "ensemble": spec.ensemble, **_stats(ratios)}]
         fine = replace(spec, size=2 * spec.size, band=spec.resolved_band())
-        fine_ratios, _, _ = runner(fine, resolved)
+        fine_ratios, _ = _ensemble(fine, one)
         entries.append({"size": fine.size, "ensemble": fine.ensemble, **_stats(fine_ratios)})
-        big = replace(spec, ensemble=2 * spec.ensemble)
-        big_ratios, _, _ = runner(big, resolved)
-        entries.append({"size": big.size, "ensemble": big.ensemble, **_stats(big_ratios)})
+        # the doubled ensemble begins with the base samples; draw only the rest
+        tail, _ = _ensemble(spec, one, start=spec.ensemble)
+        entries.append({"size": spec.size, "ensemble": 2 * spec.ensemble,
+                        **_stats(ratios + tail)})
         if spec.estimate_id in _WIDEN_IDS:
             a, b = spec.interval
             wide = replace(spec, interval=(a, a + 2.0 * (b - a)))
-            wide_ratios, _, _ = runner(wide, resolved)
+            wide_ratios, _ = _ensemble(wide, one)
             entries.append({"size": wide.size, "ensemble": wide.ensemble,
                             "interval": [a, a + 2.0 * (b - a)], **_stats(wide_ratios)})
     report = EstimateReport(

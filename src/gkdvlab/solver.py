@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .norms import holder_conjugate, lhat_norm
-from .spacetime import TimeTrace, free_evolution, snorm, xnorm
+from .spacetime import TimeTrace, _airy_table, free_evolution, snorm, xnorm
 from .spectral import (
     Grid1D,
     SpectralField,
@@ -113,11 +113,6 @@ class NonlinearityG:
         return ALPHA_LOWER < self.alpha < ALPHA_UPPER
 
 
-def power_map(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The pointwise map z -> |z|^(alpha-1) z as a standalone callable."""
-    return lambda v: np.sign(v) * np.abs(v) ** alpha
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and iteration parameters for one solve.
@@ -176,18 +171,6 @@ class SolveResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def nonlinearity(u: SpectralField, G: NonlinearityG, pad: int = 2) -> SpectralField:
-    """G(u) evaluated pointwise on a dealiasing grid, truncated back.
-
-    The derivative d_x and coupling mu are applied by the Duhamel map, not
-    here.  u must be declared real.
-    """
-    if not u.is_real:
-        raise ValueError("nonlinearity is defined for real fields")
-    c = apply_pointwise_matrix(u.coeffs, u.grid, G.apply_values, pad=pad, real=True)
-    return SpectralField(u.grid, c, is_real=True)
-
-
 def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     dt = np.diff(times)
     out = np.zeros_like(rows)
@@ -208,8 +191,7 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
-    xi3 = forcing.grid.frequencies ** 3
-    down = np.exp(-1j * np.outer(times, xi3))
+    down = _airy_table(forcing.grid, times, -1j)
     integrand = down * forcing.coeffs
     cumulative = _cumulative_trapezoid(integrand, times)
     cumulative -= cumulative[j0]

@@ -10,6 +10,8 @@ pairs map to the dual exponents used for inhomogeneous estimates.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -168,10 +170,44 @@ class TimeTrace:
         return TimeTrace(self.grid, self.times[keep], self.coeffs[keep], self.is_real)
 
 
+# Memo of the innermost open _shared_tables scope; None outside every scope.
+# A context variable, so concurrent threads never see each other's memo.
+_tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=None)
+
+
+@contextmanager
+def _shared_tables():
+    """Share Airy phase tables between the calls made inside this scope.
+
+    Meant for one ensemble leg, where every sample uses the same grid and
+    sample times.  The memo is dropped when the scope closes, so no table
+    outlives the leg.
+    """
+    token = _tables.set({})
+    try:
+        yield
+    finally:
+        _tables.reset(token)
+
+
+def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
+    """exp(unit * outer(times, xi^3)), read-only and shared inside _shared_tables."""
+    memo = _tables.get()
+    if memo is None:
+        return np.exp(unit * np.outer(times, grid.frequencies ** 3))
+    key = (grid.half_length, grid.size, unit, times.tobytes())
+    table = memo.get(key)
+    if table is None:
+        table = np.exp(unit * np.outer(times, grid.frequencies ** 3))
+        table.flags.writeable = False
+        memo[key] = table
+    return table
+
+
 def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> TimeTrace:
     """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3)."""
     times = np.asarray(times, dtype=float)
-    phases = np.exp(1j * np.outer(times - t0, u0.grid.frequencies ** 3))
+    phases = _airy_table(u0.grid, times - t0, 1j)
     coeffs = phases * u0.coeffs[None, :]
     if u0.is_real:
         coeffs[:, 0] = coeffs[:, 0].real

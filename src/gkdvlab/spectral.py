@@ -399,24 +399,3 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     if real:
         back = hermitian_project(back)
     return back
-
-
-def apply_pointwise(f: SpectralField, func, pad: int = 2) -> SpectralField:
-    """Dealiased evaluation of a pointwise real map on a single field."""
-    if not f.is_real:
-        raise ValueError("pointwise maps are defined for real fields only")
-    c = apply_pointwise_matrix(f.coeffs, f.grid, func, pad=pad, real=True)
-    return SpectralField(f.grid, c, is_real=True)
-
-
-def pointwise_product(f: SpectralField, g: SpectralField, pad: int = 2) -> SpectralField:
-    """Dealiased product of two real fields on a common grid."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if not (f.is_real and g.is_real):
-        raise ValueError("pointwise products are defined for real fields only")
-    fine = f.grid.refined(pad)
-    u = coeffs_to_values(pad_coeffs(f.coeffs, pad), fine, real=True)
-    v = coeffs_to_values(pad_coeffs(g.coeffs, pad), fine, real=True)
-    back = truncate_coeffs(values_to_coeffs(u * v, fine), f.grid.size)
-    return SpectralField(f.grid, hermitian_project(back), is_real=True)

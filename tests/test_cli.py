@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gkdvlab import cli, estimates
 from gkdvlab.cli import main
+from gkdvlab.estimates import EstimateReport
 from gkdvlab.traceio import read_trace
 
 
@@ -149,3 +151,38 @@ def test_persist_short_horizon(tmp_path):
 
 def test_bad_scatter_protocol_exits_one(tmp_path):
     assert run(tmp_path, ["scatter", "--protocol", "sideways"]) == 1
+
+
+def test_degenerate_ensemble_exits_one(tmp_path, monkeypatch, capsys):
+    # stein_tomas divides by the datum's Fourier-Lebesgue norm
+    monkeypatch.setattr(estimates, "lhat_norm", lambda f, r: 0.0)
+    assert run(tmp_path, FAST_VERIFY) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "degenerate right-hand side" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_uncalibratable_sweep_exits_one(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, ["calibrate-delta", "--amplitudes", "40",
+                            "--random-per-amplitude", "0", "--size", "16",
+                            "--half-length", "4", "--t-end", "0.25"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no probe contracted" in err
+
+
+@pytest.mark.parametrize("refined,drift,code", [(0.0, 0.0, 0), (0.5, "inf", 2)])
+def test_drift_gate_with_a_zero_base(tmp_path, monkeypatch, refined, drift, code):
+    def zero_base(spec):
+        legs = [{"size": spec.size, "ensemble": spec.ensemble,
+                 "max_ratio": m, "mean_ratio": m} for m in (0.0, refined, refined)]
+        return EstimateReport(spec.estimate_id, {}, spec.seed, spec.half_length,
+                              spec.size, 129, spec.ensemble, [0.0], 0.0, 0.0, legs,
+                              [{"sample": 0, "decay": 0.6, "ratio": 0.0}])
+
+    monkeypatch.setattr(cli, "verify", zero_base)
+    assert run(tmp_path, FAST_VERIFY) == code
+    doc = load_report(tmp_path)
+    assert doc["stability"]["drift"] == drift
+    assert doc["passed"] is (code == 0)

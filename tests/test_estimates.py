@@ -1,10 +1,34 @@
 """Ratio checks: determinism, seed nesting, homogeneity, hypothesis gates."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkdvlab.estimates import ESTIMATE_IDS, EstimateSpec, lip_norm_estimate, verify
+from gkdvlab import solver, spacetime
+from gkdvlab.estimates import (
+    _RUNNERS,
+    _STATIC_IDS,
+    ESTIMATE_IDS,
+    EstimateSpec,
+    _ensemble,
+    _product_trace,
+    lip_norm_estimate,
+    verify,
+)
 from gkdvlab.solver import NonlinearityG
+from gkdvlab.spacetime import TimeTrace
+from gkdvlab.spectral import (
+    Grid1D,
+    coeffs_to_values,
+    hermitian_project,
+    pad_coeffs,
+    truncate_coeffs,
+    values_to_coeffs,
+)
 
 # small grid/ensemble so each call stays well under a second
 FAST = dict(ensemble=8, size=128, half_length=32.0)
@@ -154,3 +178,64 @@ def test_lip_seminorm_validation():
         lip_norm_estimate(quintic, 0.0)
     with pytest.raises(ValueError):
         lip_norm_estimate(quintic, 5.0, samples=4)
+
+
+def _per_row_product(f, g, grid, pad):
+    """One row of the former single-field dealiased product, inlined."""
+    fine = grid.refined(pad)
+    u = coeffs_to_values(pad_coeffs(f, pad), fine, real=True)
+    v = coeffs_to_values(pad_coeffs(g, pad), fine, real=True)
+    back = truncate_coeffs(values_to_coeffs(u * v, fine), grid.size)
+    return hermitian_project(back)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_size=st.integers(min_value=4, max_value=160),
+       rows=st.integers(min_value=2, max_value=9),
+       pad=st.sampled_from([2, 3]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad, seed):
+    grid = Grid1D(16.0, 2 * half_size)
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, rows)
+    u, v = (TimeTrace(grid, times, values_to_coeffs(rng.standard_normal((rows, grid.size)),
+                                                    grid), is_real=True)
+            for _ in range(2))
+    prod = _product_trace(u, v, pad=pad)
+    want = np.stack([_per_row_product(u.coeffs[m], v.coeffs[m], grid, pad)
+                     for m in range(rows)])
+    assert prod.is_real
+    assert prod.coeffs.dtype == want.dtype and prod.coeffs.shape == want.shape
+    assert prod.coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("estimate_id", [i for i in ESTIMATE_IDS if i not in _STATIC_IDS])
+def test_doubling_leg_matches_a_full_ensemble(estimate_id):
+    spec = EstimateSpec(estimate_id, **FAST)
+    report = verify(spec)
+    checker, runner = _RUNNERS[estimate_id]
+    one, _ = runner(spec, checker(spec.params))
+    ratios, rows = _ensemble(replace(spec, ensemble=2 * spec.ensemble), one)
+    assert ratios[:spec.ensemble] == report.ratios
+    assert rows[:spec.ensemble] == report.samples
+    assert report.refinement[2] == {"size": spec.size, "ensemble": 2 * spec.ensemble,
+                                    "max_ratio": max(ratios),
+                                    "mean_ratio": float(np.mean(ratios))}
+
+
+def test_no_phase_table_outlives_verify(monkeypatch):
+    made = []
+
+    def recording(grid, times, unit, _table=spacetime._airy_table):
+        table = _table(grid, times, unit)
+        made.append((weakref.ref(table), table.flags.writeable))
+        return table
+
+    monkeypatch.setattr(spacetime, "_airy_table", recording)
+    monkeypatch.setattr(solver, "_airy_table", recording)
+    verify(EstimateSpec("inhom_xy", **FAST))
+    assert made
+    assert spacetime._tables.get() is None
+    gc.collect()
+    assert all(ref() is None for ref, _ in made)
+    assert not any(writeable for _, writeable in made)

@@ -9,8 +9,11 @@ from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
 from gkdvlab.norms import holder_conjugate
+from gkdvlab.solver import retarded_integral
 from gkdvlab.spacetime import (
     TimeTrace,
+    _airy_table,
+    _shared_tables,
     classify_pair,
     dual_exponent_map,
     exponent_map,
@@ -193,3 +196,26 @@ def test_snorm_is_xnorm_at_zero_smoothness():
     f = gaussian_profile(GRID, 1.0)
     trace = free_evolution(f, np.linspace(0.0, 1.0, 9))
     assert snorm(trace, 2.0) == xnorm(trace, 0.0, 2.0)
+
+
+def test_shared_phase_tables_change_no_bytes():
+    grid = Grid1D(32.0, 128)
+    times = np.linspace(0.25, 1.25, 65)
+    f = random_band_limited(grid, decay=1.0, band=32, seed=4)
+
+    def evaluate():
+        free = free_evolution(f, times, t0=0.25)
+        forcing = TimeTrace(grid, times, free.coeffs * (1j * grid.frequencies), is_real=True)
+        return free.coeffs.tobytes(), retarded_integral(forcing, 0.25).coeffs.tobytes()
+
+    fresh = evaluate()
+    with _shared_tables():
+        assert evaluate() == fresh
+        assert evaluate() == fresh  # second pass reads the memoized tables
+        table = _airy_table(grid, times, -1j)
+        assert _airy_table(grid, times, -1j) is table
+        assert _airy_table(grid, times, 1j) is not table
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert _airy_table(grid, times, -1j) is not table
+    assert _airy_table(grid, times, -1j).flags.writeable
