@@ -21,9 +21,9 @@ from .norms import (
     holder_conjugate,
     lebesgue_norm,
     lhat_norm,
+    lhat_rows,
     sobolev_norm,
     weighted_norm,
-    weighted_power_sum,
 )
 from .solver import (
     ALPHA_LOWER,
@@ -190,15 +190,6 @@ def _weighted_trace(trace: TimeTrace, s: float) -> TimeTrace:
         return trace
     w = riesz_weights(trace.grid, s)
     return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :], trace.is_real)
-
-
-def _sup_lhat(trace: TimeTrace, r: float) -> float:
-    rp = holder_conjugate(r)
-    mags = np.abs(trace.coeffs)
-    best = 0.0
-    for row in mags:
-        best = max(best, weighted_power_sum(row, trace.grid.dxi, rp))
-    return best
 
 
 def _ensemble(spec: EstimateSpec, one: Callable,
@@ -373,7 +364,8 @@ def _run_inhom_linf(spec, rp):
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
         ret = retarded_integral(forcing, times[0])
-        num = _sup_lhat(ret, r)
+        # row by row: the sup must equal lhat_norm of the row that attains it
+        num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
         den = mixed_norm(_weighted_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 

@@ -32,21 +32,30 @@ def holder_conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-def weighted_power_sum(magnitudes: np.ndarray, weight: float, p: float) -> float:
-    """(sum |a|^p * weight)^(1/p), with p = inf meaning the maximum."""
-    if p == math.inf:
-        return float(np.max(magnitudes)) if magnitudes.size else 0.0
-    if p < 1.0:
+def weighted_power_sum(magnitudes: np.ndarray, weight: float, p: float):
+    """(sum |a|^p * weight)^(1/p) of each row (last axis), p = inf the maximum.
+
+    A 1-d input gives a float.  Rows get the pairwise sum of a row on its
+    own, but the root of a 2-d input is numpy's array power, which can
+    differ in the last bit from the scalar power a row on its own takes (it
+    does on AVX-512 CPUs).  An overflowing power sum reports infinity.
+    """
+    if not (p >= 1.0):
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
     with np.errstate(over="ignore"):
-        total = float(np.sum(magnitudes ** p) * weight)
-        return total ** (1.0 / p)
+        rows = np.max(magnitudes, axis=-1, initial=0.0) if p == math.inf \
+            else (np.sum(magnitudes ** p, axis=-1) * weight) ** (1.0 / p)
+    return float(rows) if np.ndim(rows) == 0 else rows
+
+
+def lhat_rows(coeffs: np.ndarray, dxi: float, r: float):
+    """Fourier-Lebesgue norm of each row (last axis) of a coefficient array."""
+    return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r))
 
 
 def lhat_norm(f: SpectralField, r: float) -> float:
     """Fourier-Lebesgue norm: the L^{r'} lattice norm of the coefficients."""
-    rp = holder_conjugate(r)
-    return weighted_power_sum(np.abs(f.coeffs), f.grid.dxi, rp)
+    return lhat_rows(f.coeffs, f.grid.dxi, r)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:

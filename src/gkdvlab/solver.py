@@ -2,10 +2,11 @@
 
 The equation is d_t u + d_x^3 u = mu * d_x(|u|^(alpha-1) u) for real u.  The
 integral formulation is iterated on whole-interval traces: the retarded
-integral is evaluated per Fourier mode with the oscillatory kernel treated
-exactly, so time-quadrature error comes only from the smooth nonlinearity
-history.  An integrating-factor Runge-Kutta stepper of classical order four
-provides an independent cross-check.
+integral factors the Airy phase out per Fourier mode and applies cumulative
+trapezoid weights to exp(-i t xi^3) F(t), so its quadrature error grows
+with xi^3 dt and is largest at the top modes.  An integrating-factor
+Runge-Kutta stepper of classical order four provides an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .norms import holder_conjugate, lhat_norm
-from .spacetime import TimeTrace, _airy_table, free_evolution, snorm, xnorm
+from .norms import lhat_norm, lhat_rows
+from .spacetime import TimeTrace, _airy_table, _shared_tables, free_evolution, snorm, xnorm
 from .spectral import (
     Grid1D,
     SpectralField,
     apply_pointwise_matrix,
-    coeffs_to_values,
+    dealiased_samples,
     hermitian_project,
-    pad_coeffs,
 )
 
 ALPHA_LOWER = 21.0 / 5.0
@@ -105,9 +105,11 @@ class NonlinearityG:
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """G evaluated pointwise on real samples."""
-        if self.rule == "power":
-            return np.sign(values) * np.abs(values) ** self.alpha
-        return self.func(values)
+        if self.rule != "power":
+            return self.func(values)
+        out = np.abs(values) ** self.alpha
+        out *= np.sign(values)  # in place: two sample-sized arrays at a time, not three
+        return out
 
     def in_wellposed_range(self) -> bool:
         return ALPHA_LOWER < self.alpha < ALPHA_UPPER
@@ -172,20 +174,22 @@ class SolveResult:
 
 
 def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    dt = np.diff(times)
-    out = np.zeros_like(rows)
-    increments = 0.5 * dt[:, None] * (rows[1:] + rows[:-1])
-    np.cumsum(increments, axis=0, out=out[1:])
+    out = np.empty_like(rows)
+    out[0] = 0.0
+    steps = np.add(rows[1:], rows[:-1], out=out[1:])
+    np.multiply(0.5 * np.diff(times)[:, None], steps, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
     return out
 
 
 def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     """Mode-wise retarded integral of a forcing trace from the anchor t0.
 
-    Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'.
-    The oscillatory kernel is factored exactly per mode; the remaining
-    history integral uses cumulative trapezoid weights on the sample times.
-    t0 must be one of the sample times.
+    Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'
+    as exp(i t xi^3) times cumulative trapezoid sums of exp(-i t' xi^3) F(t'):
+    the rule acts on that oscillatory product, so the kernel is not
+    integrated exactly and the error per step grows with xi^3 dt.  t0 must
+    be one of the sample times.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
@@ -193,41 +197,34 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
     down = _airy_table(forcing.grid, times, -1j)
     integrand = down * forcing.coeffs
-    cumulative = _cumulative_trapezoid(integrand, times)
-    cumulative -= cumulative[j0]
-    result = np.conj(down) * cumulative
+    result = _cumulative_trapezoid(integrand, times)
+    if j0:
+        result -= result[j0]
+    # conj(down) stays the left operand: complex products are not bytewise
+    # commutative where numpy's multiply loop uses fused multiply-adds
+    np.multiply(np.conjugate(down, out=integrand), result, out=result)
     if forcing.is_real:
         result[:, 0] = result[:, 0].real
     return TimeTrace(forcing.grid, times, result, forcing.is_real)
 
 
-def duhamel_map(v: TimeTrace, u0: SpectralField, t0: float, G: NonlinearityG,
+def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
                 cfg: SolverConfig) -> TimeTrace:
     """One integral-equation application: free term plus flux integral.
 
-    Returns t -> exp(-(t - t0) d_x^3) u0
+    free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, built
+    once per solve.  Returns free(t)
     + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt'.
     """
-    if v.grid != u0.grid:
+    if v.grid != free.grid:
         raise ValueError("iterate and datum live on different grids")
     g_rows = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad,
                                     real=True)
     flux = (1j * v.grid.frequencies)[None, :] * g_rows
     forcing = TimeTrace(v.grid, v.times, flux, is_real=True)
     ret = retarded_integral(forcing, t0)
-    free = free_evolution(u0, v.times, t0=t0)
     coeffs = free.coeffs + G.mu * ret.coeffs
-    return TimeTrace(v.grid, v.times, coeffs, is_real=u0.is_real and v.is_real)
-
-
-def _sup_critical_distance(a: np.ndarray, b: np.ndarray, grid: Grid1D,
-                           r_critical: float) -> float:
-    rp = holder_conjugate(r_critical)
-    mags = np.abs(a - b)
-    if rp == math.inf:
-        return float(np.max(mags))
-    per_row = (np.sum(mags ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
-    return float(np.max(per_row))
+    return TimeTrace(v.grid, v.times, coeffs, is_real=free.is_real and v.is_real)
 
 
 def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
@@ -267,6 +264,9 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     result is returned (split the interval and retry in that case).  A NaN
     or overflow in an iterate raises NumericalBlowupError carrying the last
     healthy iterate.
+
+    Grid and sample times are fixed, so the free trace and the retarded phase
+    table are built once per solve (the table in a _shared_tables scope).
     """
     if not u0.is_real:
         raise ValueError("the flow is defined for real data")
@@ -289,21 +289,22 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     converged = False
     reason = "max iterations reached"
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        w = duhamel_map(v, u0, t0, G, cfg)
-        if not np.all(np.isfinite(w.coeffs)):
-            raise NumericalBlowupError(
-                "iterate left the finite regime", time=float(times[0]), trace=v,
-            )
-        dist = _sup_critical_distance(w.coeffs, v.coeffs, u0.grid, rc)
-        dists.append(dist)
-        if len(dists) >= 2 and dists[-2] > 0.0:
-            factors.append(dists[-1] / dists[-2])
-        v = w
-        if dist <= cfg.tolerance:
-            converged = True
-            reason = ""
-            break
+    with _shared_tables():
+        for iterations in range(1, cfg.max_iterations + 1):
+            w = duhamel_map(v, free, t0, G, cfg)
+            if not np.all(np.isfinite(w.coeffs)):
+                raise NumericalBlowupError(
+                    "iterate left the finite regime", time=float(times[0]), trace=v,
+                )
+            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc)))
+            dists.append(dist)
+            if len(dists) >= 2 and dists[-2] > 0.0:
+                factors.append(dists[-1] / dists[-2])
+            v = w
+            if dist <= cfg.tolerance:
+                converged = True
+                reason = ""
+                break
     result = SolveResult(
         trace=v, converged=converged, iterations=iterations, epsilon=eps,
         delta=cfg.delta, update_distances=dists, contraction_factors=factors,
@@ -326,10 +327,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     emid = energy(trace.field(trace.sample_count // 2), G, pad=cfg.pad)
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
-    rp = holder_conjugate(rc)
-    per_row = (np.sum(np.abs(trace.coeffs) ** rp, axis=1) * trace.grid.dxi) ** (1.0 / rp) \
-        if rp != math.inf else np.max(np.abs(trace.coeffs), axis=1)
-    sup_lhat = float(np.max(per_row))
+    sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
     boundary = _boundary_mass_max(trace)
     size = snorm(trace, rc, check=check) + xnorm(trace, aux_smoothness(G.alpha), rc,
                                                 check=check)
@@ -469,7 +467,7 @@ def reference_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> T
             k4 = np.conj(e_full) * flux(e_full * (c + h * k3))
             c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
             c = hermitian_project(c)
-        if not np.all(np.isfinite(c)) or _row_lhat(c, grid, rc) > limit:
+        if not np.all(np.isfinite(c)) or lhat_rows(c, grid.dxi, rc) > limit:
             partial = TimeTrace(grid, times[: m + 1], out[: m + 1], is_real=True) \
                 if m >= 1 else None
             raise NumericalBlowupError(
@@ -478,13 +476,6 @@ def reference_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> T
             )
         out[m + 1] = c
     return TimeTrace(grid, times, out, is_real=True)
-
-
-def _row_lhat(c: np.ndarray, grid: Grid1D, r: float) -> float:
-    rp = holder_conjugate(r)
-    if rp == math.inf:
-        return float(np.max(np.abs(c)))
-    return float((np.sum(np.abs(c) ** rp) * grid.dxi) ** (1.0 / rp))
 
 
 def mass(u: SpectralField) -> float:
@@ -502,9 +493,8 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
         raise ValueError("energy is defined for the power nonlinearity")
     kinetic = 0.5 * float(np.sum((u.grid.frequencies * np.abs(u.coeffs)) ** 2)
                           * u.grid.dxi)
-    fine = u.grid.refined(pad)
-    vals = coeffs_to_values(pad_coeffs(u.coeffs, pad), fine, real=True)
-    potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * fine.dx)
+    vals = dealiased_samples(u.coeffs, u.grid, pad).real
+    potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .norms import holder_conjugate
+from .norms import holder_conjugate, weighted_power_sum
 from .spectral import Grid1D, SpectralField, coeffs_to_values, riesz_weights
 
 _CLAMP_TOL = 1e-12
@@ -179,9 +179,9 @@ _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=
 def _shared_tables():
     """Share Airy phase tables between the calls made inside this scope.
 
-    Meant for one ensemble leg, where every sample uses the same grid and
-    sample times.  The memo is dropped when the scope closes, so no table
-    outlives the leg.
+    Meant for work on one grid and one set of sample times: an ensemble leg
+    of estimates, or the iteration loop of one Picard solve.  The memo is
+    dropped when the scope closes, so no table outlives the leg or solve.
     """
     token = _tables.set({})
     try:
@@ -250,13 +250,8 @@ def mixed_norm_values(values: np.ndarray, grid: Grid1D, times: np.ndarray,
             inner = np.max(mags, axis=0)
         else:
             inner = np.einsum("m,mj->j", tw, mags ** q) ** (1.0 / q)
-        if p == math.inf:
-            return float(np.max(inner))
-        return float(np.sum(inner ** p) * grid.dx) ** (1.0 / p)
-    if p == math.inf:
-        inner = np.max(mags, axis=1)
-    else:
-        inner = (np.sum(mags ** p, axis=1) * grid.dx) ** (1.0 / p)
+        return weighted_power_sum(inner, grid.dx, p)
+    inner = weighted_power_sum(mags, grid.dx, p)
     if q == math.inf:
         return float(np.max(inner))
     return float(np.sum(tw * inner ** q)) ** (1.0 / q)

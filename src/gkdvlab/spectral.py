@@ -82,7 +82,7 @@ _plans: dict = {}
 class _Plan:
     """Read-only transform tables of one (half_length, size) grid."""
 
-    __slots__ = ("grid", "signs", "forward_scale", "inverse_scale", "half")
+    __slots__ = ("grid", "signs", "bin_signs", "forward_scale", "inverse_scale", "half")
 
     def __init__(self, half_length: float, size: int) -> None:
         grid = Grid1D(half_length, size)
@@ -90,13 +90,15 @@ class _Plan:
         # (-1)^k for k = -N/2 .. N/2-1; shifts the DFT origin to x = -L.
         signs = np.where(k % 2 == 0, 1.0, -1.0)
         forward_scale = (grid.dx / SQRT_2PI) * signs
-        for arr in (grid.points, grid.frequencies, signs, forward_scale):
-            arr.flags.writeable = False
         self.grid = grid
         self.signs = signs
+        self.half = size // 2
+        # the signs in FFT bin order, for spectra built already half-swapped
+        self.bin_signs = self.swap(signs)
         self.forward_scale = forward_scale
         self.inverse_scale = grid.size * grid.dxi / SQRT_2PI
-        self.half = size // 2
+        for arr in (grid.points, grid.frequencies, signs, self.bin_signs, forward_scale):
+            arr.flags.writeable = False
 
     def swap(self, a: np.ndarray) -> np.ndarray:
         """Swap the halves of the last axis: fftshift, equal to ifftshift for even N."""
@@ -165,13 +167,11 @@ class SpectralField:
             raise ValueError(
                 f"coeffs shape {self.coeffs.shape} does not match grid size {self.grid.size}"
             )
-        if self.is_real:
-            err = hermitian_defect(self.coeffs)
-            scale = 1.0 + float(np.max(np.abs(self.coeffs)))
-            if err > 1e-8 * scale:
-                raise ValueError(
-                    f"is_real=True but Hermitian symmetry fails (defect {err:.3e})"
-                )
+        if self.is_real and hermitian_breaks(self.coeffs):
+            raise ValueError(
+                "is_real=True but Hermitian symmetry fails "
+                f"(defect {hermitian_defect(self.coeffs):.3e})"
+            )
 
     def values(self) -> np.ndarray:
         """Physical samples on grid.points."""
@@ -198,13 +198,18 @@ class SpectralField:
             raise ValueError("fields live on different grids")
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max deviation from coeffs(-xi) = conj(coeffs(xi)), unpaired mode real."""
+def hermitian_defect(coeffs: np.ndarray):
+    """Max deviation from coeffs(-xi) = conj(coeffs(xi)), unpaired mode real; per row."""
     c = np.asarray(coeffs)
-    defect = float(np.abs(c[0].imag))
-    if c.shape[-1] > 1:
-        defect = max(defect, float(np.max(np.abs(c[1:] - np.conj(c[1:][::-1])))))
-    return defect
+    pairs = np.conj(c[..., :0:-1])
+    np.subtract(c[..., 1:], pairs, out=pairs)
+    return np.maximum(np.abs(c[..., 0].imag), np.max(np.abs(pairs), axis=-1, initial=0.0))
+
+
+def hermitian_breaks(coeffs: np.ndarray):
+    """Per row (last axis): defect above the 1e-8 (1 + max |coeff|) is_real allows."""
+    c = np.asarray(coeffs)
+    return hermitian_defect(c) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
 
 
 def hermitian_project(coeffs: np.ndarray) -> np.ndarray:
@@ -361,26 +366,22 @@ def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
 
 # -- Dealiased pointwise operations ------------------------------------------
 
-def pad_coeffs(coeffs: np.ndarray, factor: int) -> np.ndarray:
-    """Zero-pad a coefficient array (last axis) to factor times the length."""
-    if factor < 1:
-        raise ValueError(f"pad factor must be >= 1, got {factor}")
-    n = coeffs.shape[-1]
-    m = factor * n
-    shape = coeffs.shape[:-1] + (m,)
-    out = np.zeros(shape, dtype=complex)
-    lo = (m - n) // 2
-    out[..., lo: lo + n] = coeffs
-    return out
+def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
+    """Complex samples of coeffs (last axis) on the grid refined by pad.
 
-
-def truncate_coeffs(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Keep the central n modes of a padded coefficient array (last axis)."""
-    m = coeffs.shape[-1]
-    if n > m:
-        raise ValueError(f"cannot truncate length {m} to {n}")
-    lo = (m - n) // 2
-    return coeffs[..., lo: lo + n].copy()
+    coeffs_to_values of the zero-padded spectrum, in one buffer that holds
+    that spectrum in FFT bin order (band mode i in bin (i - N/2) mod M).
+    """
+    half = grid.size // 2
+    plan = _plan(grid.half_length, pad * grid.size)
+    m = plan.grid.size
+    buf = np.zeros(np.shape(coeffs)[:-1] + (m,), dtype=complex)
+    buf[..., :half] = coeffs[..., half:]
+    buf[..., m - half:] = coeffs[..., :half]
+    buf *= plan.bin_signs
+    np.fft.ifft(buf, axis=-1, out=buf)
+    buf *= plan.inverse_scale
+    return buf
 
 
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
@@ -391,11 +392,20 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     is applied to the physical samples, and the result is transformed back
     and truncated to the original band.  With real=True the result is
     Hermitian-projected (truncation orphans the finest retained mode).
+
+    The forward FFT of values_to_coeffs writes into the samples' buffer and
+    only the N retained bins are read out and scaled.
     """
-    fine = grid.refined(pad)
-    vals = coeffs_to_values(pad_coeffs(coeffs, pad), fine, real=real)
-    mapped = func(vals)
-    back = truncate_coeffs(values_to_coeffs(mapped, fine), grid.size)
-    if real:
-        back = hermitian_project(back)
-    return back
+    n, half = grid.size, grid.size // 2
+    plan = _plan(grid.half_length, pad * n)
+    m = plan.grid.size
+    buf = dealiased_samples(coeffs, grid, pad)
+    mapped = np.asarray(func(buf.real if real else buf))
+    if mapped.shape[-1] != m:
+        raise ValueError(f"pointwise map returned last axis {mapped.shape[-1]}, expected {m}")
+    # func may reduce leading axes (a stacked product); then the buffer is not reused
+    full = np.fft.fft(mapped, axis=-1, out=buf if mapped.shape == buf.shape else None)
+    back = np.concatenate((full[..., m - half:], full[..., :half]), axis=-1)
+    del buf, mapped, full  # fine-grid arrays set peak memory: free them first
+    back *= plan.forward_scale[(m - n) // 2: (m + n) // 2]
+    return hermitian_project(back) if real else back

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .spacetime import TimeTrace
-from .spectral import Grid1D
+from .spectral import Grid1D, hermitian_breaks
 
 _HEADER = struct.Struct("<dII")
 _MAGIC = b"GKTR\x01\x00"
@@ -100,6 +100,11 @@ def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None
 
 
 def read_trace(path) -> Tuple[TimeTrace, dict]:
+    """Read a trace container and its sidecar; returns (trace, metadata).
+
+    is_real holds when every row meets the Hermitian tolerance of a real
+    SpectralField; a sidecar declaring it for other data raises ValueError.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if not raw.startswith(_MAGIC):
@@ -120,10 +125,14 @@ def read_trace(path) -> Tuple[TimeTrace, dict]:
         .astype(np.complex128)
         .reshape(m, size)
     )
+    del raw
     side_file = sidecar_path(path)
-    metadata = {}
-    if side_file.exists():
-        metadata = json.loads(side_file.read_text())
-    is_real = bool(metadata.get("is_real", True))
+    metadata = json.loads(side_file.read_text()) if side_file.exists() else {}
+    claimed = metadata.get("is_real")
+    broken = 0 if claimed is False else int(np.count_nonzero(hermitian_breaks(coeffs)))
+    if claimed and broken:
+        raise ValueError(f"{path}: the sidecar declares is_real, but {broken} of {m} "
+                         "rows break Hermitian symmetry")
+    is_real = claimed is not False and broken == 0
     grid = Grid1D(half_length, int(size))
     return TimeTrace(grid, times, coeffs, is_real=is_real), metadata

@@ -25,8 +25,6 @@ from gkdvlab.spectral import (
     Grid1D,
     coeffs_to_values,
     hermitian_project,
-    pad_coeffs,
-    truncate_coeffs,
     values_to_coeffs,
 )
 
@@ -183,9 +181,14 @@ def test_lip_seminorm_validation():
 def _per_row_product(f, g, grid, pad):
     """One row of the former single-field dealiased product, inlined."""
     fine = grid.refined(pad)
-    u = coeffs_to_values(pad_coeffs(f, pad), fine, real=True)
-    v = coeffs_to_values(pad_coeffs(g, pad), fine, real=True)
-    back = truncate_coeffs(values_to_coeffs(u * v, fine), grid.size)
+    lo = (fine.size - grid.size) // 2
+
+    def fine_values(c):
+        padded = np.zeros(fine.size, dtype=complex)
+        padded[lo: lo + grid.size] = c
+        return coeffs_to_values(padded, fine, real=True)
+
+    back = values_to_coeffs(fine_values(f) * fine_values(g), fine)[lo: lo + grid.size].copy()
     return hermitian_project(back)
 
 

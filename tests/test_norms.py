@@ -1,10 +1,11 @@
 """Single-time norms: closed forms, conjugation, dispatch."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gkdvlab.norms import (
     NormSpec,
@@ -12,6 +13,7 @@ from gkdvlab.norms import (
     holder_conjugate,
     lebesgue_norm,
     lhat_norm,
+    lhat_rows,
     norm,
     sobolev_norm,
     weighted_norm,
@@ -140,3 +142,38 @@ def test_scaling_of_norms_under_amplitude():
     for spec in (NormSpec.lhat(2.5), NormSpec.sobolev(0.4),
                  NormSpec.weighted(0.5), NormSpec.lebesgue(3.0)):
         assert norm(g, spec) == pytest.approx(3.0 * norm(f, spec), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_size=st.integers(min_value=4, max_value=2048),
+       rows=st.integers(min_value=1, max_value=9),
+       r=st.sampled_from([1.0, 1.25, 2.0, 3.0, 4.0, math.inf]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_row_norms_match_the_former_copies_bytewise(half_size, rows, r, seed):
+    grid = Grid1D(48.0, 2 * half_size)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6.0, 3.0, size=(rows, 1))
+    coeffs = scale * (rng.standard_normal((rows, grid.size))
+                      + 1j * rng.standard_normal((rows, grid.size)))
+    rp = holder_conjugate(r)
+    mags = np.abs(coeffs)
+    # the vectorised copies in the solver: one axis sum, numpy's array power
+    former = np.max(mags, axis=1) if rp == math.inf \
+        else (np.sum(mags ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
+    assert lhat_rows(coeffs, grid.dxi, r).tobytes() == former.tobytes()
+    # the per-row copies and lhat_norm: a row on its own takes Python's power
+    for row in coeffs:
+        mags = np.abs(row)
+        former = float(np.max(mags)) if rp == math.inf \
+            else float(np.sum(mags ** rp) * grid.dxi) ** (1.0 / rp)
+        assert lhat_rows(row, grid.dxi, r) == former
+        assert lhat_norm(SpectralField(grid, row), r) == former
+
+
+def test_row_norms_overflow_to_infinity_quietly():
+    coeffs = np.full((2, GRID.size), 1e250 + 0j)
+    coeffs[1] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lhat_rows(coeffs, GRID.dxi, 3.0)
+    assert got[0] == math.inf and math.isfinite(got[1])

@@ -1,10 +1,14 @@
 """Contraction solver, reference integrator, conservation, gluing."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from gkdvlab import solver, spacetime
+from gkdvlab.norms import holder_conjugate
 from gkdvlab.solver import (
     NonlinearityG,
     SolverConfig,
@@ -17,9 +21,16 @@ from gkdvlab.solver import (
     mass,
     picard_solve,
     reference_solve,
+    retarded_integral,
 )
-from gkdvlab.spacetime import free_evolution
-from gkdvlab.spectral import Grid1D, SpectralField, gaussian_profile, random_band_limited
+from gkdvlab.spacetime import TimeTrace, free_evolution
+from gkdvlab.spectral import (
+    Grid1D,
+    SpectralField,
+    apply_pointwise_matrix,
+    gaussian_profile,
+    random_band_limited,
+)
 
 GRID = Grid1D(64.0, 256)
 G5 = NonlinearityG(alpha=5.0, mu=1.0)
@@ -177,3 +188,109 @@ def test_mass_energy_closed_forms():
         expect = (a ** 2 * math.sqrt(math.pi) / 4.0
                   + (mu / 6.0) * a ** 6 * math.sqrt(math.pi / 3.0))
         assert energy(u, G, pad=3) == pytest.approx(expect, rel=1e-10)
+
+
+# The Picard loop as first written: a fresh free evolution and fresh phase
+# tables on every iteration, outside any _shared_tables scope.  The solver's
+# hoisted loop must reproduce it bit for bit.
+
+def _former_retarded(forcing, t0):
+    times = forcing.times
+    j0 = int(np.argmin(np.abs(times - t0)))
+    down = np.exp(-1j * np.outer(times, forcing.grid.frequencies ** 3))
+    integrand = down * forcing.coeffs
+    cumulative = np.zeros_like(integrand)
+    increments = 0.5 * np.diff(times)[:, None] * (integrand[1:] + integrand[:-1])
+    np.cumsum(increments, axis=0, out=cumulative[1:])
+    cumulative -= cumulative[j0]
+    result = np.conj(down) * cumulative
+    if forcing.is_real:
+        result[:, 0] = result[:, 0].real
+    return result
+
+
+def _former_picard(u0, G, cfg):
+    """(final coeffs, update distances) of the former iteration loop."""
+    times, t0 = cfg.times(), cfg.anchor_time()
+    rp = holder_conjugate(critical_exponent(G.alpha))
+    grid = u0.grid
+    v = free_evolution(u0, times, t0=t0).coeffs
+    dists = []
+    for _ in range(cfg.max_iterations):
+        g_rows = apply_pointwise_matrix(v, grid, G.apply_values, pad=cfg.pad, real=True)
+        forcing = TimeTrace(grid, times, (1j * grid.frequencies)[None, :] * g_rows,
+                            is_real=True)
+        w = (free_evolution(u0, times, t0=t0).coeffs
+             + G.mu * _former_retarded(forcing, t0))
+        per_row = (np.sum(np.abs(w - v) ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
+        dists.append(float(np.max(per_row)))
+        v = w
+        if dists[-1] <= cfg.tolerance:
+            break
+    return v, dists
+
+
+@pytest.mark.parametrize("j0", [0, 5, 32])
+def test_retarded_integral_matches_the_former_formula(j0):
+    grid = Grid1D(32.0, 128)
+    times = np.linspace(0.5, 1.5, 33)
+    rng = np.random.default_rng(j0)
+    rows = rng.standard_normal((times.size, grid.size)) \
+        + 1j * rng.standard_normal((times.size, grid.size))
+    for forcing in (TimeTrace(grid, times, rows),
+                    free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)):
+        got = retarded_integral(forcing, times[j0])
+        want = _former_retarded(forcing, times[j0])
+        assert got.coeffs.tobytes() == want.tobytes()
+        assert np.all(got.coeffs[j0] == 0.0)
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+def test_picard_and_glued_match_the_former_loop_bytewise(mu):
+    G = NonlinearityG(alpha=5.0, mu=mu)
+    f = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=7)
+    u0 = SpectralField(GRID, 1.5 * f.coeffs, True)
+    cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
+    res = picard_solve(u0, G, cfg)
+    coeffs, dists = _former_picard(u0, G, cfg)
+    assert res.converged and res.iterations == len(dists) >= 3
+    assert res.update_distances == dists
+    assert res.trace.coeffs.tobytes() == coeffs.tobytes()
+
+    glued = glued_solve(u0, G, cfg, segment_length=0.25, store_stride=1)
+    assert glued.converged and len(glued.segments) == 4
+    for k, seg in enumerate(glued.segments):
+        rows = slice(8 * k, 8 * k + 9)
+        datum = SpectralField(GRID, glued.trace.coeffs[8 * k], True)
+        seg_cfg = SolverConfig(grid=GRID, t_start=seg["t_start"], t_end=seg["t_end"],
+                               anchor=seg["t_start"], samples_per_unit=32)
+        coeffs, dists = _former_picard(datum, G, seg_cfg)
+        assert seg["iterations"] == len(dists)
+        assert glued.trace.coeffs[rows].tobytes() == coeffs.tobytes()
+
+
+def test_no_phase_table_outlives_picard_solve(monkeypatch):
+    made = []
+
+    def recording(grid, times, unit, _table=spacetime._airy_table):
+        table = _table(grid, times, unit)
+        made.append((weakref.ref(table), table.flags.writeable, spacetime._tables.get()))
+        return table
+
+    monkeypatch.setattr(spacetime, "_airy_table", recording)
+    monkeypatch.setattr(solver, "_airy_table", recording)
+    res = picard_solve(gaussian_profile(GRID, 0.05), G5,
+                       SolverConfig(grid=GRID, samples_per_unit=32))
+    assert res.iterations >= 2
+    # one free trace outside the scope, then one shared retarded table
+    # handed out once per iteration
+    assert len(made) == 1 + res.iterations
+    assert made[0][2] is None and made[0][1]
+    shared = [ref() for ref, _, _ in made[1:]]
+    assert all(t is shared[0] for t in shared)
+    assert not any(writeable for _, writeable, _ in made[1:])
+    del shared
+    assert spacetime._tables.get() is None
+    made = [ref for ref, _, _ in made]
+    gc.collect()
+    assert all(ref() is None for ref in made)

@@ -20,11 +20,9 @@ from gkdvlab.spectral import (
     hermitian_project,
     inverse_transform,
     littlewood_paley_block,
-    pad_coeffs,
     random_band_limited,
     riesz_potential,
     riesz_weights,
-    truncate_coeffs,
     values_to_coeffs,
 )
 
@@ -166,6 +164,18 @@ def test_complex_numpy_scalar_clears_is_real():
 # fresh fine grid on every call.  The cached tables must reproduce them bit
 # for bit.
 
+def _pad(coeffs, factor):
+    n = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + (factor * n,), dtype=complex)
+    out[..., (factor - 1) * n // 2: (factor + 1) * n // 2] = coeffs
+    return out
+
+
+def _central_band(coeffs, n):
+    lo = (coeffs.shape[-1] - n) // 2
+    return coeffs[..., lo: lo + n].copy()
+
+
 def _reference_signs(n):
     k = np.arange(-n // 2, n // 2)
     return np.where(k % 2 == 0, 1.0, -1.0)
@@ -186,8 +196,8 @@ def _reference_inverse(coeffs, grid, real=False):
 
 def _reference_pointwise(coeffs, grid, func, pad, real):
     fine = Grid1D(grid.half_length, pad * grid.size)
-    vals = _reference_inverse(pad_coeffs(coeffs, pad), fine, real=real)
-    back = truncate_coeffs(_reference_forward(func(vals), fine), grid.size)
+    vals = _reference_inverse(_pad(coeffs, pad), fine, real=real)
+    back = _central_band(_reference_forward(func(vals), fine), grid.size)
     return hermitian_project(back) if real else back
 
 
@@ -243,3 +253,58 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
     assert fine == Grid1D(half_length, pad * n)
     with pytest.raises(ValueError):
         fine.points[0] = 0.0
+
+
+def _former_pointwise(coeffs, grid, func, pad, real):
+    """apply_pointwise_matrix before its in-place scalings, inlined."""
+    fine = grid.refined(pad)
+    vals = coeffs_to_values(_pad(coeffs, pad), fine, real=real)
+    back = _central_band(values_to_coeffs(func(vals), fine), grid.size)
+    return hermitian_project(back) if real else back
+
+
+def _quintic(v):
+    return np.sign(v) * np.abs(v) ** 5.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_size=st.integers(min_value=4, max_value=160),
+       pad=st.sampled_from([2, 3]),
+       rows=st.integers(min_value=1, max_value=9),
+       real=st.booleans(),
+       aliased=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_lean_pointwise_map_matches_the_former_formula_bytewise(half_size, pad, rows,
+                                                                real, aliased, seed):
+    grid = Grid1D(24.0, 2 * half_size)
+    rng = np.random.default_rng(seed)
+    shape = (rows, grid.size)
+    if real:
+        coeffs = values_to_coeffs(rng.standard_normal(shape), grid)
+        func = _quintic
+    else:
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        func = _cube
+    if aliased:  # the samples come back as a view of the work buffer
+        func = np.asarray
+    before = coeffs.copy()
+    got = apply_pointwise_matrix(coeffs, grid, func, pad=pad, real=real)
+    _assert_same_bytes(got, _former_pointwise(coeffs, grid, func, pad, real))
+    _assert_same_bytes(apply_pointwise_matrix(coeffs[0], grid, func, pad=pad, real=real),
+                       _former_pointwise(coeffs[0], grid, func, pad, real))
+    _assert_same_bytes(coeffs, before)
+
+
+def test_pointwise_map_rejects_a_wrong_output_length():
+    with pytest.raises(ValueError, match="last axis"):
+        apply_pointwise_matrix(GRID.frequencies + 0j, GRID, lambda v: v[..., ::2])
+
+
+def test_hermitian_defect_per_row():
+    f = random_band_limited(GRID, decay=1.0, band=40, seed=2)
+    rows = np.stack([f.coeffs, f.coeffs * 1j, f.coeffs])
+    defects = hermitian_defect(rows)
+    assert defects.shape == (3,)
+    assert defects[0] == defects[2] == hermitian_defect(f.coeffs) < 1e-12
+    assert defects[1] > 1e-3
+    assert list(spectral.hermitian_breaks(rows)) == [False, True, False]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gkdvlab.spacetime import free_evolution
+from gkdvlab.spacetime import TimeTrace, free_evolution
 from gkdvlab.spectral import Grid1D, gaussian_profile, random_band_limited
 from gkdvlab.traceio import (
     atomic_write_json,
@@ -93,3 +93,34 @@ def test_atomic_write_json(tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded == {"x": "inf", "y": 2.0}
     assert path.read_text().endswith("\n")
+
+
+def _broken_row(trace):
+    coeffs = trace.coeffs.copy()
+    coeffs[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
+    return TimeTrace(trace.grid, trace.times, coeffs, is_real=False)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_missing_sidecar_infers_realness_from_the_data(tmp_path, broken):
+    trace = _broken_row(_trace()) if broken else _trace()
+    path = tmp_path / "run.trace"
+    write_trace(path, trace)
+    sidecar_path(path).unlink()
+    back, meta = read_trace(path)
+    assert meta == {}
+    assert back.is_real is (not broken)
+    np.testing.assert_array_equal(back.coeffs, trace.coeffs)
+
+
+def test_sidecar_claiming_realness_of_complex_data_is_rejected(tmp_path):
+    path = tmp_path / "run.trace"
+    write_trace(path, _broken_row(_trace()))
+    side = sidecar_path(path)
+    doc = json.loads(side.read_text())
+    assert doc["is_real"] is False
+    assert read_trace(path)[0].is_real is False
+    doc["is_real"] = True
+    side.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="1 of 5 rows break Hermitian symmetry"):
+        read_trace(path)
