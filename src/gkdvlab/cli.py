@@ -23,6 +23,7 @@ from .diagnostics import monitor, nonpositive_energy_amplitude, scattering_state
 from .estimates import ESTIMATE_IDS, EstimateSpec, verify
 from .norms import lhat_norm, lhat_rows, lebesgue_norm, sobolev_norm
 from .solver import (
+    FieldStack,
     NonlinearityG,
     NumericalBlowupError,
     SolverConfig,
@@ -386,8 +387,10 @@ def _scatter_energy(cfg: dict) -> int:
     power = cfg["alpha"] + 1.0
     lp0 = lebesgue_norm(big, power)
     try:
-        trace = reference_solve(big, G, scfg)
+        trace, ctl_trace = reference_solve(FieldStack((big, control)), G, scfg)
     except NumericalBlowupError as exc:
+        if exc.datum != 0:
+            raise  # the control run failed: exit 3 with no report
         doc["passed"] = False
         doc["blowup_time"] = exc.time
         _write_report(cfg, doc)
@@ -395,7 +398,6 @@ def _scatter_energy(cfg: dict) -> int:
         return _EXIT_BLOWUP
     big_report = scattering_state(trace, cfg["alpha"], levels=cfg["levels"])
     lp_final = lebesgue_norm(trace.field(trace.sample_count - 1), power)
-    ctl_trace = reference_solve(control, G, scfg)
     ctl_report = scattering_state(ctl_trace, cfg["alpha"], levels=cfg["levels"])
     doc["result"] = {
         "residuals": big_report.residuals,

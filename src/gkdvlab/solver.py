@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,12 +72,16 @@ class NumericalBlowupError(RuntimeError):
     Attributes:
         time: last time with a healthy iterate.
         trace: trace of samples up to that time (may be None).
+        datum: position of the failing datum in a stacked reference_solve
+            (0 for a single datum).
     """
 
-    def __init__(self, message: str, time: float, trace: Optional[TimeTrace] = None):
+    def __init__(self, message: str, time: float, trace: Optional[TimeTrace] = None,
+                 datum: int = 0):
         super().__init__(message)
         self.time = time
         self.trace = trace
+        self.datum = datum
 
 
 @dataclass(frozen=True)
@@ -328,9 +332,11 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
     sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
-    boundary = _boundary_mass_max(trace)
-    size = snorm(trace, rc, check=check) + xnorm(trace, aux_smoothness(G.alpha), rc,
-                                                check=check)
+    vals = trace.values()  # one transform for the boundary mass and snorm
+    boundary = _boundary_mass_max(vals, trace.grid)
+    scattering_size = snorm(trace, rc, check=check, values=vals)
+    del vals  # xnorm transforms its own weighted copy; keep one sample array live
+    size = scattering_size + xnorm(trace, aux_smoothness(G.alpha), rc, check=check)
     return {
         "mass_initial": float(m0),
         "mass_drift": mass_drift,
@@ -345,10 +351,9 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     }
 
 
-def _boundary_mass_max(trace: TimeTrace, fraction: float = 0.1) -> float:
-    vals = trace.values()
-    x = trace.grid.points
-    cut = (1.0 - fraction) * trace.grid.half_length
+def _boundary_mass_max(vals: np.ndarray, grid: Grid1D, fraction: float = 0.1) -> float:
+    x = grid.points
+    cut = (1.0 - fraction) * grid.half_length
     edge = np.abs(x) >= cut
     num = np.sum(np.abs(vals[:, edge]) ** 2, axis=1)
     den = np.sum(np.abs(vals) ** 2, axis=1)
@@ -428,54 +433,99 @@ def _strided_indices(n: int, stride: int) -> np.ndarray:
     return idx
 
 
-def reference_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> TimeTrace:
+class FieldStack(tuple):
+    """Fields on one grid, integrated side by side by reference_solve.
+
+    A tuple that also carries the common grid, so a stack answers .grid as
+    a single SpectralField does.
+    """
+
+    def __new__(cls, fields: Sequence[SpectralField]) -> "FieldStack":
+        stack = super().__new__(cls, fields)
+        if not stack:
+            raise ValueError("a field stack needs at least one field")
+        if any(f.grid != stack[0].grid for f in stack):
+            raise ValueError("stacked fields live on different grids")
+        return stack
+
+    @property
+    def grid(self) -> Grid1D:
+        return self[0].grid
+
+
+def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: NonlinearityG,
+                    cfg: SolverConfig) -> Union[TimeTrace, List[TimeTrace]]:
     """Integrating-factor Runge-Kutta (classical order 4) cross-check.
 
     The dispersive phase is integrated exactly per mode; the explicit stages
     handle only the flux, so there is no stiffness from the linear term.
     With mu = 0 the scheme reproduces the free flow to round-off.  Substep
     size is reference_dt, snapped to divide each output interval.
+
+    u0 is one field, or a sequence of real fields on one grid; a sequence is
+    integrated as the rows of one (k, N) stack, so each stage makes one
+    dealiased map for all data, and one trace per datum is returned.  Rows
+    never mix: each equals its single-datum call byte for byte.  A datum
+    whose norm leaves the trusted regime (BLOWUP_FACTOR times its own
+    initial size) leaves the stack together with the data listed after it,
+    whose outcome no longer matters, and the others go on.  The call then
+    raises the NumericalBlowupError that the first listed failing datum
+    raises on its own, with datum set to its position.
     """
-    if not u0.is_real:
+    single = isinstance(u0, SpectralField)
+    data = FieldStack((u0,) if single else u0)
+    if not all(u.is_real for u in data):
         raise ValueError("the flow is defined for real data")
     times = cfg.times()
-    grid = u0.grid
+    grid = data.grid
     xi = grid.frequencies
     xi3 = xi ** 3
-    initial_size = lhat_norm(u0, critical_exponent(G.alpha)) if G.alpha > 1 else 1.0
-    limit = BLOWUP_FACTOR * max(initial_size, 1e-300)
+    rc = critical_exponent(G.alpha)
+    limits = [BLOWUP_FACTOR * max(lhat_norm(u, rc), 1e-300) for u in data]
     flux_multiplier = G.mu * 1j * xi
 
     def flux(c: np.ndarray) -> np.ndarray:
         rows = apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad, real=True)
         return flux_multiplier * rows
 
-    out = np.empty((times.size, grid.size), dtype=complex)
-    c = u0.coeffs.copy()
-    out[0] = c
-    rc = critical_exponent(G.alpha)
+    out = np.empty((len(data), times.size, grid.size), dtype=complex)
+    c = np.stack([u.coeffs for u in data])
+    out[:, 0] = c
+    live = len(data)  # rows 0 .. live-1 of c are data 0 .. live-1
+    failure = None
+    h = None
     for m in range(times.size - 1):
         span = times[m + 1] - times[m]
         nsub = max(1, math.ceil(span / cfg.reference_dt))
-        h = span / nsub
-        e_half = np.exp(1j * xi3 * (h / 2.0))
-        e_full = e_half * e_half
+        if span / nsub != h:  # spans of non-dyadic intervals differ in the last bit
+            h = span / nsub
+            e_half = np.exp(1j * xi3 * (h / 2.0))
+            e_full = e_half * e_half
+            back_half, back_full = np.conj(e_half), np.conj(e_full)
         for _ in range(nsub):
             k1 = flux(c)
-            k2 = np.conj(e_half) * flux(e_half * (c + (h / 2.0) * k1))
-            k3 = np.conj(e_half) * flux(e_half * (c + (h / 2.0) * k2))
-            k4 = np.conj(e_full) * flux(e_full * (c + h * k3))
+            k2 = back_half * flux(e_half * (c + (h / 2.0) * k1))
+            k3 = back_half * flux(e_half * (c + (h / 2.0) * k2))
+            k4 = back_full * flux(e_full * (c + h * k3))
             c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            c = hermitian_project(c)
-        if not np.all(np.isfinite(c)) or lhat_rows(c, grid.dxi, rc) > limit:
-            partial = TimeTrace(grid, times[: m + 1], out[: m + 1], is_real=True) \
-                if m >= 1 else None
-            raise NumericalBlowupError(
-                f"norm left the trusted regime after t = {times[m]:.6g}",
-                time=float(times[m]), trace=partial,
-            )
-        out[m + 1] = c
-    return TimeTrace(grid, times, out, is_real=True)
+            hermitian_project(c, out=c)
+        for i in range(live):
+            if not np.all(np.isfinite(c[i])) or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
+                partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1], is_real=True) \
+                    if m >= 1 else None
+                failure = NumericalBlowupError(
+                    f"norm left the trusted regime after t = {times[m]:.6g}",
+                    time=float(times[m]), trace=partial, datum=i,
+                )
+                live, c = i, c[:i]
+                break
+        out[:live, m + 1] = c
+        if not live:
+            break
+    if failure is not None:
+        raise failure
+    traces = [TimeTrace(grid, times, rows, is_real=True) for rows in out]
+    return traces[0] if single else traces
 
 
 def mass(u: SpectralField) -> float:

@@ -269,11 +269,14 @@ def _riesz_trace_values(trace: TimeTrace, s: float) -> np.ndarray:
     return coeffs_to_values(trace.coeffs * w[None, :], trace.grid, real=trace.is_real)
 
 
-def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True) -> float:
+def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True,
+          values: Optional[np.ndarray] = None) -> float:
     """Norm || |D_x|^s u ||_{L^p_x L^q_t} with (p, q) determined by (s, r).
 
     Requires (s, r) acceptable unless check=False (exploratory use); the
-    exponent map is still applied verbatim in that case.
+    exponent map is still applied verbatim in that case.  values, when the
+    caller already holds them, are the samples of |D_x|^s u
+    (trace.values() at s = 0).
     """
     cls = classify_pair(s, r)
     if check and not cls.acceptable:
@@ -283,13 +286,15 @@ def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True) -> float:
             "s in (2/r - 5/4, 5/2 - 3/r) for 1/2 < 1/r < 3/4"
         )
     p, q = exponent_map(s, r)
-    vals = _riesz_trace_values(trace, s)
-    return mixed_norm_values(vals, trace.grid, trace.times, p, q, "x_outer")
+    if values is None:
+        values = _riesz_trace_values(trace, s)
+    return mixed_norm_values(values, trace.grid, trace.times, p, q, "x_outer")
 
 
-def snorm(trace: TimeTrace, r: float, check: bool = True) -> float:
-    """Scattering-size norm: xnorm at smoothness zero."""
-    return xnorm(trace, 0.0, r, check=check)
+def snorm(trace: TimeTrace, r: float, check: bool = True,
+          values: Optional[np.ndarray] = None) -> float:
+    """Scattering-size norm: xnorm at smoothness zero (values: trace.values())."""
+    return xnorm(trace, 0.0, r, check=check, values=values)
 
 
 def ynorm(trace: TimeTrace, s: float, r: float, check: bool = True) -> float:

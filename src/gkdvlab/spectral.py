@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -82,7 +83,7 @@ _plans: dict = {}
 class _Plan:
     """Read-only transform tables of one (half_length, size) grid."""
 
-    __slots__ = ("grid", "signs", "bin_signs", "forward_scale", "inverse_scale", "half")
+    __slots__ = ("grid", "bin_signs", "forward_scale", "inverse_scale", "half")
 
     def __init__(self, half_length: float, size: int) -> None:
         grid = Grid1D(half_length, size)
@@ -91,13 +92,12 @@ class _Plan:
         signs = np.where(k % 2 == 0, 1.0, -1.0)
         forward_scale = (grid.dx / SQRT_2PI) * signs
         self.grid = grid
-        self.signs = signs
         self.half = size // 2
         # the signs in FFT bin order, for spectra built already half-swapped
         self.bin_signs = self.swap(signs)
         self.forward_scale = forward_scale
         self.inverse_scale = grid.size * grid.dxi / SQRT_2PI
-        for arr in (grid.points, grid.frequencies, signs, self.bin_signs, forward_scale):
+        for arr in (grid.points, grid.frequencies, self.bin_signs, forward_scale):
             arr.flags.writeable = False
 
     def swap(self, a: np.ndarray) -> np.ndarray:
@@ -142,9 +142,7 @@ def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np
         raise ValueError(
             f"last axis has length {coeffs.shape[-1]}, expected {grid.size}"
         )
-    plan = _plan(grid.half_length, grid.size)
-    vals = np.fft.ifft(plan.swap(coeffs * plan.signs), axis=-1)
-    vals = vals * plan.inverse_scale
+    vals = dealiased_samples(coeffs, grid, 1)
     return vals.real if real else vals
 
 
@@ -212,13 +210,19 @@ def hermitian_breaks(coeffs: np.ndarray):
     return hermitian_defect(c) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
 
 
-def hermitian_project(coeffs: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian-symmetric coefficient array (last axis)."""
+def hermitian_project(coeffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nearest Hermitian-symmetric coefficient array (last axis).
+
+    out may be coeffs itself, which projects in place; the flipped
+    conjugates are the only temporary either way.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    out = np.empty_like(c)
+    if out is None:
+        out = np.empty_like(c)
+    flipped = np.conj(c[..., :0:-1])
+    np.add(c[..., 1:], flipped, out=flipped)
+    np.multiply(0.5, flipped, out=out[..., 1:])
     out[..., 0] = c[..., 0].real
-    flipped = np.conj(c[..., 1:][..., ::-1])
-    out[..., 1:] = 0.5 * (c[..., 1:] + flipped)
     return out
 
 
@@ -369,16 +373,18 @@ def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
 def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
     """Complex samples of coeffs (last axis) on the grid refined by pad.
 
-    coeffs_to_values of the zero-padded spectrum, in one buffer that holds
-    that spectrum in FFT bin order (band mode i in bin (i - N/2) mod M).
+    The inverse transform of the zero-padded spectrum (pad = 1 is
+    coeffs_to_values), in one buffer that holds that spectrum in FFT bin
+    order (band mode i in bin (i - N/2) mod M).
     """
+    coeffs = np.asarray(coeffs, dtype=complex)
     half = grid.size // 2
     plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
-    buf = np.zeros(np.shape(coeffs)[:-1] + (m,), dtype=complex)
-    buf[..., :half] = coeffs[..., half:]
-    buf[..., m - half:] = coeffs[..., :half]
-    buf *= plan.bin_signs
+    shape = coeffs.shape[:-1] + (m,)
+    buf = np.zeros(shape, dtype=complex) if m > grid.size else np.empty(shape, dtype=complex)
+    np.multiply(coeffs[..., half:], plan.bin_signs[:half], out=buf[..., :half])
+    np.multiply(coeffs[..., :half], plan.bin_signs[m - half:], out=buf[..., m - half:])
     np.fft.ifft(buf, axis=-1, out=buf)
     buf *= plan.inverse_scale
     return buf
@@ -408,4 +414,4 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     back = np.concatenate((full[..., m - half:], full[..., :half]), axis=-1)
     del buf, mapped, full  # fine-grid arrays set peak memory: free them first
     back *= plan.forward_scale[(m - n) // 2: (m + n) // 2]
-    return hermitian_project(back) if real else back
+    return hermitian_project(back, out=back) if real else back

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gkdvlab import cli, estimates
+from gkdvlab import cli, estimates, solver
 from gkdvlab.cli import main
 from gkdvlab.estimates import EstimateReport
+from gkdvlab.solver import NumericalBlowupError
 from gkdvlab.traceio import read_trace
 
 
@@ -186,3 +187,34 @@ def test_drift_gate_with_a_zero_base(tmp_path, monkeypatch, refined, drift, code
     doc = load_report(tmp_path)
     assert doc["stability"]["drift"] == drift
     assert doc["passed"] is (code == 0)
+
+
+ENERGY = ["scatter", "--protocol", "energy-threshold", "--mu", "-1", "--t-end", "2",
+          "--size", "256", "--half-length", "64"]
+
+
+def test_energy_protocol_big_blowup_writes_report(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(u0, G, cfg, _solve=cli.reference_solve):
+        calls.append((u0, G, cfg))
+        return _solve(u0, G, cfg)
+
+    monkeypatch.setattr(cli, "reference_solve", recording)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, ENERGY + ["--energy-margin", "3"])
+        [(stack, G, cfg)] = calls  # big and control in one stacked call
+        with pytest.raises(NumericalBlowupError) as info:
+            solver.reference_solve(stack[0], G, cfg)
+    assert rc == 3 and len(stack) == 2
+    doc = load_report(tmp_path)
+    assert doc["passed"] is False
+    assert doc["blowup_time"] == info.value.time
+
+
+def test_energy_protocol_control_blowup_exits_three(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run(tmp_path, ENERGY + ["--control-amp", "3"])
+    assert rc == 3
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert "numerical blowup" in capsys.readouterr().err

@@ -6,11 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkdvlab import solver, spacetime
 from gkdvlab.norms import holder_conjugate
 from gkdvlab.solver import (
+    FieldStack,
     NonlinearityG,
+    NumericalBlowupError,
     SolverConfig,
     aux_smoothness,
     critical_exponent,
@@ -29,6 +32,7 @@ from gkdvlab.spectral import (
     SpectralField,
     apply_pointwise_matrix,
     gaussian_profile,
+    hermitian_project,
     random_band_limited,
 )
 
@@ -294,3 +298,106 @@ def test_no_phase_table_outlives_picard_solve(monkeypatch):
     made = [ref for ref, _, _ in made]
     gc.collect()
     assert all(ref() is None for ref in made)
+
+
+# The reference scheme as first written: one datum, a 1-d coefficient array,
+# conj(e_half) taken in every substep and an out-of-place projection.
+# Stacked and single calls must both reproduce it bit for bit.
+
+def _former_reference(u0, G, cfg):
+    times, grid = cfg.times(), u0.grid
+    xi = grid.frequencies
+    xi3 = xi ** 3
+    flux_multiplier = G.mu * 1j * xi
+
+    def flux(c):
+        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values,
+                                                        pad=cfg.pad, real=True)
+
+    out = np.empty((times.size, grid.size), dtype=complex)
+    c = u0.coeffs.copy()
+    out[0] = c
+    for m in range(times.size - 1):
+        span = times[m + 1] - times[m]
+        nsub = max(1, math.ceil(span / cfg.reference_dt))
+        h = span / nsub
+        e_half = np.exp(1j * xi3 * (h / 2.0))
+        e_full = e_half * e_half
+        for _ in range(nsub):
+            k1 = flux(c)
+            k2 = np.conj(e_half) * flux(e_half * (c + (h / 2.0) * k1))
+            k3 = np.conj(e_half) * flux(e_half * (c + (h / 2.0) * k2))
+            k4 = np.conj(e_full) * flux(e_full * (c + h * k3))
+            c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            c = hermitian_project(c)
+        out[m + 1] = c
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_size=st.integers(min_value=4, max_value=128),
+       rows=st.integers(min_value=1, max_value=4),
+       reference_dt=st.sampled_from([1.0 / 64.0, 0.005]),
+       mu=st.sampled_from([1.0, -1.0]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
+                                                               reference_dt, mu, seed):
+    n = 2 * half_size
+    grid = Grid1D(n / 8.0, n)
+    G = NonlinearityG(alpha=5.0, mu=mu)
+    # the spans of linspace(0.1, 0.35, 5) differ in the last bit, so the
+    # substep phases must follow the step of each interval
+    cfg = SolverConfig(grid=grid, t_start=0.1, t_end=0.35, samples_per_unit=16,
+                       reference_dt=reference_dt)
+    rng = np.random.default_rng(seed)
+    data = []
+    for _ in range(rows):
+        f = random_band_limited(grid, 1.0, max(1, n // 4), seed=int(rng.integers(2 ** 32)))
+        data.append(SpectralField(grid, rng.uniform(0.05, 0.6) * f.coeffs, True))
+    traces = reference_solve(data, G, cfg)
+    assert len(traces) == rows
+    for u0, trace in zip(data, traces):
+        single = reference_solve(u0, G, cfg)
+        assert trace.times.tobytes() == single.times.tobytes()
+        assert trace.coeffs.tobytes() == single.coeffs.tobytes()
+        assert single.coeffs.tobytes() == _former_reference(u0, G, cfg).tobytes()
+
+
+def _blowup(u0, G, cfg):
+    with pytest.raises(NumericalBlowupError) as info:
+        reference_solve(u0, G, cfg)
+    return info.value
+
+
+def test_failing_rows_leave_the_stack_and_the_first_listed_failure_is_raised():
+    grid = Grid1D(16.0, 64)
+    G = NonlinearityG(alpha=5.0, mu=-1.0)
+    cfg = SolverConfig(grid=grid, t_end=1.0, samples_per_unit=16, reference_dt=1 / 32)
+    small, late, early = (gaussian_profile(grid, a) for a in (0.5, 1.3, 1.4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = {id(u): _blowup(u, G, cfg) for u in (late, early)}
+        assert 0.0 < alone[id(early)].time < alone[id(late)].time
+        # early fails first but late is listed first; small outlives both
+        for stack, failing in (([small, late, early], 1), ([early, late], 0),
+                               ([late, small], 0)):
+            got = _blowup(stack, G, cfg)
+            want = alone[id(stack[failing])]
+            assert got.datum == failing and want.datum == 0
+            assert str(got) == str(want) and got.time == want.time
+            assert got.trace.times.tobytes() == want.trace.times.tobytes()
+            assert got.trace.coeffs.tobytes() == want.trace.coeffs.tobytes()
+    assert reference_solve([small], G, cfg)[0].coeffs.tobytes() \
+        == reference_solve(small, G, cfg).coeffs.tobytes()
+
+
+def test_field_stacks_need_real_data_on_one_grid():
+    u = gaussian_profile(GRID, 0.1)
+    assert FieldStack([u, u]).grid == GRID
+    with pytest.raises(ValueError, match="at least one"):
+        FieldStack([])
+    with pytest.raises(ValueError, match="different grids"):
+        reference_solve([u, gaussian_profile(Grid1D(32.0, 256), 0.1)], G5,
+                        SolverConfig(grid=GRID))
+    with pytest.raises(ValueError, match="real data"):
+        reference_solve([u, SpectralField(GRID, 1j * u.coeffs)], G5,
+                        SolverConfig(grid=GRID))

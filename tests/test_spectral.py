@@ -308,3 +308,25 @@ def test_hermitian_defect_per_row():
     assert defects[0] == defects[2] == hermitian_defect(f.coeffs) < 1e-12
     assert defects[1] > 1e-3
     assert list(spectral.hermitian_breaks(rows)) == [False, True, False]
+
+
+def _former_hermitian_project(c):
+    out = np.empty_like(c)
+    out[..., 0] = c[..., 0].real
+    out[..., 1:] = 0.5 * (c[..., 1:] + np.conj(c[..., 1:][..., ::-1]))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(8,), (130,), (3, 64), (2, 5, 36)])
+def test_in_place_hermitian_projection_matches_out_of_place_bytewise(shape):
+    rng = np.random.default_rng(sum(shape))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c[..., 1] = -0.0  # signed zeros must come out the same way too
+    before = c.copy()
+    want = _former_hermitian_project(c)
+    got = hermitian_project(c)
+    _assert_same_bytes(got, want)
+    _assert_same_bytes(c, before)
+    assert hermitian_project(c, out=c) is c
+    _assert_same_bytes(c, want)
+    assert not np.any(spectral.hermitian_breaks(c))
