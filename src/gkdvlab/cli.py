@@ -4,7 +4,8 @@ Every subcommand resolves its configuration from centralized defaults, an
 optional --config JSON document, and explicit flags (flags win), echoes the
 resolved configuration into report.json, and exits 0 on success, 2 when a
 quantitative gate fails (reports are still written), 1 on configuration or
-runtime errors, and 3 on numerical blowup.
+runtime errors (a --config value of the wrong type among them), and 3 on
+numerical blowup.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import monitor, nonpositive_energy_amplitude, scattering_state
-from .estimates import ESTIMATE_IDS, EstimateSpec, verify
+from .estimates import EstimateSpec, _estimate, verify
 from .norms import lhat_norm, lhat_rows, lebesgue_norm, sobolev_norm
 from .solver import (
     FieldStack,
@@ -33,6 +34,7 @@ from .solver import (
     picard_solve,
     reference_solve,
 )
+from .spacetime import TimeTrace, snorm
 from .spectral import Grid1D, SpectralField, gaussian_profile, random_band_limited
 from .traceio import atomic_write_json, write_trace
 
@@ -40,18 +42,6 @@ _EXIT_OK = 0
 _EXIT_ERROR = 1
 _EXIT_THRESHOLD = 2
 _EXIT_BLOWUP = 3
-
-# refinement-stability gates per check; criteria with rougher data get 15%
-_STABILITY = {
-    "stein_tomas": 0.10, "kenig_ruiz": 0.10, "kato": 0.10, "strichartz": 0.10,
-    "interpolation": 0.10, "inclusion": 0.10, "counterexample": 0.05,
-    "leibniz": 0.15, "chain_rule": 0.15, "inhom_linf": 0.15, "inhom_xy": 0.15,
-    "nonlinear_i": 0.15, "nonlinear_ii": 0.15,
-}
-
-# the retarded-integral checks need a deeper ensemble before the max ratio
-# saturates; at 50 the ensemble-doubling refinement still finds new maxima
-_ENSEMBLE_FLOOR = {"inhom_linf": 100, "inhom_xy": 100}
 
 
 class ConfigError(ValueError):
@@ -66,55 +56,76 @@ def _float_list(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-_DEFAULTS: Dict[str, dict] = {
+# Per command, key -> (default, kind).  The kind parses the --flag (bool is
+# a switch) and fixes the JSON type a --config value must have: a string, an
+# integer, a number (an integer is accepted and echoed as given; "inf",
+# "-inf" and "nan" are the report spellings of the non-finite floats), true
+# or false, or a list of integers or numbers.  null is accepted only where
+# the default is None.
+_KEYS: Dict[str, Dict[str, tuple]] = {
     "verify": {
-        "id": "stein_tomas", "r": None, "s": None, "q": None, "theta": None,
-        "s1": None, "s2": None, "alpha": None, "mu": None, "case": None,
-        "family": None, "n": None, "p": None,
-        "half_length": 64.0, "size": 256, "t_start": 0.0, "t_end": 1.0,
-        "samples_per_unit": 128, "ensemble": None, "seed": 0, "band": None,
-        "amplitude": 1.0, "stability_threshold": None, "out": ".",
+        "id": ("stein_tomas", str), "r": (None, float), "s": (None, float),
+        "q": (None, float), "theta": (None, float), "s1": (None, float),
+        "s2": (None, float), "alpha": (None, float), "mu": (None, float),
+        "case": (None, str), "family": (None, str), "n": (None, _int_list),
+        "p": (None, float), "half_length": (64.0, float), "size": (256, int),
+        "t_start": (0.0, float), "t_end": (1.0, float),
+        "samples_per_unit": (128, int), "ensemble": (None, int), "seed": (0, int),
+        "band": (None, int), "amplitude": (1.0, float),
+        "stability_threshold": (None, float), "out": (".", str),
     },
     "solve": {
-        "alpha": 5.0, "mu": 1.0, "datum": "gaussian", "amp": 0.05,
-        "width": 1.0, "decay": 1.0, "band": None, "seed": 0,
-        "half_length": 64.0, "size": 256, "t_start": 0.0, "t_end": 1.0,
-        "samples_per_unit": 128, "tolerance": 1e-10, "max_iterations": 25,
-        "delta": None, "pad": 2, "exploratory": False, "reference": False,
-        "reference_dt": 1.0 / 256.0, "mass_drift_bound": 1e-8,
-        "energy_drift_bound": 1e-6, "reference_bound": 1e-6,
-        "save_trace": None, "out": ".",
+        "alpha": (5.0, float), "mu": (1.0, float), "datum": ("gaussian", str),
+        "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
+        "band": (None, int), "seed": (0, int), "half_length": (64.0, float),
+        "size": (256, int), "t_start": (0.0, float), "t_end": (1.0, float),
+        "samples_per_unit": (128, int), "tolerance": (1e-10, float),
+        "max_iterations": (25, int), "delta": (None, float), "pad": (2, int),
+        "exploratory": (False, bool), "reference": (False, bool),
+        "reference_dt": (1.0 / 256.0, float), "mass_drift_bound": (1e-8, float),
+        "energy_drift_bound": (1e-6, float), "reference_bound": (1e-6, float),
+        "save_trace": (None, str), "out": (".", str),
     },
     "scatter": {
-        "protocol": "small-data", "alpha": 5.0, "mu": 1.0, "datum": "gaussian",
-        "amp": 0.05, "width": 1.0, "decay": 1.0, "band": None, "seed": 0,
-        "half_length": 256.0, "size": 1024, "t_end": 64.0,
-        "samples_per_unit": 128, "segment_length": 2.0, "store_stride": 4,
-        "levels": 4, "delta": None, "pad": 2,
-        "reference_dt": 0.005, "control_amp": 0.05, "energy_margin": 1.0,
-        "save_trace": None, "out": ".",
+        "protocol": ("small-data", str), "alpha": (5.0, float), "mu": (1.0, float),
+        "datum": ("gaussian", str), "amp": (0.05, float), "width": (1.0, float),
+        "decay": (1.0, float), "band": (None, int), "seed": (0, int),
+        "half_length": (256.0, float), "size": (1024, int), "t_end": (64.0, float),
+        "samples_per_unit": (128, int), "segment_length": (2.0, float),
+        "store_stride": (4, int), "levels": (4, int), "delta": (None, float),
+        "pad": (2, int), "reference_dt": (0.005, float), "control_amp": (0.05, float),
+        "energy_margin": (1.0, float), "save_trace": (None, str), "out": (".", str),
     },
     "counterexample": {
-        "family": "sharp_band", "r": 4.0, "n": None, "p": None,
-        "half_length": None, "size": None, "out": ".",
+        "family": ("sharp_band", str), "r": (4.0, float), "n": (None, _int_list),
+        "p": (None, float), "half_length": (None, float), "size": (None, int),
+        "out": (".", str),
     },
     "calibrate-delta": {
-        "alpha": 5.0, "amplitudes": None, "seed": 0, "random_per_amplitude": 2,
-        "half_length": 64.0, "size": 256, "t_start": 0.0, "t_end": 1.0,
-        "out": ".",
+        "alpha": (5.0, float), "amplitudes": (None, _float_list), "seed": (0, int),
+        "random_per_amplitude": (2, int), "half_length": (64.0, float),
+        "size": (256, int), "t_start": (0.0, float), "t_end": (1.0, float),
+        "out": (".", str),
     },
     "persist": {
-        "alpha": 5.0, "mu": 1.0, "datum": "gaussian", "amp": 0.05,
-        "width": 1.0, "decay": 1.0, "band": None, "seed": 0,
+        "alpha": (5.0, float), "mu": (1.0, float), "datum": ("gaussian", str),
+        "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
+        "band": (None, int), "seed": (0, int),
         # box large enough that no resolvable group speed crosses 0.9L
         # by t_end; smaller boxes trip the boundary-mass taint flag
-        "half_length": 1024.0, "size": 4096, "t_end": 16.0,
-        "samples_per_unit": 128, "segment_length": 2.0, "store_stride": 4,
-        "aux_lhat": [1.8, 2.5], "aux_sobolev": [0.5, 1.0],
-        "growth_bound": 3.0, "delta": None, "pad": 2, "save_trace": None,
-        "out": ".",
+        "half_length": (1024.0, float), "size": (4096, int), "t_end": (16.0, float),
+        "samples_per_unit": (128, int), "segment_length": (2.0, float),
+        "store_stride": (4, int), "aux_lhat": ([1.8, 2.5], _float_list),
+        "aux_sobolev": ([0.5, 1.0], _float_list), "growth_bound": (3.0, float),
+        "delta": (None, float), "pad": (2, int), "save_trace": (None, str),
+        "out": (".", str),
     },
 }
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", _int_list: "a list of integers",
+               _float_list: "a list of numbers"}
+_JSON_FLOATS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,66 +135,62 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gkdvlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, **specs):
-        sp = sub.add_parser(cmd)
+    for command, keys in _KEYS.items():
+        sp = sub.add_parser(command)
         sp.add_argument("--config", default=None, help="JSON config file; flags override")
-        for key, kind in specs.items():
+        for key, (_, kind) in keys.items():
             flag = "--" + key.replace("_", "-")
             if kind is bool:
                 sp.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
             else:
                 sp.add_argument(flag, type=kind, default=argparse.SUPPRESS)
-        return sp
-
-    add("verify", id=str, r=float, s=float, q=float, theta=float, s1=float,
-        s2=float, alpha=float, mu=float, case=str, family=str, n=_int_list,
-        p=float, half_length=float, size=int, t_start=float, t_end=float,
-        samples_per_unit=int, ensemble=int, seed=int, band=int,
-        amplitude=float, stability_threshold=float, out=str)
-    add("solve", alpha=float, mu=float, datum=str, amp=float, width=float,
-        decay=float, band=int, seed=int, half_length=float, size=int,
-        t_start=float, t_end=float, samples_per_unit=int, tolerance=float,
-        max_iterations=int, delta=float, pad=int, exploratory=bool,
-        reference=bool, reference_dt=float, mass_drift_bound=float,
-        energy_drift_bound=float, reference_bound=float, save_trace=str,
-        out=str)
-    add("scatter", protocol=str, alpha=float, mu=float, datum=str, amp=float,
-        width=float, decay=float, band=int, seed=int, half_length=float,
-        size=int, t_end=float, samples_per_unit=int, segment_length=float,
-        store_stride=int, levels=int, delta=float, pad=int,
-        reference_dt=float, control_amp=float, energy_margin=float,
-        save_trace=str, out=str)
-    add("counterexample", family=str, r=float, n=_int_list, p=float,
-        half_length=float, size=int, out=str)
-    add("calibrate-delta", alpha=float, amplitudes=_float_list, seed=int,
-        random_per_amplitude=int, half_length=float, size=int, t_start=float,
-        t_end=float, out=str)
-    add("persist", alpha=float, mu=float, datum=str, amp=float, width=float,
-        decay=float, band=int, seed=int, half_length=float, size=int,
-        t_end=float, samples_per_unit=int, segment_length=float,
-        store_stride=int, aux_lhat=_float_list, aux_sobolev=_float_list,
-        growth_bound=float, delta=float, pad=int, save_trace=str, out=str)
     return parser
+
+
+def _scalar(value, kind):
+    """value if it has the JSON type of kind (TypeError if not); report spellings become floats."""
+    if isinstance(value, bool) != (kind is bool):
+        raise TypeError
+    if kind is float and isinstance(value, str) and value in _JSON_FLOATS:
+        return _JSON_FLOATS[value]
+    if not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError
+    return value
+
+
+def _config_value(command: str, key: str, value):
+    default, kind = _KEYS[command][key]
+    if value is None and default is None:
+        return None
+    try:
+        if kind in (_int_list, _float_list):
+            if not isinstance(value, list):
+                raise TypeError
+            item = int if kind is _int_list else float
+            return [_scalar(v, item) for v in value]
+        return _scalar(value, kind)
+    except TypeError:
+        raise ConfigError(f"config: {key!r} for command {command!r} must be "
+                          f"{_KIND_NAMES[kind]}, got {json.dumps(value)}") from None
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     command = args.command
-    defaults = _DEFAULTS[command]
-    resolved = dict(defaults)
+    keys = _KEYS[command]
+    resolved = {key: default for key, (default, _) in keys.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config: top level must be a JSON object")
-        for key in loaded:
-            if key not in defaults:
+        for key, value in loaded.items():
+            if key not in keys:
                 raise ConfigError(
                     f"config: unknown key {key!r} for command {command!r}"
                 )
-        resolved.update(loaded)
+            resolved[key] = _config_value(command, key, value)
     provided = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     resolved.update(provided)
     return resolved
@@ -200,7 +207,7 @@ def _make_datum(cfg: dict, grid: Grid1D) -> SpectralField:
     raise ConfigError(f"config: datum must be gaussian or random, got {kind!r}")
 
 
-def _solver_config(cfg: dict, grid: Grid1D, **overrides) -> SolverConfig:
+def _solver_config(cfg: dict, grid: Grid1D) -> SolverConfig:
     kwargs = dict(
         grid=grid,
         t_start=cfg.get("t_start", 0.0),
@@ -209,28 +216,42 @@ def _solver_config(cfg: dict, grid: Grid1D, **overrides) -> SolverConfig:
         pad=cfg["pad"],
         exploratory=cfg.get("exploratory", False),
     )
-    if cfg.get("delta") is not None:
-        kwargs["delta"] = cfg["delta"]
-    if cfg.get("tolerance") is not None:
-        kwargs["tolerance"] = cfg["tolerance"]
-    if cfg.get("max_iterations") is not None:
-        kwargs["max_iterations"] = cfg["max_iterations"]
-    if cfg.get("reference_dt") is not None:
-        kwargs["reference_dt"] = cfg["reference_dt"]
-    kwargs.update(overrides)
+    # keys a command lacks, or leaves at None, keep SolverConfig's defaults
+    for key in ("delta", "tolerance", "max_iterations", "reference_dt"):
+        if cfg.get(key) is not None:
+            kwargs[key] = cfg[key]
     return SolverConfig(**kwargs)
 
 
-def _write_report(cfg: dict, doc: dict) -> Path:
+def _out_dir(cfg: dict) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    atomic_write_json(path, doc)
-    return path
+    return out
 
 
 def _report_skeleton(command: str, cfg: dict) -> dict:
     return {"version": __version__, "command": command, "config": cfg}
+
+
+def _finish(cfg: dict, doc: dict, passed: bool, summary: str,
+            trace: Optional[TimeTrace] = None, failed: int = _EXIT_THRESHOLD) -> int:
+    """Every command's tail: record the verdict, write the outputs, print, exit code.
+
+    The trace is saved only when given and --save-trace names a file;
+    failed is the exit code of a run that did not pass.
+    """
+    doc["passed"] = passed
+    if trace is not None and cfg.get("save_trace"):
+        write_trace(Path(cfg["save_trace"]), trace, {"config": cfg, "version": __version__})
+    path = _out_dir(cfg) / "report.json"
+    atomic_write_json(path, doc)
+    print(summary)
+    print(f"report: {path}")
+    return _EXIT_OK if passed else failed
+
+
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "FAIL"
 
 
 def _cmd_verify(cfg: dict) -> int:
@@ -239,8 +260,9 @@ def _cmd_verify(cfg: dict) -> int:
                 "family", "n", "p"):
         if cfg.get(key) is not None:
             params[key] = cfg[key]
+    row = _estimate(cfg["id"])
     if cfg["ensemble"] is None:
-        cfg["ensemble"] = _ENSEMBLE_FLOOR.get(cfg["id"], 50)
+        cfg["ensemble"] = row.floor
     spec = EstimateSpec(
         cfg["id"], params,
         half_length=cfg["half_length"], size=cfg["size"],
@@ -251,7 +273,7 @@ def _cmd_verify(cfg: dict) -> int:
     report = verify(spec)
     threshold = cfg["stability_threshold"]
     if threshold is None:
-        threshold = _STABILITY[cfg["id"]]
+        threshold = row.gate
     base = report.refinement[0]["max_ratio"]
     drift = 0.0
     for entry in report.refinement[1:]:
@@ -265,13 +287,10 @@ def _cmd_verify(cfg: dict) -> int:
     doc = _report_skeleton("verify", cfg)
     doc["report"] = report.to_dict()
     doc["stability"] = {"threshold": threshold, "drift": drift}
-    doc["passed"] = passed
-    path = _write_report(cfg, doc)
-    report.write_csv(Path(cfg["out"]) / "samples.csv")
-    print(f"{cfg['id']}: max_ratio={report.max_ratio:.6g} "
-          f"drift={drift:.3%} (gate {threshold:.0%}) -> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    report.write_csv(_out_dir(cfg) / "samples.csv")
+    return _finish(cfg, doc, passed,
+                   f"{cfg['id']}: max_ratio={report.max_ratio:.6g} "
+                   f"drift={drift:.3%} (gate {threshold:.0%}) -> {_verdict(passed)}")
 
 
 def _cmd_solve(cfg: dict) -> int:
@@ -302,16 +321,11 @@ def _cmd_solve(cfg: dict) -> int:
                 * grid.dxi)))
             doc["result"]["reference_distance"] = gap
             passed = passed and gap <= cfg["reference_bound"]
-        if cfg["save_trace"]:
-            write_trace(Path(cfg["save_trace"]), result.trace,
-                        {"config": cfg, "version": __version__})
-    doc["passed"] = passed
-    path = _write_report(cfg, doc)
     state = "converged" if result.converged else f"not converged ({result.reason})"
-    print(f"solve: {state} in {result.iterations} iterations, "
-          f"epsilon={result.epsilon:.4g} -> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    return _finish(cfg, doc, passed,
+                   f"solve: {state} in {result.iterations} iterations, "
+                   f"epsilon={result.epsilon:.4g} -> {_verdict(passed)}",
+                   trace=result.trace if result.converged else None)
 
 
 def _cmd_scatter(cfg: dict) -> int:
@@ -324,27 +338,31 @@ def _cmd_scatter(cfg: dict) -> int:
     )
 
 
-def _scatter_small(cfg: dict) -> int:
+def _glued(cfg: dict, command: str):
+    """The glued solve of scatter small-data and persist, and its report so far."""
     grid = Grid1D(cfg["half_length"], cfg["size"])
     u0 = _make_datum(cfg, grid)
     G = NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
-    rc = critical_exponent(cfg["alpha"])
-    scfg = _solver_config(cfg, grid)
-    glued = glued_solve(u0, G, scfg, segment_length=cfg["segment_length"],
+    glued = glued_solve(u0, G, _solver_config(cfg, grid),
+                        segment_length=cfg["segment_length"],
                         store_stride=cfg["store_stride"])
-    doc = _report_skeleton("scatter", cfg)
+    doc = _report_skeleton(command, cfg)
     doc["segments"] = glued.segments
     if not glued.converged:
-        doc["passed"] = False
         doc["reason"] = glued.reason
-        _write_report(cfg, doc)
-        print(f"scatter: glued solve failed: {glued.reason}")
-        return _EXIT_THRESHOLD
+    return u0, G, glued, doc
+
+
+def _scatter_small(cfg: dict) -> int:
+    u0, G, glued, doc = _glued(cfg, "scatter")
+    if not glued.converged:
+        return _finish(cfg, doc, False, f"scatter: glued solve failed: {glued.reason}")
+    grid = u0.grid
+    rc = critical_exponent(cfg["alpha"])
     datum_norm = lhat_norm(u0, rc)
     # row by row: the sup must equal lhat_norm of the row that attains it
     sup_norm = max(lhat_rows(row, grid.dxi, rc) for row in glued.trace.coeffs)
-    from .spacetime import snorm as time_snorm
-    size_norm = time_snorm(glued.trace, rc)
+    size_norm = snorm(glued.trace, rc)
     bound = 2.0 * datum_norm
     report = scattering_state(glued.trace, cfg["alpha"], levels=cfg["levels"])
     doc["result"] = {
@@ -358,16 +376,10 @@ def _scatter_small(cfg: dict) -> int:
         "final_norm": report.final_norm,
     }
     passed = (sup_norm + size_norm <= bound) and report.monotone_decreasing
-    doc["passed"] = passed
-    if cfg["save_trace"]:
-        write_trace(Path(cfg["save_trace"]), glued.trace,
-                    {"config": cfg, "version": __version__})
-    path = _write_report(cfg, doc)
-    print(f"scatter small-data: sup+snorm={sup_norm + size_norm:.4g} "
-          f"bound={bound:.4g} residuals monotone={report.monotone_decreasing} "
-          f"-> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    return _finish(cfg, doc, passed,
+                   f"scatter small-data: sup+snorm={sup_norm + size_norm:.4g} "
+                   f"bound={bound:.4g} residuals monotone={report.monotone_decreasing} "
+                   f"-> {_verdict(passed)}", trace=glued.trace)
 
 
 def _scatter_energy(cfg: dict) -> int:
@@ -391,11 +403,10 @@ def _scatter_energy(cfg: dict) -> int:
     except NumericalBlowupError as exc:
         if exc.datum != 0:
             raise  # the control run failed: exit 3 with no report
-        doc["passed"] = False
         doc["blowup_time"] = exc.time
-        _write_report(cfg, doc)
-        print(f"scatter energy-threshold: blowup at t={exc.time:.4g}")
-        return _EXIT_BLOWUP
+        return _finish(cfg, doc, False,
+                       f"scatter energy-threshold: blowup at t={exc.time:.4g}",
+                       failed=_EXIT_BLOWUP)
     big_report = scattering_state(trace, cfg["alpha"], levels=cfg["levels"])
     lp_final = lebesgue_norm(trace.field(trace.sample_count - 1), power)
     ctl_report = scattering_state(ctl_trace, cfg["alpha"], levels=cfg["levels"])
@@ -411,17 +422,11 @@ def _scatter_energy(cfg: dict) -> int:
     passed = (not big_report.monotone_decreasing
               and ctl_report.monotone_decreasing
               and lp_final >= 0.5 * lp0)
-    doc["passed"] = passed
-    if cfg["save_trace"]:
-        write_trace(Path(cfg["save_trace"]), trace,
-                    {"config": cfg, "version": __version__})
-    path = _write_report(cfg, doc)
-    print(f"scatter energy-threshold: kept {lp_final / lp0:.1%} of the "
-          f"L^{power:g} norm, residual decay={big_report.monotone_decreasing}, "
-          f"control decay={ctl_report.monotone_decreasing} "
-          f"-> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    return _finish(cfg, doc, passed,
+                   f"scatter energy-threshold: kept {lp_final / lp0:.1%} of the "
+                   f"L^{power:g} norm, residual decay={big_report.monotone_decreasing}, "
+                   f"control decay={ctl_report.monotone_decreasing} -> {_verdict(passed)}",
+                   trace=trace)
 
 
 def _cmd_counterexample(cfg: dict) -> int:
@@ -453,12 +458,9 @@ def _cmd_counterexample(cfg: dict) -> int:
                    f"sobolev ratio {sob[-1] / sob[0]:.3f}")
     doc = _report_skeleton("counterexample", cfg)
     doc["report"] = report.to_dict()
-    doc["passed"] = passed
-    path = _write_report(cfg, doc)
-    report.write_csv(Path(cfg["out"]) / "samples.csv")
-    print(f"counterexample {family}: {summary} -> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    report.write_csv(_out_dir(cfg) / "samples.csv")
+    return _finish(cfg, doc, passed,
+                   f"counterexample {family}: {summary} -> {_verdict(passed)}")
 
 
 def _cmd_calibrate(cfg: dict) -> int:
@@ -470,29 +472,15 @@ def _cmd_calibrate(cfg: dict) -> int:
     )
     doc = _report_skeleton("calibrate-delta", cfg)
     doc["result"] = result
-    doc["passed"] = True
-    path = _write_report(cfg, doc)
-    print(f"calibrate-delta: delta={result['delta']:g} "
-          f"(measured edge {result['edge']:.4g} over {len(result['rows'])} probes)")
-    print(f"report: {path}")
-    return _EXIT_OK
+    return _finish(cfg, doc, True,
+                   f"calibrate-delta: delta={result['delta']:g} "
+                   f"(measured edge {result['edge']:.4g} over {len(result['rows'])} probes)")
 
 
 def _cmd_persist(cfg: dict) -> int:
-    grid = Grid1D(cfg["half_length"], cfg["size"])
-    u0 = _make_datum(cfg, grid)
-    G = NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
-    scfg = _solver_config(cfg, grid)
-    glued = glued_solve(u0, G, scfg, segment_length=cfg["segment_length"],
-                        store_stride=cfg["store_stride"])
-    doc = _report_skeleton("persist", cfg)
-    doc["segments"] = glued.segments
+    u0, G, glued, doc = _glued(cfg, "persist")
     if not glued.converged:
-        doc["passed"] = False
-        doc["reason"] = glued.reason
-        _write_report(cfg, doc)
-        print(f"persist: glued solve failed: {glued.reason}")
-        return _EXIT_THRESHOLD
+        return _finish(cfg, doc, False, f"persist: glued solve failed: {glued.reason}")
     mon = monitor(glued.trace, G, aux_lhat=cfg["aux_lhat"],
                   aux_sobolev=cfg["aux_sobolev"], pad=cfg["pad"])
     initial = {
@@ -512,16 +500,10 @@ def _cmd_persist(cfg: dict) -> int:
         "max_growth": growth,
         "growth_bound": cfg["growth_bound"],
     }
-    doc["passed"] = passed
-    if cfg["save_trace"]:
-        write_trace(Path(cfg["save_trace"]), glued.trace,
-                    {"config": cfg, "version": __version__})
-    path = _write_report(cfg, doc)
-    print(f"persist: max auxiliary-norm growth {growth:.3f} "
-          f"(bound {cfg['growth_bound']:g}, tainted={mon.tainted}) "
-          f"-> {'pass' if passed else 'FAIL'}")
-    print(f"report: {path}")
-    return _EXIT_OK if passed else _EXIT_THRESHOLD
+    return _finish(cfg, doc, passed,
+                   f"persist: max auxiliary-norm growth {growth:.3f} "
+                   f"(bound {cfg['growth_bound']:g}, tainted={mon.tainted}) "
+                   f"-> {_verdict(passed)}", trace=glued.trace)
 
 
 _COMMANDS = {

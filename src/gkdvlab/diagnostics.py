@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -12,28 +11,13 @@ from .norms import lhat_norm, sobolev_norm
 from .solver import (
     NonlinearityG,
     aux_smoothness,
+    boundary_mass_fraction,
     critical_exponent,
     energy,
     mass,
 )
-from .spacetime import TimeTrace, snorm, xnorm
+from .spacetime import TimeTrace, _airy_table, snorm, xnorm
 from .spectral import Grid1D, SpectralField
-
-
-def boundary_mass_fraction(u: SpectralField, fraction: float = 0.1) -> float:
-    """Share of the L^2 mass within the outer fraction of the domain.
-
-    The periodic interval stands in for the whole line only while this stays
-    tiny; runs report it and flag values above 1e-6 as tainted.
-    """
-    vals = u.values()
-    x = u.grid.points
-    cut = (1.0 - fraction) * u.grid.half_length
-    total = float(np.sum(np.abs(vals) ** 2))
-    if total == 0.0:
-        return 0.0
-    edge = float(np.sum(np.abs(vals[np.abs(x) >= cut]) ** 2))
-    return edge / total
 
 
 @dataclass
@@ -86,13 +70,8 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
             f"trace exposes only {len(idx)} dyadic checkpoints, need at least 3"
         )
     rc = critical_exponent(alpha)
-    xi3 = trace.grid.frequencies ** 3
-    pullbacks = []
-    for j in idx:
-        t = trace.times[j]
-        w = trace.coeffs[j] * np.exp(-1j * t * xi3)
-        pullbacks.append(w)
     grid = trace.grid
+    pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j)
     states = [SpectralField(grid, w, is_real=False) for w in pullbacks]
     residuals = [
         lhat_norm(SpectralField(grid, b - a, is_real=False), rc)
@@ -224,7 +203,7 @@ def monitor(trace: TimeTrace, G: NonlinearityG,
             energy_drift=abs(ej - e0) / escale,
             lhat={f"{r:g}": lhat_norm(fj, r) for r in aux_lhat},
             sobolev={f"{s:g}": sobolev_norm(fj, s) for s in aux_sobolev},
-            boundary_mass_fraction=boundary_mass_fraction(fj),
+            boundary_mass_fraction=boundary_mass_fraction(fj.values(), fj.grid),
         ))
     tainted = any(e.boundary_mass_fraction > 1e-6 for e in entries)
     return MonitorReport(entries=entries, tainted=tainted)

@@ -35,6 +35,7 @@ from .solver import (
 )
 from .spacetime import (
     TimeTrace,
+    _riesz_trace,
     _shared_tables,
     classify_pair,
     free_evolution,
@@ -48,31 +49,8 @@ from .spectral import (
     SpectralField,
     apply_pointwise_matrix,
     random_band_limited,
-    riesz_weights,
 )
 from .traceio import atomic_write_text, jsonable as _jsonable
-
-ESTIMATE_IDS = (
-    "stein_tomas",
-    "kenig_ruiz",
-    "kato",
-    "strichartz",
-    "inhom_linf",
-    "inhom_xy",
-    "interpolation",
-    "leibniz",
-    "chain_rule",
-    "nonlinear_i",
-    "nonlinear_ii",
-    "inclusion",
-    "counterexample",
-)
-
-# ids whose data are single fields rather than time traces
-_STATIC_IDS = frozenset({"inclusion", "counterexample"})
-# ids whose constant may grow with the interval; refinement doubles it once
-_WIDEN_IDS = frozenset({"inhom_linf", "inhom_xy"})
-
 
 @dataclass(frozen=True)
 class EstimateSpec:
@@ -91,9 +69,7 @@ class EstimateSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.estimate_id not in ESTIMATE_IDS:
-            known = ", ".join(ESTIMATE_IDS)
-            raise ValueError(f"unknown estimate id {self.estimate_id!r}; known ids: {known}")
+        _estimate(self.estimate_id)
         if self.ensemble < 1:
             raise ValueError("ensemble must be at least 1")
         a, b = self.interval
@@ -172,24 +148,13 @@ class EstimateReport:
 
 def _as_extended(value, default: float) -> float:
     """Parse an exponent that may arrive as 'inf' from a config file."""
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
+    return default if value is None else float(value)
 
 
 def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
     if amplitude == 1.0:
         return f
     return SpectralField(f.grid, amplitude * f.coeffs, f.is_real)
-
-
-def _weighted_trace(trace: TimeTrace, s: float) -> TimeTrace:
-    if s == 0.0:
-        return trace
-    w = riesz_weights(trace.grid, s)
-    return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :], trace.is_real)
 
 
 def _ensemble(spec: EstimateSpec, one: Callable,
@@ -237,7 +202,7 @@ def _run_stein_tomas(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _weighted_trace(free_evolution(f, times), 1.0 / r)
+        tr = _riesz_trace(free_evolution(f, times), 1.0 / r)
         return mixed_norm(tr, r, r, "x_outer"), lhat_norm(f, r / 3.0)
 
     return one, {}
@@ -250,7 +215,7 @@ def _check_kenig_ruiz(params: dict) -> dict:
 def _run_kenig_ruiz(spec, rp):
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _weighted_trace(free_evolution(f, times), -0.25)
+        tr = _riesz_trace(free_evolution(f, times), -0.25)
         # the time sup is a sample maximum, hence a certified lower bound
         return mixed_norm(tr, 4.0, math.inf, "x_outer"), lebesgue_norm(f, 2.0)
 
@@ -270,7 +235,7 @@ def _run_kato(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _weighted_trace(free_evolution(f, times), s)
+        tr = _riesz_trace(free_evolution(f, times), s)
         return mixed_norm(tr, math.inf, q, "x_outer"), lhat_norm(f, q)
 
     return one, {}
@@ -294,7 +259,7 @@ def _run_strichartz(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _weighted_trace(free_evolution(f, times), s)
+        tr = _riesz_trace(free_evolution(f, times), s)
         return mixed_norm(tr, p, q, "x_outer"), lhat_norm(f, r)
 
     return one, {"exponents": {"p": p, "q": q}, "boundary_pair": rp["boundary"]}
@@ -366,7 +331,7 @@ def _run_inhom_linf(spec, rp):
         ret = retarded_integral(forcing, times[0])
         # row by row: the sup must equal lhat_norm of the row that attains it
         num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
-        den = mixed_norm(_weighted_trace(forcing, -s2), pd, qd, "x_outer")
+        den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 
     return one, {}
@@ -380,8 +345,8 @@ def _run_inhom_xy(spec, rp):
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
         ret = retarded_integral(forcing, times[0])
-        num = mixed_norm(_weighted_trace(ret, s1), p1, q1, "x_outer")
-        den = mixed_norm(_weighted_trace(forcing, -s2), pd, qd, "x_outer")
+        num = mixed_norm(_riesz_trace(ret, s1), p1, q1, "x_outer")
+        den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 
     return one, {}
@@ -420,10 +385,10 @@ def _run_interpolation(spec, rp):
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
         u = free_evolution(f, times)
-        num = mixed_norm(_weighted_trace(u, rp["s"]), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(_riesz_trace(u, rp["s"]), rp["p"], rp["q"], "x_outer")
         den = (
-            mixed_norm(_weighted_trace(u, rp["s1"]), rp["p1"], rp["q1"], "x_outer") ** theta
-            * mixed_norm(_weighted_trace(u, rp["s2"]), rp["p2"], rp["q2"], "x_outer") ** (1.0 - theta)
+            mixed_norm(_riesz_trace(u, rp["s1"]), rp["p1"], rp["q1"], "x_outer") ** theta
+            * mixed_norm(_riesz_trace(u, rp["s2"]), rp["p2"], rp["q2"], "x_outer") ** (1.0 - theta)
         )
         return num, den
 
@@ -464,12 +429,12 @@ def _run_leibniz(spec, rp):
         g = _datum(grid, band, decay, kids[1], spec.amplitude)
         u, v = free_evolution(f, times), free_evolution(g, times)
         prod = _product_trace(u, v)
-        num = mixed_norm(_weighted_trace(prod, s), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(_riesz_trace(prod, s), rp["p"], rp["q"], "x_outer")
         den = (
-            mixed_norm(_weighted_trace(u, s), rp["p1"], rp["q1"], "x_outer")
+            mixed_norm(_riesz_trace(u, s), rp["p1"], rp["q1"], "x_outer")
             * mixed_norm(v, rp["p2"], rp["q2"], "x_outer")
             + mixed_norm(u, rp["p3"], rp["q3"], "x_outer")
-            * mixed_norm(_weighted_trace(v, s), rp["p4"], rp["q4"], "x_outer")
+            * mixed_norm(_riesz_trace(v, s), rp["p4"], rp["q4"], "x_outer")
         )
         return num, den
 
@@ -509,11 +474,11 @@ def _run_chain_rule(spec, rp):
         # degree-5 products need the wider dealias margin
         gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3, real=True)
         gu = TimeTrace(grid, times, gu_rows, is_real=True)
-        num = mixed_norm(_weighted_trace(gu, s), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(_riesz_trace(gu, s), rp["p"], rp["q"], "x_outer")
         den = (
             lip
             * mixed_norm(u, rp["p1"], rp["q1"], "x_outer") ** (mu - 1.0)
-            * mixed_norm(_weighted_trace(u, s), rp["p2"], rp["q2"], "x_outer")
+            * mixed_norm(_riesz_trace(u, s), rp["p2"], rp["q2"], "x_outer")
         )
         return num, den
 
@@ -783,25 +748,100 @@ def lip_norm_estimate(G: NonlinearityG, mu: float, z_max: float = 10.0,
 # dispatch
 
 
-_RUNNERS: Dict[str, Tuple[Callable, Callable]] = {
-    "stein_tomas": (_check_stein_tomas, _run_stein_tomas),
-    "kenig_ruiz": (_check_kenig_ruiz, _run_kenig_ruiz),
-    "kato": (_check_kato, _run_kato),
-    "strichartz": (_check_strichartz, _run_strichartz),
-    "inhom_linf": (_check_inhom_linf, _run_inhom_linf),
-    "inhom_xy": (_check_inhom_xy, _run_inhom_xy),
-    "interpolation": (_check_interpolation, _run_interpolation),
-    "leibniz": (_check_leibniz, _run_leibniz),
-    "chain_rule": (_check_chain_rule, _run_chain_rule),
-    "nonlinear_i": (_check_nonlinear, _run_nonlinear_i),
-    "nonlinear_ii": (_check_nonlinear, _run_nonlinear_ii),
-    "inclusion": (_check_inclusion, _run_inclusion),
-    "counterexample": (_check_counterexample, _run_counterexample),
-}
-
-
 def _stats(ratios: List[float]) -> dict:
     return {"max_ratio": float(max(ratios)), "mean_ratio": float(np.mean(ratios))}
+
+
+def _ensemble_legs(spec: EstimateSpec, row: "_Estimate", resolved: dict):
+    """The base ensemble and its refinement legs.
+
+    The legs double the grid, then the ensemble, then, for ids that widen,
+    the time interval.  Returns the base ratios and samples, the run's
+    extras, the refinement entries and the report's (L, N, ensemble).
+    """
+    one, extras = row.run(spec, resolved)
+    ratios, rows = _ensemble(spec, one)
+    entries = [{"size": spec.size, "ensemble": spec.ensemble, **_stats(ratios)}]
+    fine = replace(spec, size=2 * spec.size, band=spec.resolved_band())
+    fine_ratios, _ = _ensemble(fine, one)
+    entries.append({"size": fine.size, "ensemble": fine.ensemble, **_stats(fine_ratios)})
+    # the doubled ensemble begins with the base samples; draw only the rest
+    tail, _ = _ensemble(spec, one, start=spec.ensemble)
+    entries.append({"size": spec.size, "ensemble": 2 * spec.ensemble,
+                    **_stats(ratios + tail)})
+    if row.widen:
+        a, b = spec.interval
+        wide = replace(spec, interval=(a, a + 2.0 * (b - a)))
+        wide_ratios, _ = _ensemble(wide, one)
+        entries.append({"size": wide.size, "ensemble": wide.ensemble,
+                        "interval": [a, a + 2.0 * (b - a)], **_stats(wide_ratios)})
+    return ratios, rows, extras, entries, (spec.half_length, spec.size, spec.ensemble)
+
+
+def _counterexample_legs(spec: EstimateSpec, row: "_Estimate", resolved: dict):
+    """Both families at their own geometry, then with box and points doubled."""
+    ratios, rows, extras = row.run(spec, resolved)
+    finer = dict(resolved, half_length=2.0 * resolved["half_length"],
+                 size=2 * resolved["size"])
+    fine_ratios, _, _ = row.run(spec, finer)
+    entries = [{"size": int(resolved["size"]), "ensemble": len(ratios), **_stats(ratios)},
+               {"size": finer["size"], "ensemble": len(fine_ratios), **_stats(fine_ratios)}]
+    geometry = (float(resolved["half_length"]), int(resolved["size"]), len(ratios))
+    return ratios, rows, extras, entries, geometry
+
+
+@dataclass(frozen=True)
+class _Estimate:
+    """Everything known about one estimate id.
+
+    check validates the params and fills in their defaults; run turns them
+    into the work of one sample, which legs repeats over the refinement
+    legs.  gate is the refinement-stability threshold on the max-ratio
+    drift, floor the ensemble the CLI uses when none is given.  static ids
+    draw single fields, not time traces; widen ids have a constant that
+    may grow with the interval, so their refinement doubles it once.
+    """
+
+    check: Callable[[dict], dict]
+    run: Callable
+    gate: float
+    floor: int = 50
+    static: bool = False
+    widen: bool = False
+    legs: Callable = _ensemble_legs
+
+
+# Rougher data (products, compositions, the retarded integral) get a 15%
+# gate.  The retarded-integral maxima saturate only at an ensemble of 100:
+# at 50 the ensemble-doubling leg still finds new maxima.
+_REGISTRY: Dict[str, _Estimate] = {
+    "stein_tomas": _Estimate(_check_stein_tomas, _run_stein_tomas, 0.10),
+    "kenig_ruiz": _Estimate(_check_kenig_ruiz, _run_kenig_ruiz, 0.10),
+    "kato": _Estimate(_check_kato, _run_kato, 0.10),
+    "strichartz": _Estimate(_check_strichartz, _run_strichartz, 0.10),
+    "inhom_linf": _Estimate(_check_inhom_linf, _run_inhom_linf, 0.15, floor=100,
+                            widen=True),
+    "inhom_xy": _Estimate(_check_inhom_xy, _run_inhom_xy, 0.15, floor=100, widen=True),
+    "interpolation": _Estimate(_check_interpolation, _run_interpolation, 0.10),
+    "leibniz": _Estimate(_check_leibniz, _run_leibniz, 0.15),
+    "chain_rule": _Estimate(_check_chain_rule, _run_chain_rule, 0.15),
+    "nonlinear_i": _Estimate(_check_nonlinear, _run_nonlinear_i, 0.15),
+    "nonlinear_ii": _Estimate(_check_nonlinear, _run_nonlinear_ii, 0.15),
+    "inclusion": _Estimate(_check_inclusion, _run_inclusion, 0.10, static=True),
+    "counterexample": _Estimate(_check_counterexample, _run_counterexample, 0.05,
+                                static=True, legs=_counterexample_legs),
+}
+
+ESTIMATE_IDS = tuple(_REGISTRY)
+
+
+def _estimate(estimate_id: str) -> _Estimate:
+    """The registry row of an id; a ValueError naming the known ids otherwise."""
+    row = _REGISTRY.get(estimate_id)
+    if row is None:
+        known = ", ".join(ESTIMATE_IDS)
+        raise ValueError(f"unknown estimate id {estimate_id!r}; known ids: {known}")
+    return row
 
 
 def verify(spec: EstimateSpec) -> EstimateReport:
@@ -812,49 +852,23 @@ def verify(spec: EstimateSpec) -> EstimateReport:
     samples and grid refinement re-draws the identical band-limited data.
     """
     started = time.perf_counter()
-    checker, runner = _RUNNERS[spec.estimate_id]
-    resolved = checker(spec.params)
-    if spec.estimate_id == "counterexample":
-        ratios, rows, extras = runner(spec, resolved)
-        finer = dict(resolved)
-        finer["half_length"] = 2.0 * resolved["half_length"]
-        finer["size"] = 2 * resolved["size"]
-        fine_ratios, _, _ = runner(spec, finer)
-        entries = [{"size": int(resolved["size"]), "ensemble": len(ratios), **_stats(ratios)},
-                   {"size": finer["size"], "ensemble": len(fine_ratios),
-                    **_stats(fine_ratios)}]
-    else:
-        one, extras = runner(spec, resolved)
-        ratios, rows = _ensemble(spec, one)
-        entries = [{"size": spec.size, "ensemble": spec.ensemble, **_stats(ratios)}]
-        fine = replace(spec, size=2 * spec.size, band=spec.resolved_band())
-        fine_ratios, _ = _ensemble(fine, one)
-        entries.append({"size": fine.size, "ensemble": fine.ensemble, **_stats(fine_ratios)})
-        # the doubled ensemble begins with the base samples; draw only the rest
-        tail, _ = _ensemble(spec, one, start=spec.ensemble)
-        entries.append({"size": spec.size, "ensemble": 2 * spec.ensemble,
-                        **_stats(ratios + tail)})
-        if spec.estimate_id in _WIDEN_IDS:
-            a, b = spec.interval
-            wide = replace(spec, interval=(a, a + 2.0 * (b - a)))
-            wide_ratios, _ = _ensemble(wide, one)
-            entries.append({"size": wide.size, "ensemble": wide.ensemble,
-                            "interval": [a, a + 2.0 * (b - a)], **_stats(wide_ratios)})
+    row = _estimate(spec.estimate_id)
+    resolved = row.check(spec.params)
+    ratios, rows, extras, entries, (half_length, size, ensemble) = \
+        row.legs(spec, row, resolved)
     report = EstimateReport(
         estimate_id=spec.estimate_id,
         params=dict(resolved),
         seed=spec.seed,
-        half_length=spec.half_length if spec.estimate_id != "counterexample"
-        else float(resolved["half_length"]),
-        size=spec.size if spec.estimate_id != "counterexample" else int(resolved["size"]),
-        sample_count=1 if spec.estimate_id in _STATIC_IDS else len(spec.times()),
-        ensemble=spec.ensemble if spec.estimate_id != "counterexample" else len(ratios),
+        half_length=half_length,
+        size=size,
+        sample_count=1 if row.static else len(spec.times()),
+        ensemble=ensemble,
         ratios=ratios,
-        max_ratio=_stats(ratios)["max_ratio"],
-        mean_ratio=_stats(ratios)["mean_ratio"],
         refinement=entries,
         samples=rows,
         extras=extras,
+        **_stats(ratios),
     )
     report.wall_time = time.perf_counter() - started
     return report

@@ -8,8 +8,6 @@ and maxima.  numpy's pairwise summation keeps the quadratures deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -118,74 +116,3 @@ def lebesgue_norm(f: SpectralField, p: float) -> float:
     if not (p >= 1.0 or p == math.inf):
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
     return weighted_power_sum(np.abs(f.values()), f.grid.dx, p)
-
-
-_KINDS = ("lhat", "sobolev", "besov", "weighted", "lebesgue")
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """A named single-time norm with its parameters.
-
-    kind is one of lhat / sobolev / besov / weighted / lebesgue; r holds the
-    Lebesgue-type exponent where applicable, s the smoothness or weight
-    power, q the Besov summation exponent.
-    """
-
-    kind: str
-    r: Optional[float] = None
-    s: Optional[float] = None
-    q: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}, expected one of {_KINDS}")
-
-    @classmethod
-    def lhat(cls, r: float) -> "NormSpec":
-        return cls("lhat", r=r)
-
-    @classmethod
-    def sobolev(cls, s: float) -> "NormSpec":
-        return cls("sobolev", s=s)
-
-    @classmethod
-    def besov(cls, s: float, q: float) -> "NormSpec":
-        return cls("besov", s=s, q=q)
-
-    @classmethod
-    def weighted(cls, s: float) -> "NormSpec":
-        return cls("weighted", s=s)
-
-    @classmethod
-    def lebesgue(cls, p: float) -> "NormSpec":
-        return cls("lebesgue", r=p)
-
-    def label(self) -> str:
-        params = {k: v for k, v in (("r", self.r), ("s", self.s), ("q", self.q))
-                  if v is not None}
-        inner = ",".join(f"{k}={v:g}" for k, v in params.items())
-        return f"{self.kind}({inner})"
-
-
-def norm(f: SpectralField, spec: NormSpec) -> float:
-    """Evaluate the norm described by spec on the field f."""
-    if spec.kind == "lhat":
-        if spec.r is None:
-            raise ValueError("lhat norm needs the exponent r")
-        return lhat_norm(f, spec.r)
-    if spec.kind == "sobolev":
-        if spec.s is None:
-            raise ValueError("sobolev norm needs the smoothness s")
-        return sobolev_norm(f, spec.s)
-    if spec.kind == "besov":
-        if spec.s is None or spec.q is None:
-            raise ValueError("besov norm needs both s and q")
-        return besov_norm(f, spec.s, spec.q)
-    if spec.kind == "weighted":
-        if spec.s is None:
-            raise ValueError("weighted norm needs the weight power s")
-        return weighted_norm(f, spec.s)
-    if spec.r is None:
-        raise ValueError("lebesgue norm needs the exponent p")
-    return lebesgue_norm(f, spec.r)

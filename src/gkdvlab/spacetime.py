@@ -262,11 +262,12 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, order: str = "x_outer") -> 
     return mixed_norm_values(trace.values(), trace.grid, trace.times, p, q, order)
 
 
-def _riesz_trace_values(trace: TimeTrace, s: float) -> np.ndarray:
+def _riesz_trace(trace: TimeTrace, s: float) -> TimeTrace:
+    """|D_x|^s applied to every row of a trace; s = 0 returns the trace itself."""
     if s == 0:
-        return trace.values()
+        return trace
     w = riesz_weights(trace.grid, s)
-    return coeffs_to_values(trace.coeffs * w[None, :], trace.grid, real=trace.is_real)
+    return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :], trace.is_real)
 
 
 def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True,
@@ -287,7 +288,7 @@ def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True,
         )
     p, q = exponent_map(s, r)
     if values is None:
-        values = _riesz_trace_values(trace, s)
+        values = _riesz_trace(trace, s).values()
     return mixed_norm_values(values, trace.grid, trace.times, p, q, "x_outer")
 
 
@@ -309,5 +310,5 @@ def ynorm(trace: TimeTrace, s: float, r: float, check: bool = True) -> float:
             f"(1 - s, r') = ({1.0 - s}, {holder_conjugate(r)}) must be acceptable"
         )
     p, q = dual_exponent_map(s, r)
-    vals = _riesz_trace_values(trace, s)
+    vals = _riesz_trace(trace, s).values()
     return mixed_norm_values(vals, trace.grid, trace.times, p, q, "x_outer")

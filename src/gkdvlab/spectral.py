@@ -70,11 +70,6 @@ class Grid1D:
         return _plan(self.half_length, factor * self.size).grid
 
 
-def make_grid(half_length: float, size: int) -> Grid1D:
-    """Build a Grid1D, validating half_length > 0 and even size >= 8."""
-    return Grid1D(half_length, size)
-
-
 # A run touches a handful of grids; the bound only caps sweeps over many.
 _PLAN_LIMIT = 32
 _plans: dict = {}
@@ -229,7 +224,7 @@ def hermitian_project(coeffs: np.ndarray, out: Optional[np.ndarray] = None) -> n
 def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
     """Transform physical samples into a SpectralField.
 
-    Real input yields is_real=True.  Round trip with inverse_transform is
+    Real input yields is_real=True.  Round trip with SpectralField.values is
     exact to round-off.
     """
     values = np.asarray(values)
@@ -237,11 +232,6 @@ def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
         raise ValueError("forward_transform expects a 1-d sample array")
     is_real = bool(np.isrealobj(values))
     return SpectralField(grid, values_to_coeffs(values, grid), is_real)
-
-
-def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Physical samples of a SpectralField (real array when is_real)."""
-    return f.values()
 
 
 def riesz_potential(f: SpectralField, s: float) -> SpectralField:

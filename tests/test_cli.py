@@ -1,10 +1,15 @@
 """Command surface: config merging, exit codes, report files."""
 
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkdvlab import cli, estimates, solver
 from gkdvlab.cli import main
@@ -218,3 +223,115 @@ def test_energy_protocol_control_blowup_exits_three(tmp_path, capsys):
     assert rc == 3
     assert not (tmp_path / "out" / "report.json").exists()
     assert "numerical blowup" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config", [
+    ("verify", {"size": "256"}), ("verify", {"size": None}),
+    ("verify", {"ensemble": "x"}), ("verify", {"seed": 1.5}),
+    ("verify", {"n": [4, "16"]}), ("verify", {"ensemble": True}),
+    ("solve", {"amp": "0.1"}), ("solve", {"reference": 1}),
+    ("persist", {"aux_lhat": None}), ("calibrate-delta", {"amplitudes": [0.1, False]}),
+])
+def test_mistyped_config_value_exits_one(tmp_path, capsys, command, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert run(tmp_path, [command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config: ")
+    assert next(iter(config)) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_numbers_are_echoed_as_given(tmp_path):
+    path = tmp_path / "run.json"
+    # an int for a float key, and the report spelling of an infinite exponent
+    path.write_text(json.dumps({"id": "kato", "q": "inf", "half_length": 32, "size": 128,
+                                "ensemble": 2}))
+    assert run(tmp_path, ["verify", "--config", str(path)]) == 0
+    doc = load_report(tmp_path)
+    assert doc["config"]["half_length"] == 32 and doc["report"]["L"] == 32.0
+    assert doc["config"]["q"] == "inf" and doc["report"]["params"]["q"] == "inf"
+
+
+# --- hostile input never raises ----------------------------------------------
+
+# Flags that keep every run short: small grids, short horizons, tiny ensembles.
+_SIZES = st.sampled_from(["16", "32", "64"])
+_HORIZON = dict(half_length=st.sampled_from(["8", "16"]),
+                t_end=st.sampled_from(["0.125", "0.25", "0.5"]))
+_SAMPLING = dict(_HORIZON, samples_per_unit=st.sampled_from(["16", "32"]))
+_SMALL = {
+    "verify": dict(_SAMPLING, id=st.sampled_from(estimates.ESTIMATE_IDS), size=_SIZES,
+                   ensemble=st.sampled_from(["1", "2", "3"])),
+    "solve": dict(_SAMPLING, size=_SIZES, datum=st.sampled_from(["gaussian", "random"]),
+                  reference=st.booleans()),
+    "scatter": dict(_SAMPLING, size=_SIZES, mu=st.sampled_from(["1", "-1"]),
+                    protocol=st.sampled_from(["small-data", "energy-threshold"])),
+    "counterexample": dict(family=st.sampled_from(["sharp_band", "log_tail"]),
+                           n=st.sampled_from(["1,2", "3,9"]),
+                           size=st.sampled_from(["64", "256"])),
+    "calibrate-delta": dict(_HORIZON, size=_SIZES, amplitudes=st.sampled_from(["0.05", "0.05,0.5"]),
+                            random_per_amplitude=st.sampled_from(["0", "1"])),
+    "persist": dict(_SAMPLING, size=_SIZES, segment_length=st.sampled_from(["0.25", "2"])),
+}
+_HOSTILE = {
+    int: ["0", "-1", "-64"],
+    float: ["nan", "inf", "-inf", "0", "-1"],
+    cli._int_list: ["0", "-1,2", ""],
+    cli._float_list: ["nan", "inf,-1", "0", ""],
+}
+# config values of the wrong JSON type; null counts only where the default is not None
+_WRONG = {
+    int: ["256", 1.5, True, [1], {}, None],
+    float: ["0.1", True, [0.5], {}, None],
+    str: [1, True, ["x"], 2.5, None],
+    bool: [1, "true", None],
+    cli._int_list: ["1,2", 1, [True], ["x"], [1.5], None],
+    cli._float_list: ["0.1", 0.1, [True], ["x"], None],
+}
+
+
+@st.composite
+def _hostile_runs(draw):
+    command = draw(st.sampled_from(sorted(_SMALL)))
+    keys = cli._KEYS[command]
+    flags = {key: draw(s) for key, s in _SMALL[command].items()}
+    numeric = sorted(k for k, (_, kind) in keys.items() if kind in _HOSTILE)
+    for key in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
+        flags[key] = draw(st.sampled_from(_HOSTILE[keys[key][1]]))
+    config = None
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        key = draw(st.sampled_from(sorted(k for k in keys if k != "out")))
+        default, kind = keys[key]
+        wrong = [v for v in _WRONG[kind] if not (v is None and default is None)]
+        config = {key: draw(st.sampled_from(wrong))}
+    return command, flags, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hostile_runs())
+def test_cli_never_raises(case):
+    command, flags, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--out", str(Path(tmp) / "out")]
+        for key, value in flags.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not False:
+                argv.append(f"{flag}={value}")  # "=" keeps "-1" a value, not a flag
+        if command in ("solve", "scatter", "persist"):
+            argv += ["--save-trace", str(Path(tmp) / "run.trace")]
+        if config is not None:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if config is not None:
+        assert code == 1
+        assert err.getvalue().startswith("config: ") and err.getvalue().count("\n") == 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkdvlab.diagnostics import (
     boundary_mass_fraction,
@@ -35,11 +36,41 @@ GRID = Grid1D(64.0, 256)
 
 def test_boundary_mass_fraction_extremes():
     centered = gaussian_profile(GRID, 1.0)
-    assert boundary_mass_fraction(centered) < 1e-12
+    assert boundary_mass_fraction(centered.values(), GRID) < 1e-12
     shifted = forward_transform(np.exp(-(GRID.points - 60.0) ** 2), GRID)
-    assert boundary_mass_fraction(shifted) > 0.5
+    assert boundary_mass_fraction(shifted.values(), GRID) > 0.5
     zero = SpectralField(GRID, np.zeros(GRID.size, dtype=complex), True)
-    assert boundary_mass_fraction(zero) == 0.0
+    assert boundary_mass_fraction(zero.values(), GRID) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_size=st.integers(min_value=4, max_value=2048),
+       rows=st.integers(min_value=0, max_value=9),
+       zero_rows=st.sets(st.integers(min_value=0, max_value=8)),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_boundary_mass_fraction_matches_both_former_formulas_bytewise(
+        half_size, rows, zero_rows, seed):
+    # rows == 0 stands for a 1-d input: one field's samples, as monitor passes
+    grid = Grid1D(16.0, 2 * half_size)
+    vals = np.random.default_rng(seed).standard_normal((max(rows, 1), grid.size))
+    vals[[m for m in zero_rows if m < len(vals)]] = 0.0
+    edge = np.abs(grid.points) >= (1.0 - 0.1) * grid.half_length
+    if rows == 0:
+        one = vals[0]
+        # the single-field formula: Python float sums over a boolean selection
+        total = float(np.sum(np.abs(one) ** 2))
+        want = 0.0 if total == 0.0 else float(np.sum(np.abs(one[edge]) ** 2)) / total
+        got = boundary_mass_fraction(one, grid)
+        assert isinstance(got, float) and got == want
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    # the trace formula: row sums of the column selection, 0 for empty rows
+    num = np.sum(np.abs(vals[:, edge]) ** 2, axis=1)
+    den = np.sum(np.abs(vals) ** 2, axis=1)
+    with np.errstate(invalid="ignore"):
+        want = np.where(den > 0, num / den, 0.0)
+    got = boundary_mass_fraction(vals, grid)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_spectral_tail_fraction():

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkdvlab import solver, spacetime
 from gkdvlab.estimates import (
-    _RUNNERS,
-    _STATIC_IDS,
+    _REGISTRY,
     ESTIMATE_IDS,
     EstimateSpec,
     _ensemble,
@@ -212,12 +211,29 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
     assert prod.coeffs.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("estimate_id", [i for i in ESTIMATE_IDS if i not in _STATIC_IDS])
+# refinement-stability gate and CLI ensemble floor of every id
+GATES_AND_FLOORS = {
+    "stein_tomas": (0.10, 50), "kenig_ruiz": (0.10, 50), "kato": (0.10, 50),
+    "strichartz": (0.10, 50), "inhom_linf": (0.15, 100), "inhom_xy": (0.15, 100),
+    "interpolation": (0.10, 50), "leibniz": (0.15, 50), "chain_rule": (0.15, 50),
+    "nonlinear_i": (0.15, 50), "nonlinear_ii": (0.15, 50), "inclusion": (0.10, 50),
+    "counterexample": (0.05, 50),
+}
+
+
+def test_registry_pins_every_gate_and_floor():
+    assert ESTIMATE_IDS == tuple(_REGISTRY)
+    assert len(set(map(id, _REGISTRY.values()))) == len(ESTIMATE_IDS)
+    assert {i: (row.gate, row.floor) for i, row in _REGISTRY.items()} == GATES_AND_FLOORS
+    assert EstimateSpec("kato").ensemble == 50
+
+
+@pytest.mark.parametrize("estimate_id", [i for i in ESTIMATE_IDS if not _REGISTRY[i].static])
 def test_doubling_leg_matches_a_full_ensemble(estimate_id):
     spec = EstimateSpec(estimate_id, **FAST)
     report = verify(spec)
-    checker, runner = _RUNNERS[estimate_id]
-    one, _ = runner(spec, checker(spec.params))
+    row = _REGISTRY[estimate_id]
+    one, _ = row.run(spec, row.check(spec.params))
     ratios, rows = _ensemble(replace(spec, ensemble=2 * spec.ensemble), one)
     assert ratios[:spec.ensemble] == report.ratios
     assert rows[:spec.ensemble] == report.samples

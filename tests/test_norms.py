@@ -1,4 +1,4 @@
-"""Single-time norms: closed forms, conjugation, dispatch."""
+"""Single-time norms: closed forms, conjugation, homogeneity."""
 
 import math
 import warnings
@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab.norms import (
-    NormSpec,
     besov_norm,
     holder_conjugate,
     lebesgue_norm,
     lhat_norm,
     lhat_rows,
-    norm,
     sobolev_norm,
     weighted_norm,
 )
@@ -118,30 +116,13 @@ def test_besov_zero_field():
     assert besov_norm(f, 0.5, 2.0) == 0.0
 
 
-def test_norm_dispatch_matches_direct():
-    f = gaussian_profile(GRID, 0.6)
-    assert norm(f, NormSpec.lhat(3.0)) == lhat_norm(f, 3.0)
-    assert norm(f, NormSpec.sobolev(0.5)) == sobolev_norm(f, 0.5)
-    assert norm(f, NormSpec.besov(0.25, 2.0)) == besov_norm(f, 0.25, 2.0)
-    assert norm(f, NormSpec.weighted(1.0)) == weighted_norm(f, 1.0)
-    assert norm(f, NormSpec.lebesgue(4.0)) == lebesgue_norm(f, 4.0)
-
-
-def test_norm_dispatch_validation():
-    f = gaussian_profile(GRID, 0.6)
-    with pytest.raises(ValueError):
-        NormSpec("unknown")
-    with pytest.raises(ValueError):
-        norm(f, NormSpec("lhat"))
-    assert NormSpec.besov(0.25, 2.0).label() == "besov(s=0.25,q=2)"
-
-
 def test_scaling_of_norms_under_amplitude():
     f = forward_transform(np.cos(GRID.points) * np.exp(-GRID.points ** 2 / 9.0), GRID)
     g = SpectralField(GRID, 3.0 * f.coeffs, f.is_real)
-    for spec in (NormSpec.lhat(2.5), NormSpec.sobolev(0.4),
-                 NormSpec.weighted(0.5), NormSpec.lebesgue(3.0)):
-        assert norm(g, spec) == pytest.approx(3.0 * norm(f, spec), rel=1e-12)
+    for evaluate in (lambda h: lhat_norm(h, 2.5), lambda h: sobolev_norm(h, 0.4),
+                     lambda h: besov_norm(h, 0.25, 2.0), lambda h: weighted_norm(h, 0.5),
+                     lambda h: lebesgue_norm(h, 3.0)):
+        assert evaluate(g) == pytest.approx(3.0 * evaluate(f), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

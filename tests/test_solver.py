@@ -180,6 +180,13 @@ def test_glued_trace_is_strictly_increasing_and_strided():
         assert seg["mass_drift"] < 1e-8
 
 
+def test_glued_solve_refuses_an_infinite_end_time():
+    # each segment would converge, so the segment loop would never end
+    cfg = SolverConfig(grid=GRID, t_end=math.inf)
+    with pytest.raises(ValueError, match="finite end time"):
+        glued_solve(gaussian_profile(GRID, 0.05), G5, cfg)
+
+
 def test_mass_energy_closed_forms():
     # unit-width gaussian a exp(-x^2/2): mass = a^2 sqrt(pi),
     # energy = a^2 sqrt(pi)/4 + (mu/6) a^6 sqrt(pi/3)
