@@ -4,8 +4,8 @@ Every subcommand resolves its configuration from centralized defaults, an
 optional --config JSON document, and explicit flags (flags win), echoes the
 resolved configuration into report.json, and exits 0 on success, 2 when a
 quantitative gate fails (reports are still written), 1 on configuration or
-runtime errors (a --config value of the wrong type among them), and 3 on
-numerical blowup.
+runtime errors (a flag argparse cannot parse and a --config value of the
+wrong type among them), and 3 on numerical blowup.
 """
 
 from __future__ import annotations
@@ -128,8 +128,19 @@ _KIND_NAMES = {str: "a string", int: "an integer", float: "a number",
 _JSON_FLOATS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ConfigError, so that main exits 1.
+
+    Subparsers are made with the same class.  --help and --version still
+    exit 0 from inside argparse.
+    """
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gkdvlab",
         description="spectral laboratory for a dispersion-generalized KdV flow",
     )
@@ -438,6 +449,12 @@ def _cmd_counterexample(cfg: dict) -> int:
     report = verify(spec)
     table = report.extras["table"]
     family = report.extras["family"]
+    if family == "log_tail" and table[0]["sobolev"] == 0.0:
+        size, half_length = report.extras["size"], report.extras["half_length"]
+        raise ValueError(
+            f"the grid resolves none of the log_tail band 1/n <= xi <= 1/2 at "
+            f"n = {table[0]['n']}: size {size} on half_length {half_length:g} reaches "
+            f"only xi = {(size // 2 - 1) * math.pi / half_length:.3g}; raise size or n")
     print(f"{'n':>5} {'lhat':>12} {'sobolev':>12} {'predicted':>12}")
     for row in table:
         print(f"{row['n']:>5} {row['lhat']:>12.8f} {row['sobolev']:>12.6f} "
@@ -517,9 +534,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)

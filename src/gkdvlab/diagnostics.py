@@ -71,7 +71,7 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
         )
     rc = critical_exponent(alpha)
     grid = trace.grid
-    pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j)
+    pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j, False)
     states = [SpectralField(grid, w, is_real=False) for w in pullbacks]
     residuals = [
         lhat_norm(SpectralField(grid, b - a, is_real=False), rc)

@@ -472,7 +472,7 @@ def _run_chain_rule(spec, rp):
         f = _datum(grid, band, decay, child, spec.amplitude)
         u = free_evolution(f, times)
         # degree-5 products need the wider dealias margin
-        gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3, real=True)
+        gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3)
         gu = TimeTrace(grid, times, gu_rows, is_real=True)
         num = mixed_norm(_riesz_trace(gu, s), rp["p"], rp["q"], "x_outer")
         den = (
@@ -511,7 +511,7 @@ def _sample_trace(spec, grid, times, band, decay, seed) -> TimeTrace:
 
 
 def _apply_power(trace: TimeTrace, G: NonlinearityG) -> np.ndarray:
-    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3, real=True)
+    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3)
 
 
 def _run_nonlinear_i(spec, rp):

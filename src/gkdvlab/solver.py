@@ -23,9 +23,11 @@ from .spacetime import TimeTrace, _airy_table, _shared_tables, free_evolution, s
 from .spectral import (
     Grid1D,
     SpectralField,
+    _fold,
+    _mirror,
+    _mirrored_product,
+    _real_samples,
     apply_pointwise_matrix,
-    dealiased_samples,
-    hermitian_project,
 )
 
 ALPHA_LOWER = 21.0 / 5.0
@@ -111,8 +113,9 @@ class NonlinearityG:
         """G evaluated pointwise on real samples."""
         if self.rule != "power":
             return self.func(values)
-        out = np.abs(values) ** self.alpha
-        out *= np.sign(values)  # in place: two sample-sized arrays at a time, not three
+        out = np.abs(values)
+        np.power(out, self.alpha - 1.0, out=out)
+        out *= values  # |v|^(alpha-1) v in one array: no sign pass
         return out
 
     def in_wellposed_range(self) -> bool:
@@ -193,23 +196,30 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     as exp(i t xi^3) times cumulative trapezoid sums of exp(-i t' xi^3) F(t'):
     the rule acts on that oscillatory product, so the kernel is not
     integrated exactly and the error per step grows with xi^3 dt.  t0 must
-    be one of the sample times.
+    be one of the sample times.  A real forcing is integrated on its
+    half-spectrum and mirrored onto the full band.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
-    down = _airy_table(forcing.grid, times, -1j)
-    integrand = down * forcing.coeffs
+    real = forcing.is_real
+    down = _airy_table(forcing.grid, times, -1j, real)
+    # in place with down on the left: numpy would evaluate down * _fold(...)
+    # into the temporary with the operands swapped, which moves the bytes
+    integrand = _fold(forcing.coeffs) if real else forcing.coeffs.copy()
+    np.multiply(down, integrand, out=integrand)
     result = _cumulative_trapezoid(integrand, times)
     if j0:
         result -= result[j0]
     # conj(down) stays the left operand: complex products are not bytewise
     # commutative where numpy's multiply loop uses fused multiply-adds
-    np.multiply(np.conjugate(down, out=integrand), result, out=result)
-    if forcing.is_real:
-        result[:, 0] = result[:, 0].real
-    return TimeTrace(forcing.grid, times, result, forcing.is_real)
+    up = np.conjugate(down, out=integrand)
+    if real:
+        result = _mirrored_product(up, result)
+    else:
+        np.multiply(up, result, out=result)
+    return TimeTrace(forcing.grid, times, result, real)
 
 
 def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
@@ -222,12 +232,12 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     """
     if v.grid != free.grid:
         raise ValueError("iterate and datum live on different grids")
-    g_rows = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad,
-                                    real=True)
-    flux = (1j * v.grid.frequencies)[None, :] * g_rows
-    forcing = TimeTrace(v.grid, v.times, flux, is_real=True)
-    ret = retarded_integral(forcing, t0)
-    coeffs = free.coeffs + G.mu * ret.coeffs
+    flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad)
+    np.multiply(1j * v.grid.frequencies, flux, out=flux)
+    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux, is_real=True), t0).coeffs
+    del flux  # trace-sized arrays set peak memory: update the integral in place
+    np.multiply(G.mu, coeffs, out=coeffs)
+    np.add(free.coeffs, coeffs, out=coeffs)
     return TimeTrace(v.grid, v.times, coeffs, is_real=free.is_real and v.is_real)
 
 
@@ -468,7 +478,9 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     The dispersive phase is integrated exactly per mode; the explicit stages
     handle only the flux, so there is no stiffness from the linear term.
     With mu = 0 the scheme reproduces the free flow to round-off.  Substep
-    size is reference_dt, snapped to divide each output interval.
+    size is reference_dt, snapped to divide each output interval.  After
+    each substep the modes k < 0 are the mirror of the modes k >= 0, so
+    every row is exactly Hermitian.
 
     u0 is one field, or a sequence of real fields on one grid; a sequence is
     integrated as the rows of one (k, N) stack, so each stage makes one
@@ -486,15 +498,12 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         raise ValueError("the flow is defined for real data")
     times = cfg.times()
     grid = data.grid
-    xi = grid.frequencies
-    xi3 = xi ** 3
     rc = critical_exponent(G.alpha)
     limits = [BLOWUP_FACTOR * max(lhat_norm(u, rc), 1e-300) for u in data]
-    flux_multiplier = G.mu * 1j * xi
+    flux_multiplier = G.mu * 1j * grid.frequencies
 
     def flux(c: np.ndarray) -> np.ndarray:
-        rows = apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad, real=True)
-        return flux_multiplier * rows
+        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
 
     out = np.empty((len(data), times.size, grid.size), dtype=complex)
     c = np.stack([u.coeffs for u in data])
@@ -507,7 +516,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         nsub = max(1, math.ceil(span / cfg.reference_dt))
         if span / nsub != h:  # spans of non-dyadic intervals differ in the last bit
             h = span / nsub
-            e_half = np.exp(1j * xi3 * (h / 2.0))
+            e_half = _airy_table(grid, np.array([h / 2.0]), 1j, False)[0]
             e_full = e_half * e_half
             back_half, back_full = np.conj(e_half), np.conj(e_full)
         for _ in range(nsub):
@@ -515,8 +524,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
             k2 = back_half * flux(e_half * (c + (h / 2.0) * k1))
             k3 = back_half * flux(e_half * (c + (h / 2.0) * k2))
             k4 = back_full * flux(e_full * (c + h * k3))
-            c = e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            hermitian_project(c, out=c)
+            c = _mirror(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
         for i in range(live):
             if not np.all(np.isfinite(c[i])) or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
                 partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1], is_real=True) \
@@ -544,14 +552,15 @@ def mass(u: SpectralField) -> float:
 def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     """Conserved energy: (1/2)||d_x u||^2 + (mu/(alpha+1)) ||u||^{alpha+1}.
 
-    The potential term is integrated on a dealiasing grid.  Defined for the
-    power rule; a custom rule raises.
+    The potential term is integrated on a dealiasing grid, over the real
+    samples of u's k >= 0 half-spectrum.  Defined for the power rule; a
+    custom rule raises.
     """
     if G.rule != "power":
         raise ValueError("energy is defined for the power nonlinearity")
     kinetic = 0.5 * float(np.sum((u.grid.frequencies * np.abs(u.coeffs)) ** 2)
                           * u.grid.dxi)
-    vals = dealiased_samples(u.coeffs, u.grid, pad).real
+    vals = _real_samples(u.coeffs, u.grid, pad)
     potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential
 

@@ -19,7 +19,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .norms import holder_conjugate, weighted_power_sum
-from .spectral import Grid1D, SpectralField, coeffs_to_values, riesz_weights
+from .spectral import (
+    Grid1D,
+    SpectralField,
+    _fold,
+    _mirrored_product,
+    coeffs_to_values,
+    riesz_weights,
+)
 
 _CLAMP_TOL = 1e-12
 
@@ -190,27 +197,35 @@ def _shared_tables():
         _tables.reset(token)
 
 
-def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
-    """exp(unit * outer(times, xi^3)), read-only and shared inside _shared_tables."""
+def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex, half: bool) -> np.ndarray:
+    """exp(unit * outer(times, xi^3)), read-only and shared inside _shared_tables.
+
+    With half, xi runs over the half-lattice of a real field (k = 0 .. N/2-1,
+    then the unpaired -N/2 mode), as spectral._fold lays it out.
+    """
     memo = _tables.get()
-    if memo is None:
-        return np.exp(unit * np.outer(times, grid.frequencies ** 3))
-    key = (grid.half_length, grid.size, unit, times.tobytes())
-    table = memo.get(key)
+    key = (grid.half_length, grid.size, unit, half, times.tobytes())
+    table = None if memo is None else memo.get(key)
     if table is None:
-        table = np.exp(unit * np.outer(times, grid.frequencies ** 3))
-        table.flags.writeable = False
-        memo[key] = table
+        xi3 = grid.frequencies ** 3
+        table = np.exp(unit * np.outer(times, _fold(xi3) if half else xi3))
+        if memo is not None:
+            table.flags.writeable = False
+            memo[key] = table
     return table
 
 
 def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> TimeTrace:
-    """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3)."""
+    """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3).
+
+    A real u0 is evolved on its half-spectrum and mirrored onto the full band.
+    """
     times = np.asarray(times, dtype=float)
-    phases = _airy_table(u0.grid, times - t0, 1j)
-    coeffs = phases * u0.coeffs[None, :]
+    phases = _airy_table(u0.grid, times - t0, 1j, u0.is_real)
     if u0.is_real:
-        coeffs[:, 0] = coeffs[:, 0].real
+        coeffs = _mirrored_product(phases, _fold(u0.coeffs))
+    else:
+        coeffs = phases * u0.coeffs[None, :]
     return TimeTrace(u0.grid, times, coeffs, u0.is_real)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -76,9 +75,15 @@ _plans: dict = {}
 
 
 class _Plan:
-    """Read-only transform tables of one (half_length, size) grid."""
+    """Read-only transform tables of one (half_length, size) grid.
 
-    __slots__ = ("grid", "bin_signs", "forward_scale", "inverse_scale", "half")
+    half_forward and half_inverse are the scales of the real-field path on
+    bins k = 0 .. N/2: (-1)^k dx / sqrt(2 pi) after an rfft, and
+    (-1)^k dxi / sqrt(2 pi) before an unnormalized irfft.
+    """
+
+    __slots__ = ("grid", "bin_signs", "forward_scale", "inverse_scale", "half",
+                 "half_forward", "half_inverse")
 
     def __init__(self, half_length: float, size: int) -> None:
         grid = Grid1D(half_length, size)
@@ -92,7 +97,10 @@ class _Plan:
         self.bin_signs = self.swap(signs)
         self.forward_scale = forward_scale
         self.inverse_scale = grid.size * grid.dxi / SQRT_2PI
-        for arr in (grid.points, grid.frequencies, self.bin_signs, forward_scale):
+        self.half_forward = (grid.dx / SQRT_2PI) * _fold(signs)
+        self.half_inverse = (grid.dxi / SQRT_2PI) * _fold(signs)
+        for arr in (grid.points, grid.frequencies, self.bin_signs, forward_scale,
+                    self.half_forward, self.half_inverse):
             arr.flags.writeable = False
 
     def swap(self, a: np.ndarray) -> np.ndarray:
@@ -112,18 +120,78 @@ def _plan(half_length: float, size: int) -> _Plan:
     return plan
 
 
+# -- The half-spectrum of a real field -----------------------------------------
+#
+# A real field's coefficients satisfy c(-xi) = conj(c(xi)), so the modes
+# k = 0 .. N/2-1 carry it.  Its half-spectrum appends the unpaired -N/2 mode
+# to them: the first N/2 + 1 entries of the coefficients in FFT bin order,
+# the layout of an rfft.
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Half-spectrum (last axis) of a full-band array: k = 0 .. N/2-1, then -N/2."""
+    half = a.shape[-1] // 2
+    return np.concatenate((a[..., half:], a[..., :1]), axis=-1)
+
+
+def _mirror(full: np.ndarray) -> np.ndarray:
+    """Make a full band exactly Hermitian in place from its k >= 0 modes.
+
+    Modes k < 0 become the conjugates of modes -k; the zero mode and the
+    unpaired -N/2 mode keep their real parts.
+    """
+    half = full.shape[-1] // 2
+    np.conjugate(full[..., :half:-1], out=full[..., 1:half])
+    full[..., half].imag = 0.0
+    full[..., 0].imag = 0.0
+    return full
+
+
+def _mirrored_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full band of the real field whose half-spectrum is a * b (broadcast)."""
+    half = a.shape[-1] - 1
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * half,)
+    full = np.empty(shape, dtype=complex)
+    np.multiply(a[..., :half], b[..., :half], out=full[..., half:])
+    full[..., 0] = (a[..., half] * b[..., half]).real
+    return _mirror(full)
+
+
+def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
+    """Real samples of a real field's coeffs (last axis) on the grid refined by pad.
+
+    One irfft of the half-spectrum.  The unpaired -N/2 mode goes to bin N/2:
+    as it is at pad 1, where that bin is the Nyquist bin, and as half its
+    conjugate at pad >= 2, where the irfft's implied mirror puts the other
+    half back in bin -N/2.  So for Hermitian coeffs the samples are the real
+    part of dealiased_samples.
+    """
+    coeffs = np.asarray(coeffs)
+    half = grid.size // 2
+    scale = _plan(grid.half_length, grid.size).half_inverse
+    spec = np.empty(coeffs.shape[:-1] + (half + 1,), dtype=complex)
+    np.multiply(coeffs[..., half:], scale[:half], out=spec[..., :half])
+    unpaired = coeffs[..., 0] * scale[half]
+    spec[..., half] = unpaired if pad == 1 else 0.5 * np.conjugate(unpaired)
+    return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward")
+
+
+def _check_length(a: np.ndarray, grid: Grid1D) -> None:
+    if a.shape[-1] != grid.size:
+        raise ValueError(f"last axis has length {a.shape[-1]}, expected {grid.size}")
+
+
 def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Continuum-normalized forward transform along the last axis.
 
     Implements hat f(xi_k) = (dx / sqrt(2 pi)) * sum_j f(x_j) exp(-i x_j xi_k)
     via a standard FFT plus an alternating phase; exact for band-limited data.
+    Real samples take an rfft, and their coefficients are exactly Hermitian.
     """
     values = np.asarray(values)
-    if values.shape[-1] != grid.size:
-        raise ValueError(
-            f"last axis has length {values.shape[-1]}, expected {grid.size}"
-        )
+    _check_length(values, grid)
     plan = _plan(grid.half_length, grid.size)
+    if np.isrealobj(values):
+        return _mirrored_product(np.fft.rfft(values, axis=-1), plan.half_forward)
     return plan.forward_scale * plan.swap(np.fft.fft(values, axis=-1))
 
 
@@ -131,14 +199,12 @@ def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np
     """Inverse of values_to_coeffs along the last axis.
 
     Implements f(x_j) = (dxi / sqrt(2 pi)) * sum_k hat f(xi_k) exp(i x_j xi_k).
+    With real=True the coeffs are read as a real field: real samples from the
+    k >= 0 half-spectrum (an irfft).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape[-1] != grid.size:
-        raise ValueError(
-            f"last axis has length {coeffs.shape[-1]}, expected {grid.size}"
-        )
-    vals = dealiased_samples(coeffs, grid, 1)
-    return vals.real if real else vals
+    _check_length(coeffs, grid)
+    return _real_samples(coeffs, grid, 1) if real else dealiased_samples(coeffs, grid, 1)
 
 
 @dataclass
@@ -147,7 +213,8 @@ class SpectralField:
 
     coeffs is ordered by ascending frequency (index i holds xi = (i - N/2)*dxi).
     is_real declares the Hermitian symmetry coeffs(-xi) = conj(coeffs(xi)); the
-    unpaired mode at -N/2 must then be real.
+    unpaired mode at -N/2 must then be real.  It is checked to within 1e-8
+    (1 + max |coeff|), and a real field is read from its modes k >= 0.
     """
 
     grid: Grid1D
@@ -203,22 +270,6 @@ def hermitian_breaks(coeffs: np.ndarray):
     """Per row (last axis): defect above the 1e-8 (1 + max |coeff|) is_real allows."""
     c = np.asarray(coeffs)
     return hermitian_defect(c) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
-
-
-def hermitian_project(coeffs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nearest Hermitian-symmetric coefficient array (last axis).
-
-    out may be coeffs itself, which projects in place; the flipped
-    conjugates are the only temporary either way.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if out is None:
-        out = np.empty_like(c)
-    flipped = np.conj(c[..., :0:-1])
-    np.add(c[..., 1:], flipped, out=flipped)
-    np.multiply(0.5, flipped, out=out[..., 1:])
-    out[..., 0] = c[..., 0].real
-    return out
 
 
 def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
@@ -364,8 +415,8 @@ def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
     """Complex samples of coeffs (last axis) on the grid refined by pad.
 
     The inverse transform of the zero-padded spectrum (pad = 1 is
-    coeffs_to_values), in one buffer that holds that spectrum in FFT bin
-    order (band mode i in bin (i - N/2) mod M).
+    coeffs_to_values of a complex field), in one buffer that holds that
+    spectrum in FFT bin order (band mode i in bin (i - N/2) mod M).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     half = grid.size // 2
@@ -380,28 +431,21 @@ def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
     return buf
 
 
-def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
-                           real: bool = True) -> np.ndarray:
-    """Apply a pointwise map on a padded grid; coeffs has shape (..., N).
+def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
+    """Apply a real pointwise map on a padded grid; coeffs has shape (..., N).
 
-    The input is spectrally interpolated onto a grid with pad*N points, func
-    is applied to the physical samples, and the result is transformed back
-    and truncated to the original band.  With real=True the result is
-    Hermitian-projected (truncation orphans the finest retained mode).
-
-    The forward FFT of values_to_coeffs writes into the samples' buffer and
-    only the N retained bins are read out and scaled.
+    The rows are real fields.  Each is spectrally interpolated onto a grid
+    with pad*N points from its k >= 0 half-spectrum, func is applied to the
+    real samples (a contiguous array), and the rfft of the result is
+    truncated to bins 0 .. N/2, scaled, and mirrored onto the full band.
+    The result is exactly Hermitian, with the unpaired -N/2 mode real.
     """
-    n, half = grid.size, grid.size // 2
-    plan = _plan(grid.half_length, pad * n)
+    half = grid.size // 2
+    plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
-    buf = dealiased_samples(coeffs, grid, pad)
-    mapped = np.asarray(func(buf.real if real else buf))
+    mapped = np.asarray(func(_real_samples(coeffs, grid, pad)))
     if mapped.shape[-1] != m:
         raise ValueError(f"pointwise map returned last axis {mapped.shape[-1]}, expected {m}")
-    # func may reduce leading axes (a stacked product); then the buffer is not reused
-    full = np.fft.fft(mapped, axis=-1, out=buf if mapped.shape == buf.shape else None)
-    back = np.concatenate((full[..., m - half:], full[..., :half]), axis=-1)
-    del buf, mapped, full  # fine-grid arrays set peak memory: free them first
-    back *= plan.forward_scale[(m - n) // 2: (m + n) // 2]
-    return hermitian_project(back, out=back) if real else back
+    spec = np.fft.rfft(mapped, axis=-1)
+    del mapped  # fine-grid arrays set peak memory: free them first
+    return _mirrored_product(spec[..., :half + 1], plan.half_forward[:half + 1])

@@ -136,6 +136,19 @@ def test_counterexample_command(tmp_path, capsys):
     assert [row["n"] for row in doc["report"]["extras"]["table"]] == [4, 16]
 
 
+def test_unresolved_log_tail_band_exits_one(tmp_path, capsys):
+    # at size 64 the default box resolves |xi| <= 0.0076, below 1/9
+    rc = run(tmp_path, ["counterexample", "--family", "log_tail", "--n", "3,9",
+                        "--size", "64"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "resolves none" in lines[0] and "size 64" in lines[0] and "n = 3" in lines[0]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_calibrate_delta_command(tmp_path):
     rc = run(tmp_path, ["calibrate-delta", "--amplitudes", "0.05,0.1",
                         "--size", "64", "--half-length", "16"])
@@ -335,3 +348,48 @@ def test_cli_never_raises(case):
     if config is not None:
         assert code == 1
         assert err.getvalue().startswith("config: ") and err.getvalue().count("\n") == 1
+
+
+# Values argparse cannot parse; a list that starts with "-" and is passed
+# as a separate argument reads as a flag, so the list key gets no value.
+_UNPARSEABLE = {
+    int: ["x", "1.5", "0x10"],
+    float: ["x", "1,2", "one"],
+    cli._int_list: ["x", "1,y"],
+    cli._float_list: ["x", "0.5,y"],
+}
+
+
+@st.composite
+def _unparseable_runs(draw):
+    command = draw(st.sampled_from(sorted(cli._KEYS)))
+    keys = cli._KEYS[command]
+    key = draw(st.sampled_from(sorted(k for k, (_, kind) in keys.items()
+                                      if kind in _UNPARSEABLE)))
+    kind = keys[key][1]
+    flag = "--" + key.replace("_", "-")
+    if kind in (cli._int_list, cli._float_list) and draw(st.booleans()):
+        return [command, flag, draw(st.sampled_from(["-1,2", "-0.5,1"]))]
+    return [command, f"{flag}={draw(st.sampled_from(_UNPARSEABLE[kind]))}"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unparseable_runs())
+def test_unparseable_flags_exit_one(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(Path(tmp) / "out")])
+        assert not (Path(tmp) / "out").exists()
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert lines[0].startswith("usage: gkdvlab " + argv[0])
+    assert lines[-1].startswith(f"gkdvlab {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["verify", "--help"]])
+def test_help_and_version_still_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out

@@ -22,8 +22,9 @@ from gkdvlab.solver import NonlinearityG
 from gkdvlab.spacetime import TimeTrace
 from gkdvlab.spectral import (
     Grid1D,
+    apply_pointwise_matrix,
     coeffs_to_values,
-    hermitian_project,
+    hermitian_defect,
     values_to_coeffs,
 )
 
@@ -177,18 +178,29 @@ def test_lip_seminorm_validation():
         lip_norm_estimate(quintic, 5.0, samples=4)
 
 
-def _per_row_product(f, g, grid, pad):
-    """One row of the former single-field dealiased product, inlined."""
+def _former_per_row_product(f, g, grid, pad):
+    """One row of the former single-field dealiased product, inlined.
+
+    Complex transforms of the full band, then the averaging projection.
+    """
     fine = grid.refined(pad)
     lo = (fine.size - grid.size) // 2
 
     def fine_values(c):
         padded = np.zeros(fine.size, dtype=complex)
         padded[lo: lo + grid.size] = c
-        return coeffs_to_values(padded, fine, real=True)
+        return coeffs_to_values(padded, fine).real
 
-    back = values_to_coeffs(fine_values(f) * fine_values(g), fine)[lo: lo + grid.size].copy()
-    return hermitian_project(back)
+    prod = (fine_values(f) * fine_values(g)).astype(complex)
+    back = values_to_coeffs(prod, fine)[lo: lo + grid.size]
+    out = np.empty_like(back)
+    out[0] = back[0].real
+    out[1:] = 0.5 * (back[1:] + np.conj(back[:0:-1]))
+    return out
+
+
+def _times(w):
+    return w[0] * w[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,11 +216,16 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
                                                     grid), is_real=True)
             for _ in range(2))
     prod = _product_trace(u, v, pad=pad)
-    want = np.stack([_per_row_product(u.coeffs[m], v.coeffs[m], grid, pad)
-                     for m in range(rows)])
+    want = np.stack([apply_pointwise_matrix(np.stack((u.coeffs[m], v.coeffs[m])), grid,
+                                            _times, pad=pad) for m in range(rows)])
     assert prod.is_real
     assert prod.coeffs.dtype == want.dtype and prod.coeffs.shape == want.shape
     assert prod.coeffs.tobytes() == want.tobytes()
+    assert np.all(hermitian_defect(prod.coeffs) == 0.0)
+    # the former single-field product to round-off: 1e-13 of the largest coefficient
+    former = np.stack([_former_per_row_product(u.coeffs[m], v.coeffs[m], grid, pad)
+                       for m in range(rows)])
+    assert np.max(np.abs(prod.coeffs - former)) <= 1e-13 * np.max(np.abs(former))
 
 
 # refinement-stability gate and CLI ensemble floor of every id
@@ -245,8 +262,8 @@ def test_doubling_leg_matches_a_full_ensemble(estimate_id):
 def test_no_phase_table_outlives_verify(monkeypatch):
     made = []
 
-    def recording(grid, times, unit, _table=spacetime._airy_table):
-        table = _table(grid, times, unit)
+    def recording(grid, times, unit, half, _table=spacetime._airy_table):
+        table = _table(grid, times, unit, half)
         made.append((weakref.ref(table), table.flags.writeable))
         return table
 

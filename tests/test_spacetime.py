@@ -212,10 +212,14 @@ def test_shared_phase_tables_change_no_bytes():
     with _shared_tables():
         assert evaluate() == fresh
         assert evaluate() == fresh  # second pass reads the memoized tables
-        table = _airy_table(grid, times, -1j)
-        assert _airy_table(grid, times, -1j) is table
-        assert _airy_table(grid, times, 1j) is not table
+        table = _airy_table(grid, times, -1j, True)
+        assert _airy_table(grid, times, -1j, True) is table
+        assert _airy_table(grid, times, 1j, True) is not table
+        full = _airy_table(grid, times, -1j, False)  # the key tells half from full
+        assert full.shape == (times.size, grid.size) != table.shape
+        assert full[:, grid.size // 2:].tobytes() == table[:, :-1].tobytes()
+        assert full[:, 0].tobytes() == table[:, -1].tobytes()
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
-    assert _airy_table(grid, times, -1j) is not table
-    assert _airy_table(grid, times, -1j).flags.writeable
+    assert _airy_table(grid, times, -1j, True) is not table
+    assert _airy_table(grid, times, -1j, True).flags.writeable

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab import spectral
+from gkdvlab.spacetime import free_evolution
 from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
@@ -17,7 +18,6 @@ from gkdvlab.spectral import (
     forward_transform,
     gaussian_profile,
     hermitian_defect,
-    hermitian_project,
     littlewood_paley_block,
     random_band_limited,
     riesz_potential,
@@ -59,7 +59,7 @@ def test_transform_round_trip_real_field():
     vals = rng.standard_normal(GRID.size)
     f = forward_transform(vals, GRID)
     assert f.is_real
-    assert hermitian_defect(f.coeffs) < 1e-12
+    assert hermitian_defect(f.coeffs) == 0.0  # rfft and mirror: exactly Hermitian
     np.testing.assert_allclose(f.values(), vals, atol=1e-12)
 
 
@@ -161,7 +161,8 @@ def test_complex_numpy_scalar_clears_is_real():
 
 # Reference transforms as first written: fresh signs, numpy's shifts and a
 # fresh fine grid on every call.  The cached tables must reproduce them bit
-# for bit.
+# for bit.  Real samples and real fields take the real transforms on the
+# k >= 0 half-spectrum; complex ones the full complex FFT.
 
 def _pad(coeffs, factor):
     n = coeffs.shape[-1]
@@ -180,24 +181,46 @@ def _reference_signs(n):
     return np.where(k % 2 == 0, 1.0, -1.0)
 
 
+def _half(a):
+    """k = 0 .. N/2-1, then the unpaired -N/2 entry."""
+    h = a.shape[-1] // 2
+    return np.concatenate((a[..., h:], a[..., :1]), axis=-1)
+
+
+def _reference_full_band(half):
+    """Conjugate mirror of a half-spectrum; the zero and -N/2 modes keep their real parts."""
+    h = half.shape[-1] - 1
+    return np.concatenate((half[..., h:].real.astype(complex), np.conj(half[..., h - 1:0:-1]),
+                           half[..., :1].real.astype(complex), half[..., 1:h]), axis=-1)
+
+
 def _reference_forward(values, grid):
+    if np.isrealobj(values):
+        scale = (grid.dx / SQRT_2PI) * _half(_reference_signs(grid.size))
+        return _reference_full_band(np.fft.rfft(values, axis=-1) * scale)
     spec = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
     return (grid.dx / SQRT_2PI) * _reference_signs(grid.size) * spec
 
 
-def _reference_inverse(coeffs, grid, real=False):
+def _reference_inverse(coeffs, grid, real=False, pad=1):
     coeffs = np.asarray(coeffs, dtype=complex)
+    if real:
+        scale = (grid.dxi / SQRT_2PI) * _half(_reference_signs(grid.size))
+        spec = _half(coeffs) * scale
+        if pad > 1:
+            spec[..., -1] = 0.5 * np.conj(spec[..., -1])
+        return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward")
     signs = _reference_signs(grid.size)
     vals = np.fft.ifft(np.fft.ifftshift(coeffs * signs, axes=-1), axis=-1)
-    vals = vals * (grid.size * grid.dxi / SQRT_2PI)
-    return vals.real if real else vals
+    return vals * (grid.size * grid.dxi / SQRT_2PI)
 
 
-def _reference_pointwise(coeffs, grid, func, pad, real):
+def _reference_pointwise(coeffs, grid, func, pad):
     fine = Grid1D(grid.half_length, pad * grid.size)
-    vals = _reference_inverse(_pad(coeffs, pad), fine, real=real)
-    back = _central_band(_reference_forward(func(vals), fine), grid.size)
-    return hermitian_project(back) if real else back
+    h = grid.size // 2
+    spec = np.fft.rfft(func(_reference_inverse(coeffs, grid, real=True, pad=pad)), axis=-1)
+    scale = (fine.dx / SQRT_2PI) * _half(_reference_signs(fine.size))
+    return _reference_full_band(spec[..., :h + 1] * scale[:h + 1])
 
 
 def _assert_same_bytes(got, want):
@@ -223,15 +246,18 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
     n = 2 * half_size
     shape = (n,) if rows == 1 else (rows, n)
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    vals = rng.standard_normal(shape)
+    if not real:
+        vals = vals + 1j * rng.standard_normal(shape)
 
     def check(grid):
         coeffs = values_to_coeffs(vals, grid)
         _assert_same_bytes(coeffs, _reference_forward(vals, grid))
         _assert_same_bytes(coeffs_to_values(coeffs, grid, real=real),
                            _reference_inverse(coeffs, grid, real=real))
-        _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad, real=real),
-                           _reference_pointwise(coeffs, grid, _cube, pad, real))
+        if real:
+            _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad),
+                               _reference_pointwise(coeffs, grid, _cube, pad))
         return coeffs
 
     grids = (Grid1D(half_length, n), Grid1D(other_length, n))
@@ -239,13 +265,15 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
     for grid in grids + grids:
         check(grid)
     if half_length != other_length:
-        assert not np.array_equal(spectral._plan(half_length, n).forward_scale,
-                                  spectral._plan(other_length, n).forward_scale)
+        plans = (spectral._plan(half_length, n), spectral._plan(other_length, n))
+        assert not np.array_equal(plans[0].forward_scale, plans[1].forward_scale)
+        assert not np.array_equal(plans[0].half_forward, plans[1].half_forward)
+        assert not np.array_equal(plans[0].half_inverse, plans[1].half_inverse)
 
     grid = grids[0]
     coeffs = check(grid)
     for out in (values_to_coeffs(vals, grid), coeffs_to_values(coeffs, grid, real=real),
-                apply_pointwise_matrix(coeffs, grid, _cube, pad=pad, real=real)):
+                apply_pointwise_matrix(coeffs, grid, _cube, pad=pad)):
         out[...] = 7.0
     check(grid)
     fine = grid.refined(pad)
@@ -254,44 +282,108 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
         fine.points[0] = 0.0
 
 
-def _former_pointwise(coeffs, grid, func, pad, real):
-    """apply_pointwise_matrix before its in-place scalings, inlined."""
-    fine = grid.refined(pad)
-    vals = coeffs_to_values(_pad(coeffs, pad), fine, real=real)
-    back = _central_band(values_to_coeffs(func(vals), fine), grid.size)
-    return hermitian_project(back) if real else back
+def _former_hermitian_project(c):
+    out = np.empty_like(c)
+    out[..., 0] = c[..., 0].real
+    out[..., 1:] = 0.5 * (c[..., 1:] + np.conj(c[..., 1:][..., ::-1]))
+    return out
+
+
+def _former_pointwise(coeffs, grid, func, pad):
+    """The former real map: complex FFTs of the full band, then the averaging projection."""
+    fine = Grid1D(grid.half_length, pad * grid.size)
+    vals = _reference_inverse(_pad(coeffs, pad), fine).real
+    back = _central_band(_reference_forward(func(vals).astype(complex), fine), grid.size)
+    return _former_hermitian_project(back)
 
 
 def _quintic(v):
     return np.sign(v) * np.abs(v) ** 5.0
 
 
+# The half-spectrum map and the former complex-FFT map differ by round-off
+# only: at most 1e-13 of the largest coefficient here (about 1e-15 measured).
+FORMER_TOL = 1e-13
+
+
 @settings(max_examples=60, deadline=None)
 @given(half_size=st.integers(min_value=4, max_value=160),
        pad=st.sampled_from([2, 3]),
        rows=st.integers(min_value=1, max_value=9),
-       real=st.booleans(),
        aliased=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_lean_pointwise_map_matches_the_former_formula_bytewise(half_size, pad, rows,
-                                                                real, aliased, seed):
+def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, rows,
+                                                              aliased, seed):
     grid = Grid1D(24.0, 2 * half_size)
     rng = np.random.default_rng(seed)
-    shape = (rows, grid.size)
-    if real:
-        coeffs = values_to_coeffs(rng.standard_normal(shape), grid)
-        func = _quintic
-    else:
-        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        func = _cube
-    if aliased:  # the samples come back as a view of the work buffer
-        func = np.asarray
+    coeffs = values_to_coeffs(rng.standard_normal((rows, grid.size)), grid)
+    # aliased: the map hands its samples back as its result
+    func = np.asarray if aliased else _quintic
     before = coeffs.copy()
-    got = apply_pointwise_matrix(coeffs, grid, func, pad=pad, real=real)
-    _assert_same_bytes(got, _former_pointwise(coeffs, grid, func, pad, real))
-    _assert_same_bytes(apply_pointwise_matrix(coeffs[0], grid, func, pad=pad, real=real),
-                       _former_pointwise(coeffs[0], grid, func, pad, real))
+    got = apply_pointwise_matrix(coeffs, grid, func, pad=pad)
+    for m in range(rows):
+        _assert_same_bytes(got[m], apply_pointwise_matrix(coeffs[m], grid, func, pad=pad))
     _assert_same_bytes(coeffs, before)
+    assert np.all(hermitian_defect(got) == 0.0)
+    former = _former_pointwise(coeffs, grid, func, pad)
+    assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
+
+
+def _long_double_pointwise(coeffs, grid, func, pad, block=256):
+    """The real dealiased map by direct sums over the full band in np.longdouble."""
+    n, m = grid.size, pad * grid.size
+    k = np.arange(-n // 2, n // 2)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    dxi = two_pi / (2 * np.longdouble(grid.half_length))
+    dx = 2 * np.longdouble(grid.half_length) / m
+    root = np.sqrt(two_pi)
+    c = np.asarray(coeffs).astype(np.clongdouble) * np.where(k % 2 == 0, 1, -1)
+    angles = (two_pi / m) * np.arange(m)  # e^{2 pi i jk/M} depends on jk mod M only
+    cos_table, sin_table = np.cos(angles), np.sin(angles)
+    back = np.zeros(c.shape, dtype=np.clongdouble)
+    for j0 in range(0, m, block):
+        jk = (np.arange(j0, min(m, j0 + block))[:, None] * k) % m
+        cos, sin = cos_table[jk], sin_table[jk]
+        g = func((c.real @ cos.T - c.imag @ sin.T) * (dxi / root))
+        back += g @ cos - 1j * (g @ sin)
+    back *= (dx / root) * np.where(k % 2 == 0, 1, -1)
+    back[..., 0] = back[..., 0].real
+    return back
+
+
+# Error of the float64 map against the extended-precision sums, relative to
+# the largest coefficient; about 7e-16 measured on these cases.
+ACCURACY_TOL = 2e-15
+
+
+@pytest.mark.parametrize("data", ["gaussian", "random"])
+@pytest.mark.parametrize("pad", [2, 3])
+@pytest.mark.parametrize("size", [256, 1024])
+def test_pointwise_map_matches_long_double_sums(size, pad, data):
+    grid = Grid1D(size / 4.0, size)
+    if data == "gaussian":
+        coeffs = free_evolution(gaussian_profile(grid, 0.8), np.array([0.0, 0.5, 1.0])).coeffs
+    else:
+        coeffs = np.stack([random_band_limited(grid, 1.0, size // 4, seed=s).coeffs
+                           for s in range(3)])
+    want = _long_double_pointwise(coeffs, grid, _quintic, pad)
+    got = apply_pointwise_matrix(coeffs, grid, _quintic, pad=pad)
+    scale = np.max(np.abs(want))
+    assert float(np.max(np.abs(got - want)) / scale) <= ACCURACY_TOL
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3])
+def test_real_samples_read_the_hermitian_part(pad):
+    # random samples occupy the unpaired -N/2 mode, which pad 1 keeps in the
+    # Nyquist bin and pad >= 2 splits between bins N/2 and -N/2
+    grid = Grid1D(16.0, 64)
+    coeffs = values_to_coeffs(np.random.default_rng(pad).standard_normal((2, 64)), grid)
+    assert np.all(coeffs[:, 0] != 0.0)
+    want = spectral.dealiased_samples(coeffs, grid, pad).real
+    got = spectral._real_samples(coeffs, grid, pad)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if pad == 1:
+        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=True), got)
 
 
 def test_pointwise_map_rejects_a_wrong_output_length():
@@ -309,23 +401,19 @@ def test_hermitian_defect_per_row():
     assert list(spectral.hermitian_breaks(rows)) == [False, True, False]
 
 
-def _former_hermitian_project(c):
-    out = np.empty_like(c)
-    out[..., 0] = c[..., 0].real
-    out[..., 1:] = 0.5 * (c[..., 1:] + np.conj(c[..., 1:][..., ::-1]))
-    return out
-
-
 @pytest.mark.parametrize("shape", [(8,), (130,), (3, 64), (2, 5, 36)])
-def test_in_place_hermitian_projection_matches_out_of_place_bytewise(shape):
+def test_conjugate_mirror_is_exactly_hermitian(shape):
     rng = np.random.default_rng(sum(shape))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c[..., 1] = -0.0  # signed zeros must come out the same way too
+    c[..., 1] = -0.0  # overwritten by the mirror like every other k < 0 mode
     before = c.copy()
-    want = _former_hermitian_project(c)
-    got = hermitian_project(c)
-    _assert_same_bytes(got, want)
-    _assert_same_bytes(c, before)
-    assert hermitian_project(c, out=c) is c
-    _assert_same_bytes(c, want)
-    assert not np.any(spectral.hermitian_breaks(c))
+    h = shape[-1] // 2
+    assert spectral._mirror(c) is c
+    assert np.all(hermitian_defect(c) == 0.0)
+    _assert_same_bytes(c[..., h + 1:], before[..., h + 1:])
+    _assert_same_bytes(c[..., 1:h], np.conj(before[..., :h:-1]))
+    for j in (0, h):
+        _assert_same_bytes(c[..., j].real, before[..., j].real)
+    # the product form rebuilds the same band from the half-spectrum
+    _assert_same_bytes(spectral._mirrored_product(spectral._fold(before), np.ones(h + 1)),
+                       _reference_full_band(spectral._fold(before) * np.ones(h + 1)))
