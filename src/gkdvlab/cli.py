@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import monitor, nonpositive_energy_amplitude, scattering_state
 from .estimates import EstimateSpec, _estimate, verify
-from .norms import lhat_norm, lhat_rows, lebesgue_norm, sobolev_norm
+from .norms import band_sum, lhat_norm, lhat_rows, lebesgue_norm, sobolev_norm
 from .solver import (
     FieldStack,
     NonlinearityG,
@@ -214,7 +214,7 @@ def _make_datum(cfg: dict, grid: Grid1D) -> SpectralField:
     if kind == "random":
         band = cfg["band"] if cfg["band"] is not None else grid.size // 4
         f = random_band_limited(grid, decay=cfg["decay"], band=band, seed=cfg["seed"])
-        return SpectralField(grid, cfg["amp"] * f.coeffs, True)
+        return cfg["amp"] * f
     raise ConfigError(f"config: datum must be gaussian or random, got {kind!r}")
 
 
@@ -328,8 +328,7 @@ def _cmd_solve(cfg: dict) -> int:
         if cfg["reference"]:
             ref = reference_solve(u0, G, scfg)
             gap = float(np.max(np.sqrt(
-                np.sum(np.abs(result.trace.coeffs - ref.coeffs) ** 2, axis=1)
-                * grid.dxi)))
+                band_sum(np.abs(result.trace.coeffs - ref.coeffs) ** 2, half=True) * grid.dxi)))
             doc["result"]["reference_distance"] = gap
             passed = passed and gap <= cfg["reference_bound"]
     state = "converged" if result.converged else f"not converged ({result.reason})"
@@ -372,7 +371,7 @@ def _scatter_small(cfg: dict) -> int:
     rc = critical_exponent(cfg["alpha"])
     datum_norm = lhat_norm(u0, rc)
     # row by row: the sup must equal lhat_norm of the row that attains it
-    sup_norm = max(lhat_rows(row, grid.dxi, rc) for row in glued.trace.coeffs)
+    sup_norm = max(lhat_rows(row, grid.dxi, rc, half=True) for row in glued.trace.coeffs)
     size_norm = snorm(glued.trace, rc)
     bound = 2.0 * datum_norm
     report = scattering_state(glued.trace, cfg["alpha"], levels=cfg["levels"])
@@ -401,7 +400,7 @@ def _scatter_energy(cfg: dict) -> int:
     profile = gaussian_profile(grid, 1.0, cfg["width"])
     threshold = nonpositive_energy_amplitude(profile, G)
     amp = cfg["energy_margin"] * threshold
-    big = SpectralField(grid, amp * profile.coeffs, True)
+    big = amp * profile
     control = gaussian_profile(grid, cfg["control_amp"], cfg["width"])
     scfg = _solver_config(cfg, grid)
     doc = _report_skeleton("scatter", cfg)

@@ -17,7 +17,7 @@ from .solver import (
     mass,
 )
 from .spacetime import TimeTrace, _airy_table, snorm, xnorm
-from .spectral import Grid1D, SpectralField
+from .spectral import Grid1D, SpectralField, _unfold
 
 
 @dataclass
@@ -71,7 +71,8 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
         )
     rc = critical_exponent(alpha)
     grid = trace.grid
-    pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j, False)
+    rows = _unfold(trace.coeffs[idx]) if trace.is_real else trace.coeffs[idx]
+    pullbacks = rows * _airy_table(grid, trace.times[idx], -1j, False)
     states = [SpectralField(grid, w, is_real=False) for w in pullbacks]
     residuals = [
         lhat_norm(SpectralField(grid, b - a, is_real=False), rc)
@@ -111,7 +112,7 @@ def scaling_transform(u0: SpectralField, lam: float, alpha: float) -> SpectralFi
         )
     grid = Grid1D(u0.grid.half_length / lam, u0.grid.size)
     power = 2.0 / (alpha - 1.0) - 1.0
-    return SpectralField(grid, lam ** power * u0.coeffs, u0.is_real)
+    return SpectralField(grid, lam ** power * u0.modes, u0.is_real)
 
 
 def spectral_tail_fraction(u: SpectralField, shell: float = 0.125) -> float:
@@ -223,8 +224,7 @@ def nonpositive_energy_amplitude(profile: SpectralField, G: NonlinearityG,
         raise ValueError("profile must be nonzero")
 
     def e_of(a: float) -> float:
-        return energy(SpectralField(profile.grid, a * profile.coeffs,
-                                    profile.is_real), G)
+        return energy(a * profile, G)
 
     lo, hi = 1e-6, 1.0
     doublings = 0

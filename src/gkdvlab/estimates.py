@@ -47,6 +47,7 @@ from .spacetime import (
 from .spectral import (
     Grid1D,
     SpectralField,
+    _fold,
     apply_pointwise_matrix,
     random_band_limited,
 )
@@ -154,7 +155,7 @@ def _as_extended(value, default: float) -> float:
 def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
     if amplitude == 1.0:
         return f
-    return SpectralField(f.grid, amplitude * f.coeffs, f.is_real)
+    return amplitude * f
 
 
 def _ensemble(spec: EstimateSpec, one: Callable,
@@ -318,7 +319,7 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
     phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = 1.0 + 0.5 * np.sin(omega * times + phase)
     wave = free_evolution(g, times)
-    rows = (1j * grid.frequencies)[None, :] * (envelope[:, None] * wave.coeffs)
+    rows = (1j * _fold(grid.frequencies))[None, :] * (envelope[:, None] * wave.coeffs)
     return TimeTrace(grid, times, spec.amplitude * rows, is_real=True)
 
 
@@ -330,7 +331,7 @@ def _run_inhom_linf(spec, rp):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
         ret = retarded_integral(forcing, times[0])
         # row by row: the sup must equal lhat_norm of the row that attains it
-        num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
+        num = max(lhat_rows(row, grid.dxi, r, half=True) for row in ret.coeffs)
         den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
+    _fold,
     dyadic_block_range,
     dyadic_bump,
     riesz_weights,
@@ -30,30 +31,47 @@ def holder_conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-def weighted_power_sum(magnitudes: np.ndarray, weight: float, p: float):
+def band_sum(terms: np.ndarray, half: bool = False):
+    """Sum of each row (last axis) of per-mode terms over the full band.
+
+    With half the rows are half-spectra of real fields (k = 0 .. N/2-1,
+    then -N/2), and the modes 0 < k < N/2 count twice: once more for their
+    conjugates at -k.
+    """
+    if not half:
+        return np.sum(terms, axis=-1)
+    return 2.0 * np.sum(terms[..., 1:-1], axis=-1) + terms[..., 0] + terms[..., -1]
+
+
+def weighted_power_sum(magnitudes: np.ndarray, weight: float, p: float,
+                       half: bool = False):
     """(sum |a|^p * weight)^(1/p) of each row (last axis), p = inf the maximum.
 
-    A 1-d input gives a float.  Rows get the pairwise sum of a row on its
-    own, but the root of a 2-d input is numpy's array power, which can
-    differ in the last bit from the scalar power a row on its own takes (it
-    does on AVX-512 CPUs).  An overflowing power sum reports infinity.
+    The sum is band_sum's, so with half the rows are half-spectra.  A 1-d
+    input gives a float.  Rows get the pairwise sum of a row on its own,
+    but the root of a 2-d input is numpy's array power, which can differ in
+    the last bit from the scalar power a row on its own takes (it does on
+    AVX-512 CPUs).  An overflowing power sum reports infinity.
     """
     if not (p >= 1.0):
         raise ValueError(f"exponent must lie in [1, inf], got {p}")
     with np.errstate(over="ignore"):
         rows = np.max(magnitudes, axis=-1, initial=0.0) if p == math.inf \
-            else (np.sum(magnitudes ** p, axis=-1) * weight) ** (1.0 / p)
+            else (band_sum(magnitudes ** p, half) * weight) ** (1.0 / p)
     return float(rows) if np.ndim(rows) == 0 else rows
 
 
-def lhat_rows(coeffs: np.ndarray, dxi: float, r: float):
-    """Fourier-Lebesgue norm of each row (last axis) of a coefficient array."""
-    return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r))
+def lhat_rows(coeffs: np.ndarray, dxi: float, r: float, half: bool = False):
+    """Fourier-Lebesgue norm of each row (last axis) of a coefficient array.
+
+    With half the rows are half-spectra, as a real trace stores them.
+    """
+    return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r), half)
 
 
 def lhat_norm(f: SpectralField, r: float) -> float:
     """Fourier-Lebesgue norm: the L^{r'} lattice norm of the coefficients."""
-    return lhat_rows(f.coeffs, f.grid.dxi, r)
+    return lhat_rows(f.modes, f.grid.dxi, r, f.is_real)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -62,7 +80,9 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     The zero mode is excluded for s != 0, matching the Riesz convention.
     """
     w = riesz_weights(f.grid, s)
-    return weighted_power_sum(np.abs(w * f.coeffs), f.grid.dxi, 2.0)
+    if f.is_real:
+        w = _fold(w)
+    return weighted_power_sum(np.abs(w * f.modes), f.grid.dxi, 2.0, f.is_real)
 
 
 def besov_norm(f: SpectralField, s: float, q: float) -> float:
@@ -73,12 +93,13 @@ def besov_norm(f: SpectralField, s: float, q: float) -> float:
     """
     if not (q >= 1.0 or q == math.inf):
         raise ValueError(f"exponent must lie in [1, inf], got {q}")
-    mags = np.abs(f.coeffs)
+    mags = np.abs(f.modes)
+    xi = _fold(f.grid.frequencies) if f.is_real else f.grid.frequencies
     dxi = f.grid.dxi
     terms = []
     for k in dyadic_block_range(f.grid):
-        w = dyadic_bump(f.grid.frequencies / 2.0 ** k)
-        block = weighted_power_sum(w * mags, dxi, 2.0)
+        w = dyadic_bump(xi / 2.0 ** k)
+        block = weighted_power_sum(w * mags, dxi, 2.0, f.is_real)
         if block == 0.0:
             continue
         with np.errstate(over="ignore"):

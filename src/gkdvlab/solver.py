@@ -18,14 +18,13 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .norms import lhat_norm, lhat_rows
+from .norms import band_sum, lhat_norm, lhat_rows
 from .spacetime import TimeTrace, _airy_table, _shared_tables, free_evolution, snorm, xnorm
 from .spectral import (
     Grid1D,
     SpectralField,
     _fold,
-    _mirror,
-    _mirrored_product,
+    _real_ends,
     _real_samples,
     apply_pointwise_matrix,
 )
@@ -197,7 +196,7 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     the rule acts on that oscillatory product, so the kernel is not
     integrated exactly and the error per step grows with xi^3 dt.  t0 must
     be one of the sample times.  A real forcing is integrated on its
-    half-spectrum and mirrored onto the full band.
+    half-spectrum, and the result's zero and unpaired modes are real.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
@@ -205,20 +204,16 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
     real = forcing.is_real
     down = _airy_table(forcing.grid, times, -1j, real)
-    # in place with down on the left: numpy would evaluate down * _fold(...)
-    # into the temporary with the operands swapped, which moves the bytes
-    integrand = _fold(forcing.coeffs) if real else forcing.coeffs.copy()
-    np.multiply(down, integrand, out=integrand)
+    # down stays the left operand: complex products are not bytewise
+    # commutative where numpy's multiply loop uses fused multiply-adds
+    integrand = np.multiply(down, forcing.coeffs)
     result = _cumulative_trapezoid(integrand, times)
     if j0:
         result -= result[j0]
-    # conj(down) stays the left operand: complex products are not bytewise
-    # commutative where numpy's multiply loop uses fused multiply-adds
     up = np.conjugate(down, out=integrand)
+    np.multiply(up, result, out=result)
     if real:
-        result = _mirrored_product(up, result)
-    else:
-        np.multiply(up, result, out=result)
+        _real_ends(result)
     return TimeTrace(forcing.grid, times, result, real)
 
 
@@ -227,18 +222,21 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     """One integral-equation application: free term plus flux integral.
 
     free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, built
-    once per solve.  Returns free(t)
+    once per solve; both are real traces, so the map works on their
+    half-spectra.  Returns free(t)
     + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt'.
     """
     if v.grid != free.grid:
         raise ValueError("iterate and datum live on different grids")
     flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad)
-    np.multiply(1j * v.grid.frequencies, flux, out=flux)
+    # i xi of the unpaired mode makes it imaginary; the integral keeps it
+    # until its result's modes are made real
+    np.multiply(1j * _fold(v.grid.frequencies), flux, out=flux)
     coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux, is_real=True), t0).coeffs
     del flux  # trace-sized arrays set peak memory: update the integral in place
     np.multiply(G.mu, coeffs, out=coeffs)
     np.add(free.coeffs, coeffs, out=coeffs)
-    return TimeTrace(v.grid, v.times, coeffs, is_real=free.is_real and v.is_real)
+    return TimeTrace(v.grid, v.times, coeffs, is_real=True)
 
 
 def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
@@ -311,7 +309,7 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
                 raise NumericalBlowupError(
                     "iterate left the finite regime", time=float(times[0]), trace=v,
                 )
-            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc)))
+            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc, half=True)))
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0.0:
                 factors.append(dists[-1] / dists[-2])
@@ -334,7 +332,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     """Conservation drifts, size bounds, and boundary-mass taint for a trace."""
     check = G.in_wellposed_range()
     rc = critical_exponent(G.alpha)
-    masses = np.sum(np.abs(trace.coeffs) ** 2, axis=1) * trace.grid.dxi
+    masses = band_sum(np.abs(trace.coeffs) ** 2, trace.is_real) * trace.grid.dxi
     m0 = masses[0]
     mass_drift = float(np.max(np.abs(masses - m0)) / m0) if m0 > 0 else 0.0
     e0 = energy(trace.field(0), G, pad=cfg.pad)
@@ -342,7 +340,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     emid = energy(trace.field(trace.sample_count // 2), G, pad=cfg.pad)
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
-    sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
+    sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc, trace.is_real)))
     vals = trace.values()  # one transform for the boundary mass and snorm
     boundary = float(np.max(boundary_mass_fraction(vals, trace.grid)))
     scattering_size = snorm(trace, rc, check=check, values=vals)
@@ -408,7 +406,6 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     segments: List[dict] = []
     while t < t_final - 1e-12:
         length = min(segment_length, t_final - t)
-        res = None
         while True:
             seg_cfg = replace(cfg, t_start=t, t_end=t + length, anchor=t)
             res = picard_solve(u, G, seg_cfg)
@@ -420,6 +417,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                     reason=f"segment [{t:.6g}, {t + length:.6g}] failed: {res.reason}",
                 )
             length /= 2.0
+            del res  # a declined attempt's trace must not outlive it
         seg = res.trace
         segments.append({
             "t_start": float(t),
@@ -437,6 +435,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
         all_coeffs.append(seg.coeffs[idx])
         u = seg.field(seg.sample_count - 1)
         t = t + length
+        del res, seg  # trace-sized: let them go before the next segment's solve
     trace = TimeTrace(cfg.grid, np.concatenate(all_times),
                       np.concatenate(all_coeffs), is_real=u0.is_real)
     return GluedResult(trace=trace, converged=True, segments=segments)
@@ -478,12 +477,12 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     The dispersive phase is integrated exactly per mode; the explicit stages
     handle only the flux, so there is no stiffness from the linear term.
     With mu = 0 the scheme reproduces the free flow to round-off.  Substep
-    size is reference_dt, snapped to divide each output interval.  After
-    each substep the modes k < 0 are the mirror of the modes k >= 0, so
-    every row is exactly Hermitian.
+    size is reference_dt, snapped to divide each output interval.  The
+    state is the half-spectrum of each datum, and after each substep its
+    zero and unpaired modes are made real.
 
     u0 is one field, or a sequence of real fields on one grid; a sequence is
-    integrated as the rows of one (k, N) stack, so each stage makes one
+    integrated as the rows of one (k, N/2 + 1) stack, so each stage makes one
     dealiased map for all data, and one trace per datum is returned.  Rows
     never mix: each equals its single-datum call byte for byte.  A datum
     whose norm leaves the trusted regime (BLOWUP_FACTOR times its own
@@ -500,13 +499,13 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     grid = data.grid
     rc = critical_exponent(G.alpha)
     limits = [BLOWUP_FACTOR * max(lhat_norm(u, rc), 1e-300) for u in data]
-    flux_multiplier = G.mu * 1j * grid.frequencies
+    flux_multiplier = G.mu * 1j * _fold(grid.frequencies)
 
     def flux(c: np.ndarray) -> np.ndarray:
         return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
 
-    out = np.empty((len(data), times.size, grid.size), dtype=complex)
-    c = np.stack([u.coeffs for u in data])
+    out = np.empty((len(data), times.size, grid.size // 2 + 1), dtype=complex)
+    c = np.stack([u.modes for u in data])
     out[:, 0] = c
     live = len(data)  # rows 0 .. live-1 of c are data 0 .. live-1
     failure = None
@@ -516,7 +515,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         nsub = max(1, math.ceil(span / cfg.reference_dt))
         if span / nsub != h:  # spans of non-dyadic intervals differ in the last bit
             h = span / nsub
-            e_half = _airy_table(grid, np.array([h / 2.0]), 1j, False)[0]
+            e_half = _airy_table(grid, np.array([h / 2.0]), 1j, True)[0]
             e_full = e_half * e_half
             back_half, back_full = np.conj(e_half), np.conj(e_full)
         for _ in range(nsub):
@@ -524,9 +523,10 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
             k2 = back_half * flux(e_half * (c + (h / 2.0) * k1))
             k3 = back_half * flux(e_half * (c + (h / 2.0) * k2))
             k4 = back_full * flux(e_full * (c + h * k3))
-            c = _mirror(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+            c = _real_ends(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
         for i in range(live):
-            if not np.all(np.isfinite(c[i])) or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
+            if not np.all(np.isfinite(c[i])) \
+                    or lhat_rows(c[i], grid.dxi, rc, half=True) > limits[i]:
                 partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1], is_real=True) \
                     if m >= 1 else None
                 failure = NumericalBlowupError(
@@ -546,7 +546,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
 
 def mass(u: SpectralField) -> float:
     """Conserved L^2 mass ||u||^2, evaluated on the frequency side."""
-    return float(np.sum(np.abs(u.coeffs) ** 2) * u.grid.dxi)
+    return float(band_sum(np.abs(u.modes) ** 2, u.is_real) * u.grid.dxi)
 
 
 def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
@@ -558,9 +558,9 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     """
     if G.rule != "power":
         raise ValueError("energy is defined for the power nonlinearity")
-    kinetic = 0.5 * float(np.sum((u.grid.frequencies * np.abs(u.coeffs)) ** 2)
-                          * u.grid.dxi)
-    vals = _real_samples(u.coeffs, u.grid, pad)
+    xi = _fold(u.grid.frequencies) if u.is_real else u.grid.frequencies
+    kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, u.is_real) * u.grid.dxi)
+    vals = _real_samples(u.modes, u.grid, pad)
     potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential
 
@@ -592,7 +592,7 @@ def calibrate_delta(grid: Grid1D, alpha: float = 5.0,
             for j in range(random_per_amplitude):
                 child = seeds[k * random_per_amplitude + j]
                 f = random_band_limited(grid, decay=1.0, band=grid.size // 4, seed=child)
-                data.append((f"random{j}", SpectralField(grid, float(amp) * f.coeffs, True)))
+                data.append((f"random{j}", float(amp) * f))
             for label, u0 in data:
                 cfg = SolverConfig(grid=grid, t_start=interval[0], t_end=interval[1],
                                    samples_per_unit=samples_per_unit, delta=math.inf)

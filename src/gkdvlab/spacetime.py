@@ -23,7 +23,8 @@ from .spectral import (
     Grid1D,
     SpectralField,
     _fold,
-    _mirrored_product,
+    _real_ends,
+    _stored,
     coeffs_to_values,
     riesz_weights,
 )
@@ -136,8 +137,12 @@ def classify_pair(s: float, r: float) -> PairClass:
 class TimeTrace:
     """A time-sampled field: coefficient rows at strictly increasing times.
 
-    coeffs has shape (M, N) with row m the spectral coefficients at times[m].
-    At least two samples are required so every time quadrature is defined.
+    Row m of coeffs holds the field at times[m], in the layout of
+    SpectralField.modes: a real trace (is_real) stores (M, N/2 + 1)
+    half-spectra, a complex one (M, N) full bands.  A real trace is built
+    from its half-spectra, or from full bands that each meet the Hermitian
+    tolerance of a real SpectralField and are then folded.  At least two
+    samples are required so every time quadrature is defined.
     """
 
     grid: Grid1D
@@ -147,16 +152,16 @@ class TimeTrace:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("a trace needs at least 2 time samples")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trace times must be strictly increasing")
-        if self.coeffs.shape != (self.times.size, self.grid.size):
+        if np.ndim(self.coeffs) != 2 or len(self.coeffs) != self.times.size:
             raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match "
+                f"coeffs shape {np.shape(self.coeffs)} does not match "
                 f"(M, N) = ({self.times.size}, {self.grid.size})"
             )
+        self.coeffs = _stored(self.coeffs, self.grid, self.is_real)
 
     @property
     def sample_count(self) -> int:
@@ -218,14 +223,13 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex, half: bool) -> n
 def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> TimeTrace:
     """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3).
 
-    A real u0 is evolved on its half-spectrum and mirrored onto the full band.
+    A real u0 is evolved on its half-spectrum, with real zero and unpaired
+    modes.
     """
     times = np.asarray(times, dtype=float)
-    phases = _airy_table(u0.grid, times - t0, 1j, u0.is_real)
+    coeffs = _airy_table(u0.grid, times - t0, 1j, u0.is_real) * u0.modes[None, :]
     if u0.is_real:
-        coeffs = _mirrored_product(phases, _fold(u0.coeffs))
-    else:
-        coeffs = phases * u0.coeffs[None, :]
+        _real_ends(coeffs)
     return TimeTrace(u0.grid, times, coeffs, u0.is_real)
 
 
@@ -282,6 +286,8 @@ def _riesz_trace(trace: TimeTrace, s: float) -> TimeTrace:
     if s == 0:
         return trace
     w = riesz_weights(trace.grid, s)
+    if trace.is_real:
+        w = _fold(w)
     return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :], trace.is_real)
 
 

@@ -125,7 +125,8 @@ def _plan(half_length: float, size: int) -> _Plan:
 # A real field's coefficients satisfy c(-xi) = conj(c(xi)), so the modes
 # k = 0 .. N/2-1 carry it.  Its half-spectrum appends the unpaired -N/2 mode
 # to them: the first N/2 + 1 entries of the coefficients in FFT bin order,
-# the layout of an rfft.
+# the layout of an rfft.  Real fields and traces store their half-spectra;
+# complex ones store the full band in ascending order.
 
 def _fold(a: np.ndarray) -> np.ndarray:
     """Half-spectrum (last axis) of a full-band array: k = 0 .. N/2-1, then -N/2."""
@@ -133,51 +134,75 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., half:], a[..., :1]), axis=-1)
 
 
-def _mirror(full: np.ndarray) -> np.ndarray:
-    """Make a full band exactly Hermitian in place from its k >= 0 modes.
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """Full band (last axis, ascending) of a real field's half-spectrum.
 
-    Modes k < 0 become the conjugates of modes -k; the zero mode and the
-    unpaired -N/2 mode keep their real parts.
+    Modes k < 0 are the conjugates of modes -k; the zero and the unpaired
+    -N/2 mode are copied as stored.
     """
-    half = full.shape[-1] // 2
-    np.conjugate(full[..., :half:-1], out=full[..., 1:half])
-    full[..., half].imag = 0.0
-    full[..., 0].imag = 0.0
+    h = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * h,), dtype=complex)
+    full[..., h:] = half[..., :h]
+    full[..., 0] = half[..., h]
+    np.conjugate(half[..., h - 1:0:-1], out=full[..., 1:h])
     return full
 
 
-def _mirrored_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full band of the real field whose half-spectrum is a * b (broadcast)."""
-    half = a.shape[-1] - 1
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * half,)
-    full = np.empty(shape, dtype=complex)
-    np.multiply(a[..., :half], b[..., :half], out=full[..., half:])
-    full[..., 0] = (a[..., half] * b[..., half]).real
-    return _mirror(full)
+def _real_ends(half: np.ndarray) -> np.ndarray:
+    """Zero the imaginary parts of the zero and unpaired modes of half-spectra, in place."""
+    half[..., 0].imag = 0.0
+    half[..., -1].imag = 0.0
+    return half
+
+
+def _stored(coeffs, grid: "Grid1D", real: bool) -> np.ndarray:
+    """The modes a field stores, from its coeffs (last axis).
+
+    A real field's coeffs are its half-spectrum, taken as given, or its full
+    band, which must meet the Hermitian tolerance of hermitian_breaks in
+    every row and is then folded.  A complex field's are its full band.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if real and c.shape[-1:] == (grid.size // 2 + 1,):
+        return c
+    if c.shape[-1:] != (grid.size,):
+        raise ValueError(f"coeffs shape {c.shape} does not match grid size {grid.size}")
+    if not real:
+        return c
+    if np.any(hermitian_breaks(c)):
+        raise ValueError("is_real=True but Hermitian symmetry fails "
+                         f"(defect {np.max(hermitian_defect(c)):.3e})")
+    return _fold(c)
 
 
 def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
     """Real samples of a real field's coeffs (last axis) on the grid refined by pad.
 
-    One irfft of the half-spectrum.  The unpaired -N/2 mode goes to bin N/2:
-    as it is at pad 1, where that bin is the Nyquist bin, and as half its
-    conjugate at pad >= 2, where the irfft's implied mirror puts the other
-    half back in bin -N/2.  So for Hermitian coeffs the samples are the real
-    part of dealiased_samples.
+    coeffs is the half-spectrum or the full band.  One irfft of the
+    half-spectrum: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
+    where that bin is the Nyquist bin, and as half its conjugate at
+    pad >= 2, where the irfft's implied mirror puts the other half back in
+    bin -N/2.  So for Hermitian coeffs the samples are the real part of
+    dealiased_samples.
     """
     coeffs = np.asarray(coeffs)
     half = grid.size // 2
+    if coeffs.shape[-1] == grid.size:
+        pos, unpaired = coeffs[..., half:], coeffs[..., 0]
+    else:
+        pos, unpaired = coeffs[..., :half], coeffs[..., half]
     scale = _plan(grid.half_length, grid.size).half_inverse
     spec = np.empty(coeffs.shape[:-1] + (half + 1,), dtype=complex)
-    np.multiply(coeffs[..., half:], scale[:half], out=spec[..., :half])
-    unpaired = coeffs[..., 0] * scale[half]
+    np.multiply(pos, scale[:half], out=spec[..., :half])
+    unpaired = unpaired * scale[half]
     spec[..., half] = unpaired if pad == 1 else 0.5 * np.conjugate(unpaired)
     return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward")
 
 
-def _check_length(a: np.ndarray, grid: Grid1D) -> None:
-    if a.shape[-1] != grid.size:
-        raise ValueError(f"last axis has length {a.shape[-1]}, expected {grid.size}")
+def _check_length(a: np.ndarray, grid: Grid1D, real: bool = False) -> None:
+    if a.shape[-1] != grid.size and not (real and a.shape[-1] == grid.size // 2 + 1):
+        expected = f"{grid.size} or {grid.size // 2 + 1}" if real else f"{grid.size}"
+        raise ValueError(f"last axis has length {a.shape[-1]}, expected {expected}")
 
 
 def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -185,13 +210,15 @@ def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
 
     Implements hat f(xi_k) = (dx / sqrt(2 pi)) * sum_j f(x_j) exp(-i x_j xi_k)
     via a standard FFT plus an alternating phase; exact for band-limited data.
-    Real samples take an rfft, and their coefficients are exactly Hermitian.
+    Real samples take an rfft and give the half-spectrum a real field
+    stores, with real zero and unpaired modes; complex samples give the
+    full band.
     """
     values = np.asarray(values)
     _check_length(values, grid)
     plan = _plan(grid.half_length, grid.size)
     if np.isrealobj(values):
-        return _mirrored_product(np.fft.rfft(values, axis=-1), plan.half_forward)
+        return _real_ends(np.fft.rfft(values, axis=-1) * plan.half_forward)
     return plan.forward_scale * plan.swap(np.fft.fft(values, axis=-1))
 
 
@@ -199,77 +226,93 @@ def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np
     """Inverse of values_to_coeffs along the last axis.
 
     Implements f(x_j) = (dxi / sqrt(2 pi)) * sum_k hat f(xi_k) exp(i x_j xi_k).
-    With real=True the coeffs are read as a real field: real samples from the
-    k >= 0 half-spectrum (an irfft).
+    With real=True the coeffs, a half-spectrum or a full band, are read as a
+    real field: real samples from the k >= 0 half-spectrum (an irfft).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    _check_length(coeffs, grid)
+    _check_length(coeffs, grid, real)
     return _real_samples(coeffs, grid, 1) if real else dealiased_samples(coeffs, grid, 1)
 
 
-@dataclass
 class SpectralField:
     """A single-time field stored by its Fourier coefficients.
 
-    coeffs is ordered by ascending frequency (index i holds xi = (i - N/2)*dxi).
-    is_real declares the Hermitian symmetry coeffs(-xi) = conj(coeffs(xi)); the
-    unpaired mode at -N/2 must then be real.  It is checked to within 1e-8
-    (1 + max |coeff|), and a real field is read from its modes k >= 0.
+    coeffs are ordered by ascending frequency (index i holds
+    xi = (i - N/2)*dxi).  is_real declares the Hermitian symmetry
+    coeffs(-xi) = conj(coeffs(xi)), with the unpaired mode at -N/2 real.
+    A real field stores only its half-spectrum, modes: k = 0 .. N/2-1, then
+    -N/2.  It is built from that half, or from a full band that meets the
+    symmetry within 1e-8 (1 + max |coeff|) and is then folded; its coeffs
+    are the full band, rebuilt on each access and read-only.  A complex
+    field stores its full band, and modes and coeffs are the same array.
     """
 
-    grid: Grid1D
-    coeffs: np.ndarray
-    is_real: bool = False
+    def __init__(self, grid: Grid1D, coeffs, is_real: bool = False) -> None:
+        self.grid = grid
+        self.modes = coeffs
+        self.is_real = is_real
+        # the checks and the fold stay in __post_init__, where they were in
+        # the dataclass: perfbench's tracer times field construction there
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.grid.size,):
-            raise ValueError(
-                f"coeffs shape {self.coeffs.shape} does not match grid size {self.grid.size}"
-            )
-        if self.is_real and hermitian_breaks(self.coeffs):
-            raise ValueError(
-                "is_real=True but Hermitian symmetry fails "
-                f"(defect {hermitian_defect(self.coeffs):.3e})"
-            )
+        if np.ndim(self.modes) != 1:
+            raise ValueError(f"coeffs shape {np.shape(self.modes)} does not match "
+                             f"grid size {self.grid.size}")
+        self.modes = _stored(self.modes, self.grid, self.is_real)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if not self.is_real:
+            return self.modes
+        full = _unfold(self.modes)
+        full.flags.writeable = False
+        return full
 
     def values(self) -> np.ndarray:
         """Physical samples on grid.points."""
-        return coeffs_to_values(self.coeffs, self.grid, real=self.is_real)
+        return coeffs_to_values(self.modes, self.grid, real=self.is_real)
+
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+        if self.grid != other.grid:
+            raise ValueError("fields live on different grids")
+        if self.is_real and other.is_real:
+            return SpectralField(self.grid, op(self.modes, other.modes), True)
+        return SpectralField(self.grid, op(self.coeffs, other.coeffs))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             self.is_real and other.is_real)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same_grid(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             self.is_real and other.is_real)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * scalar,
-                             self.is_real and not np.iscomplexobj(scalar))
+        if self.is_real and not np.iscomplexobj(scalar):
+            return SpectralField(self.grid, self.modes * scalar, True)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
-    def _check_same_grid(self, other: "SpectralField") -> None:
-        if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
 
+def hermitian_defect(coeffs: np.ndarray, half: bool = False):
+    """Max deviation from coeffs(-xi) = conj(coeffs(xi)), unpaired mode real; per row.
 
-def hermitian_defect(coeffs: np.ndarray):
-    """Max deviation from coeffs(-xi) = conj(coeffs(xi)), unpaired mode real; per row."""
+    With half the rows are half-spectra, which carry the symmetry except
+    at the zero and unpaired modes: the defect is their largest imaginary
+    part.
+    """
     c = np.asarray(coeffs)
+    if half:
+        return np.maximum(np.abs(c[..., 0].imag), np.abs(c[..., -1].imag))
     pairs = np.conj(c[..., :0:-1])
     np.subtract(c[..., 1:], pairs, out=pairs)
     return np.maximum(np.abs(c[..., 0].imag), np.max(np.abs(pairs), axis=-1, initial=0.0))
 
 
-def hermitian_breaks(coeffs: np.ndarray):
+def hermitian_breaks(coeffs: np.ndarray, half: bool = False):
     """Per row (last axis): defect above the 1e-8 (1 + max |coeff|) is_real allows."""
     c = np.asarray(coeffs)
-    return hermitian_defect(c) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
+    return hermitian_defect(c, half) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
 
 
 def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
@@ -293,8 +336,9 @@ def riesz_potential(f: SpectralField, s: float) -> SpectralField:
     operator a bijection on mean-free fields).  s = 0 is the identity.
     """
     if s == 0:
-        return SpectralField(f.grid, f.coeffs.copy(), f.is_real)
-    return SpectralField(f.grid, f.coeffs * riesz_weights(f.grid, s), f.is_real)
+        return SpectralField(f.grid, f.modes.copy(), f.is_real)
+    w = riesz_weights(f.grid, s)
+    return SpectralField(f.grid, f.modes * (_fold(w) if f.is_real else w), f.is_real)
 
 
 def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
@@ -310,14 +354,15 @@ def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
 def airy_propagate(f: SpectralField, t: float) -> SpectralField:
     """Free Airy evolution: multiply coefficients by exp(i t xi^3).
 
-    For is_real fields the unpaired -N/2 mode is projected back to its real
-    part after the phase (the exact phase would break the declared symmetry
-    at that single mode; it is zero for band-limited data).
+    A real field is evolved on its half-spectrum, and its unpaired -N/2 mode
+    is projected back to its real part after the phase (the exact phase
+    would break the declared symmetry at that single mode; it is zero for
+    band-limited data).
     """
-    c = f.coeffs * airy_phases(f.grid, t)
-    if f.is_real:
-        c[0] = c[0].real
-    return SpectralField(f.grid, c, f.is_real)
+    if not f.is_real:
+        return SpectralField(f.grid, f.coeffs * airy_phases(f.grid, t))
+    xi = _fold(f.grid.frequencies)
+    return SpectralField(f.grid, _real_ends(f.modes * np.exp(1j * t * xi ** 3)), True)
 
 
 def airy_phases(grid: Grid1D, t: float) -> np.ndarray:
@@ -364,8 +409,8 @@ def dyadic_block_range(grid: Grid1D) -> range:
 
 def littlewood_paley_block(f: SpectralField, k: int) -> SpectralField:
     """Frequency-localize f to the dyadic shell |xi| ~ 2^k."""
-    w = dyadic_bump(f.grid.frequencies / 2.0 ** k)
-    return SpectralField(f.grid, f.coeffs * w, f.is_real)
+    xi = _fold(f.grid.frequencies) if f.is_real else f.grid.frequencies
+    return SpectralField(f.grid, f.modes * dyadic_bump(xi / 2.0 ** k), f.is_real)
 
 
 # -- Random band-limited ensembles -------------------------------------------
@@ -393,11 +438,9 @@ def random_band_limited(grid: Grid1D, decay: float, band: int, seed) -> Spectral
     re = rng.standard_normal(band)
     im = rng.standard_normal(band)
     pos = sigma * (re + 1j * im) / math.sqrt(2.0)
-    c = np.zeros(N, dtype=complex)
-    mid = N // 2
-    c[mid + 1: mid + 1 + band] = pos
-    c[mid - band: mid] = np.conj(pos[::-1])
-    return SpectralField(grid, c, is_real=True)
+    half = np.zeros(N // 2 + 1, dtype=complex)
+    half[1: 1 + band] = pos
+    return SpectralField(grid, half, is_real=True)
 
 
 def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
@@ -432,14 +475,18 @@ def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
 
 
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
-    """Apply a real pointwise map on a padded grid; coeffs has shape (..., N).
+    """Apply a real pointwise map on a padded grid to rows of real fields.
 
-    The rows are real fields.  Each is spectrally interpolated onto a grid
-    with pad*N points from its k >= 0 half-spectrum, func is applied to the
-    real samples (a contiguous array), and the rfft of the result is
-    truncated to bins 0 .. N/2, scaled, and mirrored onto the full band.
-    The result is exactly Hermitian, with the unpaired -N/2 mode real.
+    coeffs has shape (..., N/2 + 1), half-spectra, or (..., N), full bands;
+    the result has the same layout.  Each row is spectrally interpolated
+    onto a grid with pad*N points from its k >= 0 half-spectrum, func is
+    applied to the real samples (a contiguous array), and the rfft of the
+    result is truncated to bins 0 .. N/2 and scaled, with the zero and
+    unpaired -N/2 modes real.  A full band is unfolded from that half, so
+    it is exactly Hermitian.
     """
+    coeffs = np.asarray(coeffs)
+    _check_length(coeffs, grid, real=True)
     half = grid.size // 2
     plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
@@ -448,4 +495,5 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
         raise ValueError(f"pointwise map returned last axis {mapped.shape[-1]}, expected {m}")
     spec = np.fft.rfft(mapped, axis=-1)
     del mapped  # fine-grid arrays set peak memory: free them first
-    return _mirrored_product(spec[..., :half + 1], plan.half_forward[:half + 1])
+    out = _real_ends(spec[..., :half + 1] * plan.half_forward[:half + 1])
+    return _unfold(out) if coeffs.shape[-1] == grid.size else out

@@ -2,14 +2,19 @@
 
 Container layout (little-endian throughout):
 
-    header   struct '<dII'   half_length f64, size u32, sample_count u32
-    times    sample_count f64
-    coeffs   sample_count x size c128, C order
+    magic    6 bytes         b"GKTR\x02\x00" (real trace), b"GKTR\x01\x00" (complex)
+    header   struct '<dII'   half_length f64, size N u32, sample_count M u32
+    times    M f64
+    coeffs   M rows of c128, C order: N/2 + 1 half-spectrum modes per row
+             (k = 0 .. N/2-1, then -N/2) in version 2, the N modes in
+             ascending order in version 1
 
-A JSON sidecar (same stem, .json suffix) carries everything that is not
-raw array data: realness flag, config echo, free-form diagnostics.  Both
-files are written atomically (temp file in the target directory, then
-os.replace).
+A real trace is written as version 2 and a complex one as version 1.
+Version-1 files of real traces, written before version 2 existed, still
+read.  A JSON sidecar (same stem, .json suffix) carries everything that is
+not raw array data: realness flag, the container format, config echo,
+free-form diagnostics.  Both files are written atomically (temp file in
+the target directory, then os.replace).
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .spacetime import TimeTrace
-from .spectral import Grid1D, hermitian_breaks
+from .spectral import Grid1D, _fold, hermitian_breaks
 
 _HEADER = struct.Struct("<dII")
-_MAGIC = b"GKTR\x01\x00"
+_MAGIC = b"GKTR\x01\x00"  # version 1: full bands
+_MAGIC_HALF = b"GKTR\x02\x00"  # version 2: half-spectra of a real trace
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -83,56 +89,79 @@ def sidecar_path(path: Path) -> Path:
 
 
 def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None:
+    """Write a trace container and its sidecar; a real trace as version 2."""
     path = Path(path)
-    m, n = trace.coeffs.shape
-    parts = [
-        _MAGIC,
-        _HEADER.pack(trace.grid.half_length, trace.grid.size, m),
-        np.ascontiguousarray(trace.times, dtype="<f8").tobytes(),
-        np.ascontiguousarray(trace.coeffs, dtype="<c16").tobytes(),
-    ]
-    _atomic_write_bytes(path, b"".join(parts))
+    magic = _MAGIC_HALF if trace.is_real else _MAGIC
+    m, width = trace.coeffs.shape
+    head = magic + _HEADER.pack(trace.grid.half_length, trace.grid.size, m)
+    # one buffer, filled in place: no per-part copies of the rows
+    payload = bytearray(len(head) + 8 * m + 16 * m * width)
+    payload[:len(head)] = head
+    np.frombuffer(payload, dtype="<f8", count=m, offset=len(head))[:] = trace.times
+    np.frombuffer(payload, dtype="<c16", offset=len(head) + 8 * m).reshape(m, width)[:] = \
+        trace.coeffs
+    _atomic_write_bytes(path, payload)
     side = dict(metadata or {})
     side["is_real"] = trace.is_real
-    side["format"] = {"magic": _MAGIC.decode("latin1"), "header": "<dII",
-                      "times": "<f8", "coeffs": "<c16"}
+    side["format"] = {"magic": magic.decode("latin1"), "header": "<dII",
+                      "times": "<f8", "coeffs": "<c16",
+                      "modes": "half-spectrum, N/2 + 1 per row" if trace.is_real
+                      else "full band, N per row"}
     atomic_write_json(sidecar_path(path), side)
 
 
 def read_trace(path) -> Tuple[TimeTrace, dict]:
     """Read a trace container and its sidecar; returns (trace, metadata).
 
-    is_real holds when every row meets the Hermitian tolerance of a real
-    SpectralField; a sidecar declaring it for other data raises ValueError.
+    A version-2 container holds a real trace.  A row whose zero or unpaired
+    mode is complex beyond the Hermitian tolerance of a real SpectralField,
+    or a sidecar declaring the trace complex, raises ValueError.  In a
+    version-1 container is_real holds when every row meets that tolerance;
+    a sidecar declaring it for other data raises ValueError.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if not raw.startswith(_MAGIC):
-        raise ValueError(f"{path} is not a trace container (bad magic)")
-    off = len(_MAGIC)
-    half_length, size, m = _HEADER.unpack_from(raw, off)
-    off += _HEADER.size
-    tbytes = 8 * m
-    cbytes = 16 * m * size
-    if len(raw) != off + tbytes + cbytes:
-        raise ValueError(
-            f"{path}: expected {off + tbytes + cbytes} bytes for "
-            f"{m} samples on {size} modes, found {len(raw)}"
-        )
-    times = np.frombuffer(raw, dtype="<f8", count=m, offset=off).astype(np.float64)
-    coeffs = (
-        np.frombuffer(raw, dtype="<c16", count=m * size, offset=off + tbytes)
-        .astype(np.complex128)
-        .reshape(m, size)
-    )
-    del raw
+    with open(path, "rb") as fh:
+        magic = fh.read(len(_MAGIC))
+        if magic not in (_MAGIC, _MAGIC_HALF):
+            raise ValueError(f"{path} is not a trace container (bad magic)")
+        head = fh.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        half_length, size, m = _HEADER.unpack(head)
+        half = magic == _MAGIC_HALF
+        width = size // 2 + 1 if half else size
+        expected = len(magic) + _HEADER.size + 8 * m + 16 * m * width
+        found = os.fstat(fh.fileno()).st_size
+        if found != expected:
+            raise ValueError(
+                f"{path}: expected {expected} bytes for {m} samples of {width} "
+                f"modes on {size} points, found {found}"
+            )
+        times = np.empty(m, dtype="<f8")
+        coeffs = np.empty((m, width), dtype="<c16")
+        fh.readinto(times)
+        fh.readinto(coeffs)
+    times = times.astype(np.float64, copy=False)
+    coeffs = coeffs.astype(np.complex128, copy=False)
     side_file = sidecar_path(path)
     metadata = json.loads(side_file.read_text()) if side_file.exists() else {}
     claimed = metadata.get("is_real")
-    broken = 0 if claimed is False else int(np.count_nonzero(hermitian_breaks(coeffs)))
-    if claimed and broken:
-        raise ValueError(f"{path}: the sidecar declares is_real, but {broken} of {m} "
-                         "rows break Hermitian symmetry")
-    is_real = claimed is not False and broken == 0
+    if half:
+        if claimed is False:
+            raise ValueError(f"{path}: the sidecar declares a complex trace, but the "
+                             "container holds half-spectra of a real one")
+        broken = int(np.count_nonzero(hermitian_breaks(coeffs, half=True)))
+        if broken:
+            raise ValueError(f"{path}: {broken} of {m} rows have a complex zero or "
+                             "unpaired mode")
+        is_real = True
+    else:
+        broken = 0 if claimed is False else int(np.count_nonzero(hermitian_breaks(coeffs)))
+        if claimed and broken:
+            raise ValueError(f"{path}: the sidecar declares is_real, but {broken} of {m} "
+                             "rows break Hermitian symmetry")
+        is_real = claimed is not False and broken == 0
+        if is_real:
+            coeffs = _fold(coeffs)  # checked above: TimeTrace need not check again
     grid = Grid1D(half_length, int(size))
     return TimeTrace(grid, times, coeffs, is_real=is_real), metadata

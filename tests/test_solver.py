@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab import solver, spacetime
-from gkdvlab.norms import holder_conjugate
+from gkdvlab.norms import band_sum, holder_conjugate
 from gkdvlab.solver import (
     FieldStack,
     NonlinearityG,
@@ -30,6 +30,8 @@ from gkdvlab.spacetime import TimeTrace, free_evolution
 from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
+    _fold,
+    _unfold,
     apply_pointwise_matrix,
     gaussian_profile,
     hermitian_defect,
@@ -41,7 +43,8 @@ G5 = NonlinearityG(alpha=5.0, mu=1.0)
 
 
 def _sup_l2(a, b, grid):
-    return float(np.max(np.sqrt(np.sum(np.abs(a - b) ** 2, axis=1) * grid.dxi)))
+    """Sup over rows of the L^2 distance of two real traces' half-spectra."""
+    return float(np.max(np.sqrt(band_sum(np.abs(a - b) ** 2, half=True) * grid.dxi)))
 
 
 def test_critical_exponents():
@@ -201,49 +204,118 @@ def test_mass_energy_closed_forms():
         assert energy(u, G, pad=3) == pytest.approx(expect, rel=1e-10)
 
 
-# The Picard loop as first written: a fresh free evolution and fresh phase
-# tables on every iteration, outside any _shared_tables scope.  With the
-# public retarded_integral the solver's hoisted loop must reproduce it bit
-# for bit; with the former full-band retarded formula, to round-off.
+# The real-field kernels as they were when traces stored full bands: the
+# half-spectrum computation, mirrored onto the full band by the two helpers
+# below.  Unfolded half-spectra must reproduce them bit for bit.  The
+# dealiased map is the public one with full-band input, which
+# test_spectral checks bit for bit against its own reference.
 
-def _former_retarded(forcing, t0):
-    times = forcing.times
+def _parent_mirror(full):
+    half = full.shape[-1] // 2
+    np.conjugate(full[..., :half:-1], out=full[..., 1:half])
+    full[..., half].imag = 0.0
+    full[..., 0].imag = 0.0
+    return full
+
+
+def _parent_mirrored_product(a, b):
+    half = a.shape[-1] - 1
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * half,)
+    full = np.empty(shape, dtype=complex)
+    np.multiply(a[..., :half], b[..., :half], out=full[..., half:])
+    full[..., 0] = (a[..., half] * b[..., half]).real
+    return _parent_mirror(full)
+
+
+def _parent_table(grid, times, unit, half):
+    xi3 = grid.frequencies ** 3
+    return np.exp(unit * np.outer(times, _fold(xi3) if half else xi3))
+
+
+def _parent_free(u0, grid, times, t0):
+    """Full-band free trace of the full band u0."""
+    return _parent_mirrored_product(_parent_table(grid, times - t0, 1j, True), _fold(u0))
+
+
+def _parent_retarded(rows, grid, times, t0):
+    """Full-band retarded integral of the full-band rows of a real forcing."""
     j0 = int(np.argmin(np.abs(times - t0)))
-    down = np.exp(-1j * np.outer(times, forcing.grid.frequencies ** 3))
-    integrand = down * forcing.coeffs
+    down = _parent_table(grid, times, -1j, True)
+    integrand = _fold(rows)
+    np.multiply(down, integrand, out=integrand)
+    result = np.empty_like(integrand)
+    result[0] = 0.0
+    steps = np.add(integrand[1:], integrand[:-1], out=result[1:])
+    np.multiply(0.5 * np.diff(times)[:, None], steps, out=steps)
+    np.cumsum(steps, axis=0, out=steps)
+    if j0:
+        result -= result[j0]
+    return _parent_mirrored_product(np.conjugate(down, out=integrand), result)
+
+
+def _parent_duhamel(v, free, grid, times, t0, G, pad, retarded=_parent_retarded):
+    flux = apply_pointwise_matrix(v, grid, G.apply_values, pad=pad)
+    np.multiply(1j * grid.frequencies, flux, out=flux)
+    coeffs = retarded(flux, grid, times, t0)
+    np.multiply(G.mu, coeffs, out=coeffs)
+    np.add(free, coeffs, out=coeffs)
+    return coeffs
+
+
+def _assert_equal_values(got, want):
+    """Equal entry by entry, bit for bit but for the sign of exact zeros.
+
+    The mirrored kernels add full bands, and -0 + 0 is +0: the k < 0 half of
+    a sum is then not always the mirror of its k > 0 half where an entry is
+    zero (at the anchor row of a Duhamel map, say).  An unfolded sum is.
+    """
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# The full-band retarded integral as first written: the trapezoid rule on
+# every mode.  The half-spectrum integral reproduces it to round-off.
+
+def _former_retarded(rows, grid, times, t0, real=True):
+    j0 = int(np.argmin(np.abs(times - t0)))
+    down = np.exp(-1j * np.outer(times, grid.frequencies ** 3))
+    integrand = down * rows
     cumulative = np.zeros_like(integrand)
     increments = 0.5 * np.diff(times)[:, None] * (integrand[1:] + integrand[:-1])
     np.cumsum(increments, axis=0, out=cumulative[1:])
     cumulative -= cumulative[j0]
     result = np.conj(down) * cumulative
-    if forcing.is_real:
+    if real:
         result[:, 0] = result[:, 0].real
     return result
 
 
-def _fresh_retarded(forcing, t0):
-    return retarded_integral(forcing, t0).coeffs
-
-
 def _former_picard(u0, G, cfg, retarded=_former_retarded):
-    """(final coeffs, update distances) of the former iteration loop."""
+    """(final full-band coeffs, update distances) of the full-band iteration loop."""
     times, t0 = cfg.times(), cfg.anchor_time()
     rp = holder_conjugate(critical_exponent(G.alpha))
     grid = u0.grid
-    v = free_evolution(u0, times, t0=t0).coeffs
+    free = _parent_free(u0.coeffs, grid, times, t0)
+    v = free
     dists = []
     for _ in range(cfg.max_iterations):
-        g_rows = apply_pointwise_matrix(v, grid, G.apply_values, pad=cfg.pad)
-        forcing = TimeTrace(grid, times, (1j * grid.frequencies)[None, :] * g_rows,
-                            is_real=True)
-        w = (free_evolution(u0, times, t0=t0).coeffs
-             + G.mu * retarded(forcing, t0))
+        w = _parent_duhamel(v, free, grid, times, t0, G, cfg.pad, retarded)
         per_row = (np.sum(np.abs(w - v) ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
         dists.append(float(np.max(per_row)))
         v = w
         if dists[-1] <= cfg.tolerance:
             break
     return v, dists
+
+
+def test_free_evolution_matches_the_full_band_kernel_bytewise():
+    grid = Grid1D(32.0, 128)
+    times = np.linspace(0.25, 1.25, 33)
+    for u0 in (gaussian_profile(grid, 0.4), random_band_limited(grid, 1.0, 40, seed=5)):
+        got = free_evolution(u0, times, t0=0.5)
+        assert got.coeffs.shape == (times.size, grid.size // 2 + 1)
+        want = _parent_free(u0.coeffs, grid, times, 0.5)
+        assert _unfold(got.coeffs).tobytes() == want.tobytes()
+        assert _fold(want).tobytes() == got.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("j0", [0, 5, 32])
@@ -256,16 +328,49 @@ def test_retarded_integral_matches_the_former_formula(j0):
     # a complex forcing keeps the full-band formula, bit for bit
     forcing = TimeTrace(grid, times, rows)
     got = retarded_integral(forcing, times[j0])
-    assert got.coeffs.tobytes() == _former_retarded(forcing, times[j0]).tobytes()
+    assert got.coeffs.tobytes() == _former_retarded(rows, grid, times, times[j0],
+                                                    real=False).tobytes()
     assert np.all(got.coeffs[j0] == 0.0)
-    # a real forcing runs on its half-spectrum: the former formula to
-    # round-off (1e-13 of the largest coefficient), and exactly Hermitian
+    # a real forcing runs on its half-spectrum: after unfolding, the
+    # mirrored full-band kernel bit for bit, the former formula to
+    # round-off (1e-13 of the largest coefficient), with real end modes
     forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)
     got = retarded_integral(forcing, times[j0])
-    want = _former_retarded(forcing, times[j0])
-    assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * np.max(np.abs(want))
+    full = _unfold(got.coeffs)
+    rows = _unfold(forcing.coeffs)
+    assert full.tobytes() == _parent_retarded(rows, grid, times, times[j0]).tobytes()
+    want = _former_retarded(rows, grid, times, times[j0])
+    assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.all(got.coeffs[j0] == 0.0)
-    assert got.is_real and np.all(hermitian_defect(got.coeffs) == 0.0)
+    assert got.is_real and np.all(hermitian_defect(got.coeffs, half=True) == 0.0)
+
+
+def test_duhamel_map_matches_the_full_band_kernel_bytewise():
+    grid = Grid1D(32.0, 128)
+    cfg = SolverConfig(grid=grid, t_start=0.25, t_end=0.75, samples_per_unit=32)
+    times, t0 = cfg.times(), cfg.anchor_time()
+    for mu in (1.0, -1.0):
+        G = NonlinearityG(alpha=5.0, mu=mu)
+        u0 = 0.8 * random_band_limited(grid, 1.0, 32, seed=9)
+        free = free_evolution(u0, times, t0=t0)
+        v = free_evolution(gaussian_profile(grid, 0.6), times, t0=t0)
+        got = solver.duhamel_map(v, free, t0, G, cfg)
+        want = _parent_duhamel(_unfold(v.coeffs), _unfold(free.coeffs), grid, times, t0,
+                               G, cfg.pad)
+        assert got.is_real
+        _assert_equal_values(_unfold(got.coeffs), want)
+
+
+# Update distances are sums over the modes.  A real trace's are taken over
+# its half-spectrum with the modes 0 < k < N/2 counted twice, so they match
+# the full-band sums to round-off only: 1e-13 of each distance here (a few
+# units in the last place measured).
+DISTANCE_TOL = 1e-13
+
+
+def _assert_same_distances(dists, want):
+    assert len(dists) == len(want)
+    assert all(abs(a - b) <= DISTANCE_TOL * b for a, b in zip(dists, want))
 
 
 @pytest.mark.parametrize("mu", [1.0, -1.0])
@@ -275,24 +380,24 @@ def test_picard_and_glued_match_the_former_loop_bytewise(mu):
     u0 = SpectralField(GRID, 1.5 * f.coeffs, True)
     cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
     res = picard_solve(u0, G, cfg)
-    coeffs, dists = _former_picard(u0, G, cfg, _fresh_retarded)
+    coeffs, dists = _former_picard(u0, G, cfg, _parent_retarded)
     assert res.converged and res.iterations == len(dists) >= 3
-    assert res.update_distances == dists
-    assert res.trace.coeffs.tobytes() == coeffs.tobytes()
-    _assert_near_the_former_loop(res.trace.coeffs, res.update_distances,
+    _assert_same_distances(res.update_distances, dists)
+    _assert_equal_values(_unfold(res.trace.coeffs), coeffs)
+    _assert_near_the_former_loop(_unfold(res.trace.coeffs), res.update_distances,
                                  *_former_picard(u0, G, cfg))
 
     glued = glued_solve(u0, G, cfg, segment_length=0.25, store_stride=1)
     assert glued.converged and len(glued.segments) == 4
     for k, seg in enumerate(glued.segments):
         rows = slice(8 * k, 8 * k + 9)
-        datum = SpectralField(GRID, glued.trace.coeffs[8 * k], True)
+        datum = glued.trace.field(8 * k)
         seg_cfg = SolverConfig(grid=GRID, t_start=seg["t_start"], t_end=seg["t_end"],
                                anchor=seg["t_start"], samples_per_unit=32)
-        coeffs, dists = _former_picard(datum, G, seg_cfg, _fresh_retarded)
+        coeffs, dists = _former_picard(datum, G, seg_cfg, _parent_retarded)
         assert seg["iterations"] == len(dists)
-        assert glued.trace.coeffs[rows].tobytes() == coeffs.tobytes()
-        _assert_near_the_former_loop(glued.trace.coeffs[rows], dists,
+        _assert_equal_values(_unfold(glued.trace.coeffs[rows]), coeffs)
+        _assert_near_the_former_loop(_unfold(glued.trace.coeffs[rows]), dists,
                                      *_former_picard(datum, G, seg_cfg))
 
 
@@ -376,6 +481,50 @@ def _former_reference(u0, G, cfg):
     return out
 
 
+def _parent_reference(data, G, cfg):
+    """The stacked full-band scheme, mirrored after every substep; (k, M, N) rows."""
+    times, grid = cfg.times(), data[0].grid
+    flux_multiplier = G.mu * 1j * grid.frequencies
+
+    def flux(c):
+        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
+
+    out = np.empty((len(data), times.size, grid.size), dtype=complex)
+    c = np.stack([u.coeffs for u in data])
+    out[:, 0] = c
+    h = None
+    for m in range(times.size - 1):
+        span = times[m + 1] - times[m]
+        nsub = max(1, math.ceil(span / cfg.reference_dt))
+        if span / nsub != h:
+            h = span / nsub
+            e_half = _parent_table(grid, np.array([h / 2.0]), 1j, False)[0]
+            e_full = e_half * e_half
+            back_half, back_full = np.conj(e_half), np.conj(e_full)
+        for _ in range(nsub):
+            k1 = flux(c)
+            k2 = back_half * flux(e_half * (c + (h / 2.0) * k1))
+            k3 = back_half * flux(e_half * (c + (h / 2.0) * k2))
+            k4 = back_full * flux(e_full * (c + h * k3))
+            c = _parent_mirror(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        out[:, m + 1] = c
+    return out
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+def test_reference_solve_rows_match_the_full_band_scheme_bytewise(mu):
+    grid = Grid1D(32.0, 128)
+    G = NonlinearityG(alpha=5.0, mu=mu)
+    cfg = SolverConfig(grid=grid, t_start=0.1, t_end=0.6, samples_per_unit=16,
+                       reference_dt=0.005)
+    data = [gaussian_profile(grid, 0.5), 0.4 * random_band_limited(grid, 1.0, 32, seed=3)]
+    want = _parent_reference(data, G, cfg)
+    for trace, rows in zip(reference_solve(data, G, cfg), want):
+        assert trace.coeffs.shape == (cfg.times().size, grid.size // 2 + 1)
+        for m in range(rows.shape[0]):
+            assert _unfold(trace.coeffs[m]).tobytes() == rows[m].tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(half_size=st.integers(min_value=4, max_value=128),
        rows=st.integers(min_value=1, max_value=4),
@@ -402,11 +551,12 @@ def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
         single = reference_solve(u0, G, cfg)
         assert trace.times.tobytes() == single.times.tobytes()
         assert trace.coeffs.tobytes() == single.coeffs.tobytes()
-        assert np.all(hermitian_defect(single.coeffs) == 0.0)
+        assert np.all(hermitian_defect(single.coeffs, half=True) == 0.0)
         # the mirror replaced the averaging projection: round-off apart, within
         # 1e-13 of the largest coefficient (about 1e-15 measured)
         former = _former_reference(u0, G, cfg)
-        assert np.max(np.abs(single.coeffs - former)) <= 1e-13 * np.max(np.abs(former))
+        assert np.max(np.abs(_unfold(single.coeffs) - former)) \
+            <= 1e-13 * np.max(np.abs(former))
 
 
 def _blowup(u0, G, cfg):
@@ -457,12 +607,14 @@ def test_real_kernels_return_exactly_hermitian_traces():
     for u0 in data:
         free = free_evolution(u0, times)
         g_rows = apply_pointwise_matrix(free.coeffs, grid, G5.apply_values)
-        forcing = TimeTrace(grid, times, (1j * grid.frequencies) * g_rows, is_real=True)
+        forcing = TimeTrace(grid, times, (1j * _fold(grid.frequencies)) * g_rows,
+                            is_real=True)
+        assert np.any(forcing.coeffs[:, -1].imag != 0.0)  # i xi of the unpaired mode
         for trace in (free, retarded_integral(forcing, times[3])):
-            assert trace.is_real and np.all(hermitian_defect(trace.coeffs) == 0.0)
+            assert trace.is_real and np.all(hermitian_defect(trace.coeffs, half=True) == 0.0)
     cfg = SolverConfig(grid=grid, t_end=0.25, samples_per_unit=16, reference_dt=1 / 64)
     for trace in reference_solve(data, G5, cfg):
-        assert np.all(hermitian_defect(trace.coeffs) == 0.0)
+        assert np.all(hermitian_defect(trace.coeffs, half=True) == 0.0)
 
 
 def test_power_rule_is_the_signed_power():

@@ -24,7 +24,15 @@ from gkdvlab.spacetime import (
     trapezoid_weights,
     xnorm,
 )
-from gkdvlab.spectral import Grid1D, airy_propagate, gaussian_profile, random_band_limited
+from gkdvlab.spectral import (
+    Grid1D,
+    SpectralField,
+    _fold,
+    _unfold,
+    airy_propagate,
+    gaussian_profile,
+    random_band_limited,
+)
 
 GRID = Grid1D(32.0, 128)
 
@@ -121,6 +129,27 @@ def test_trace_validation():
         TimeTrace(GRID, times, coeffs[:, :-1])
 
 
+def test_real_trace_checks_and_folds_full_bands():
+    f = random_band_limited(GRID, decay=1.0, band=20, seed=2)
+    times = np.array([0.0, 0.5, 1.0])
+    half = free_evolution(f, times).coeffs
+    assert half.shape == (3, GRID.size // 2 + 1)
+    full = _unfold(half)
+    trace = TimeTrace(GRID, times, full, is_real=True)
+    assert trace.coeffs.shape == half.shape and trace.coeffs.tobytes() == half.tobytes()
+    assert TimeTrace(GRID, times, full).coeffs.shape == full.shape  # complex: full band
+    broken = full.copy()
+    broken[1, GRID.size // 2 + 5] += 1e-3  # its mirror mode is left alone
+    with pytest.raises(ValueError, match="Hermitian symmetry fails"):
+        TimeTrace(GRID, times, broken, is_real=True)
+    with pytest.raises(ValueError, match="Hermitian symmetry fails"):
+        SpectralField(GRID, broken[1], is_real=True)
+    with pytest.raises(ValueError):
+        TimeTrace(GRID, times, half)  # a half-spectrum is a real trace's layout only
+    assert trace.field(1).coeffs.tobytes() == full[1].tobytes()
+    assert trace.restricted(0.5).coeffs.tobytes() == half[:2].tobytes()
+
+
 def test_trace_restriction():
     f = gaussian_profile(GRID, 1.0)
     trace = free_evolution(f, np.linspace(0.0, 2.0, 9))
@@ -136,7 +165,7 @@ def test_free_evolution_matches_propagator_rows():
     times = np.linspace(0.0, 3.0, 7)
     trace = free_evolution(f, times)
     for m, t in enumerate(times):
-        np.testing.assert_allclose(trace.coeffs[m], airy_propagate(f, t).coeffs,
+        np.testing.assert_allclose(trace.coeffs[m], airy_propagate(f, t).modes,
                                    atol=1e-12)
 
 
@@ -205,7 +234,8 @@ def test_shared_phase_tables_change_no_bytes():
 
     def evaluate():
         free = free_evolution(f, times, t0=0.25)
-        forcing = TimeTrace(grid, times, free.coeffs * (1j * grid.frequencies), is_real=True)
+        forcing = TimeTrace(grid, times, free.coeffs * (1j * _fold(grid.frequencies)),
+                            is_real=True)
         return free.coeffs.tobytes(), retarded_integral(forcing, 0.25).coeffs.tobytes()
 
     fresh = evaluate()

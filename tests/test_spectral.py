@@ -151,6 +151,27 @@ def test_spectral_field_rejects_bad_symmetry():
         SpectralField(Grid1D(8.0, 16), c, True)
 
 
+def test_real_field_stores_its_half_spectrum():
+    grid = Grid1D(8.0, 16)
+    f = random_band_limited(grid, decay=1.0, band=5, seed=1)
+    assert f.modes.shape == (9,)
+    full = f.coeffs
+    assert full.shape == (16,) and hermitian_defect(full) == 0.0
+    assert not full.flags.writeable
+    with pytest.raises(ValueError):
+        full[3] = 1.0
+    _assert_same_bytes(spectral._fold(full), f.modes)
+    # a Hermitian full band is folded into the same half, within tolerance too
+    g = SpectralField(grid, full + 1e-12j * (np.arange(16) == 3), True)
+    assert g.modes.shape == (9,) and np.array_equal(g.modes, f.modes)
+    _assert_same_bytes(SpectralField(grid, f.modes, True).coeffs, full)
+    # a complex field stores, and hands out, its full band
+    h = SpectralField(grid, 1j * full)
+    assert h.coeffs is h.modes and h.coeffs.flags.writeable
+    with pytest.raises(ValueError, match="does not match grid size"):
+        SpectralField(grid, f.modes)
+
+
 def test_complex_numpy_scalar_clears_is_real():
     f = gaussian_profile(Grid1D(8.0, 16), 0.5)
     g = f * np.complex64(2j)
@@ -251,13 +272,18 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
         vals = vals + 1j * rng.standard_normal(shape)
 
     def check(grid):
+        # real samples give the half-spectrum; the map keeps either layout
         coeffs = values_to_coeffs(vals, grid)
-        _assert_same_bytes(coeffs, _reference_forward(vals, grid))
-        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=real),
-                           _reference_inverse(coeffs, grid, real=real))
+        full = spectral._unfold(coeffs) if real else coeffs
+        _assert_same_bytes(full, _reference_forward(vals, grid))
+        want = _reference_inverse(full, grid, real=real)
+        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=real), want)
+        _assert_same_bytes(coeffs_to_values(full, grid, real=real), want)
         if real:
-            _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad),
-                               _reference_pointwise(coeffs, grid, _cube, pad))
+            want = _reference_pointwise(full, grid, _cube, pad)
+            _assert_same_bytes(apply_pointwise_matrix(full, grid, _cube, pad=pad), want)
+            _assert_same_bytes(spectral._unfold(apply_pointwise_matrix(coeffs, grid, _cube,
+                                                                       pad=pad)), want)
         return coeffs
 
     grids = (Grid1D(half_length, n), Grid1D(other_length, n))
@@ -324,8 +350,9 @@ def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, ro
     for m in range(rows):
         _assert_same_bytes(got[m], apply_pointwise_matrix(coeffs[m], grid, func, pad=pad))
     _assert_same_bytes(coeffs, before)
-    assert np.all(hermitian_defect(got) == 0.0)
-    former = _former_pointwise(coeffs, grid, func, pad)
+    assert np.all(hermitian_defect(got, half=True) == 0.0)
+    former = _former_pointwise(spectral._unfold(coeffs), grid, func, pad)
+    got = spectral._unfold(got)
     assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
 
 
@@ -362,7 +389,8 @@ ACCURACY_TOL = 2e-15
 def test_pointwise_map_matches_long_double_sums(size, pad, data):
     grid = Grid1D(size / 4.0, size)
     if data == "gaussian":
-        coeffs = free_evolution(gaussian_profile(grid, 0.8), np.array([0.0, 0.5, 1.0])).coeffs
+        coeffs = spectral._unfold(
+            free_evolution(gaussian_profile(grid, 0.8), np.array([0.0, 0.5, 1.0])).coeffs)
     else:
         coeffs = np.stack([random_band_limited(grid, 1.0, size // 4, seed=s).coeffs
                            for s in range(3)])
@@ -377,11 +405,13 @@ def test_real_samples_read_the_hermitian_part(pad):
     # random samples occupy the unpaired -N/2 mode, which pad 1 keeps in the
     # Nyquist bin and pad >= 2 splits between bins N/2 and -N/2
     grid = Grid1D(16.0, 64)
-    coeffs = values_to_coeffs(np.random.default_rng(pad).standard_normal((2, 64)), grid)
+    half = values_to_coeffs(np.random.default_rng(pad).standard_normal((2, 64)), grid)
+    coeffs = spectral._unfold(half)
     assert np.all(coeffs[:, 0] != 0.0)
     want = spectral.dealiased_samples(coeffs, grid, pad).real
     got = spectral._real_samples(coeffs, grid, pad)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    _assert_same_bytes(spectral._real_samples(half, grid, pad), got)
     if pad == 1:
         _assert_same_bytes(coeffs_to_values(coeffs, grid, real=True), got)
 
@@ -404,16 +434,18 @@ def test_hermitian_defect_per_row():
 @pytest.mark.parametrize("shape", [(8,), (130,), (3, 64), (2, 5, 36)])
 def test_conjugate_mirror_is_exactly_hermitian(shape):
     rng = np.random.default_rng(sum(shape))
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    c[..., 1] = -0.0  # overwritten by the mirror like every other k < 0 mode
-    before = c.copy()
     h = shape[-1] // 2
-    assert spectral._mirror(c) is c
-    assert np.all(hermitian_defect(c) == 0.0)
-    _assert_same_bytes(c[..., h + 1:], before[..., h + 1:])
-    _assert_same_bytes(c[..., 1:h], np.conj(before[..., :h:-1]))
+    half = rng.standard_normal(shape[:-1] + (h + 1,)) \
+        + 1j * rng.standard_normal(shape[:-1] + (h + 1,))
+    before = half.copy()
+    # the end modes keep their real parts; the others are untouched
+    assert spectral._real_ends(half) is half
+    _assert_same_bytes(half[..., 1:h], before[..., 1:h])
     for j in (0, h):
-        _assert_same_bytes(c[..., j].real, before[..., j].real)
-    # the product form rebuilds the same band from the half-spectrum
-    _assert_same_bytes(spectral._mirrored_product(spectral._fold(before), np.ones(h + 1)),
-                       _reference_full_band(spectral._fold(before) * np.ones(h + 1)))
+        _assert_same_bytes(half[..., j].real, before[..., j].real)
+        assert np.all(half[..., j].imag == 0.0) and not np.any(np.signbit(half[..., j].imag))
+    # unfolding mirrors the modes 0 < k < N/2 and folds back to the half
+    full = spectral._unfold(half)
+    assert full.shape == shape and np.all(hermitian_defect(full) == 0.0)
+    _assert_same_bytes(full, _reference_full_band(before))
+    _assert_same_bytes(spectral._fold(full), half)

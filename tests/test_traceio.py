@@ -2,12 +2,13 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from gkdvlab.spacetime import TimeTrace, free_evolution
-from gkdvlab.spectral import Grid1D, gaussian_profile, random_band_limited
+from gkdvlab.spectral import Grid1D, _unfold, gaussian_profile, random_band_limited
 from gkdvlab.traceio import (
     atomic_write_json,
     jsonable,
@@ -55,6 +56,9 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(data[:-16])
     with pytest.raises(ValueError):
         read_trace(path)
+    path.write_bytes(data[:12])
+    with pytest.raises(ValueError, match="truncated header"):
+        read_trace(path)
 
 
 def test_wrong_magic_rejected(tmp_path):
@@ -96,7 +100,7 @@ def test_atomic_write_json(tmp_path):
 
 
 def _broken_row(trace):
-    coeffs = trace.coeffs.copy()
+    coeffs = _unfold(trace.coeffs)
     coeffs[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
     return TimeTrace(trace.grid, trace.times, coeffs, is_real=False)
 
@@ -123,4 +127,74 @@ def test_sidecar_claiming_realness_of_complex_data_is_rejected(tmp_path):
     doc["is_real"] = True
     side.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="1 of 5 rows break Hermitian symmetry"):
+        read_trace(path)
+
+
+def test_real_trace_is_written_as_half_spectrum_rows(tmp_path):
+    trace = _trace()
+    m, half = trace.coeffs.shape
+    assert half == GRID.size // 2 + 1
+    path = tmp_path / "run.trace"
+    write_trace(path, trace)
+    data = path.read_bytes()
+    assert data[:6] == b"GKTR\x02\x00"
+    assert len(data) == 6 + 16 + 8 * m + 16 * m * half
+    assert data[22 + 8 * m:] == trace.coeffs.astype("<c16").tobytes()
+    side = json.loads(sidecar_path(path).read_text())
+    assert side["format"]["magic"] == "GKTR\x02\x00"
+    assert side["format"]["modes"].startswith("half-spectrum")
+    back, _ = read_trace(path)
+    assert back.is_real and back.coeffs.shape == (m, half)
+    assert back.coeffs.tobytes() == trace.coeffs.tobytes()
+    assert back.times.tobytes() == trace.times.tobytes()
+
+
+def test_complex_trace_keeps_the_full_band_format(tmp_path):
+    trace = _broken_row(_trace())
+    path = tmp_path / "run.trace"
+    write_trace(path, trace)
+    data = path.read_bytes()
+    assert data[:6] == b"GKTR\x01\x00"
+    assert len(data) == 6 + 16 + 8 * 5 + 16 * 5 * GRID.size
+
+
+@pytest.mark.parametrize("sidecar", [None, True])
+def test_version_1_file_of_a_real_trace_still_reads(tmp_path, sidecar):
+    # the full-band layout of real traces before half-spectrum files,
+    # written byte by byte
+    trace = _trace()
+    full = _unfold(trace.coeffs)
+    path = tmp_path / "old.trace"
+    path.write_bytes(b"GKTR\x01\x00" + struct.pack("<dII", GRID.half_length, GRID.size, 5)
+                     + trace.times.astype("<f8").tobytes() + full.astype("<c16").tobytes())
+    if sidecar is not None:
+        sidecar_path(path).write_text(json.dumps({"is_real": sidecar}))
+    back, _ = read_trace(path)
+    assert back.is_real and back.grid == GRID
+    assert back.coeffs.tobytes() == trace.coeffs.tobytes()
+    np.testing.assert_array_equal(back.times, trace.times)
+
+
+@pytest.mark.parametrize("mode", [0, -1])
+def test_version_2_row_with_a_complex_end_mode_is_rejected(tmp_path, mode):
+    trace = _trace()
+    path = tmp_path / "run.trace"
+    write_trace(path, trace)
+    coeffs = trace.coeffs.copy()
+    coeffs[3, mode] += 0.5j  # the zero or the unpaired mode
+    data = path.read_bytes()
+    path.write_bytes(data[:22 + 8 * 5] + coeffs.astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="1 of 5 rows have a complex zero or unpaired mode"):
+        read_trace(path)
+    sidecar_path(path).unlink()
+    with pytest.raises(ValueError, match="complex zero or unpaired mode"):
+        read_trace(path)
+
+
+def test_version_2_file_with_a_complex_sidecar_is_rejected(tmp_path):
+    path = tmp_path / "run.trace"
+    write_trace(path, _trace())
+    side = sidecar_path(path)
+    side.write_text(json.dumps(dict(json.loads(side.read_text()), is_real=False)))
+    with pytest.raises(ValueError, match="declares a complex trace"):
         read_trace(path)
