@@ -371,7 +371,7 @@ def _scatter_small(cfg: dict) -> int:
     rc = critical_exponent(cfg["alpha"])
     datum_norm = lhat_norm(u0, rc)
     # row by row: the sup must equal lhat_norm of the row that attains it
-    sup_norm = max(lhat_rows(row, grid.dxi, rc, half=True) for row in glued.trace.coeffs)
+    sup_norm = max(lhat_rows(row, grid.dxi, rc) for row in glued.trace.coeffs)
     size_norm = snorm(glued.trace, rc)
     bound = 2.0 * datum_norm
     report = scattering_state(glued.trace, cfg["alpha"], levels=cfg["levels"])

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .norms import lhat_norm, sobolev_norm
+from .norms import band_sum, holder_conjugate, lhat_norm, sobolev_norm, weighted_power_sum
 from .solver import (
     NonlinearityG,
     aux_smoothness,
@@ -16,8 +16,8 @@ from .solver import (
     energy,
     mass,
 )
-from .spacetime import TimeTrace, _airy_table, snorm, xnorm
-from .spectral import Grid1D, SpectralField, _unfold
+from .spacetime import TimeTrace, snorm, xnorm
+from .spectral import Grid1D, SpectralField, _fold, _real_ends, _unfold
 
 
 @dataclass
@@ -26,7 +26,9 @@ class ScatteringReport:
 
     residuals[j] is the critical-norm distance between consecutive
     checkpoint pullbacks; decreasing residuals certify a Cauchy tail, their
-    failure to decrease flags a non-scattering run.
+    failure to decrease flags a non-scattering run.  final_state is the
+    last pullback with its unpaired mode made real, final_norm the critical
+    norm of the pullback itself.
     """
 
     checkpoint_times: List[float]
@@ -57,6 +59,10 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
     The pullback w(t) removes the free evolution from u(t), so w settles to
     a limit exactly when the flow scatters; residuals are critical-norm
     distances between consecutive dyadic checkpoints |t| = T/2^levels .. T.
+    The pullbacks are full bands, with the phase taken on the ascending
+    lattice and full-band norms: a half-lattice phase table rounds
+    differently at some modes, and the reported residuals would move at
+    round-off.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -71,26 +77,24 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
         )
     rc = critical_exponent(alpha)
     grid = trace.grid
-    rows = _unfold(trace.coeffs[idx]) if trace.is_real else trace.coeffs[idx]
-    pullbacks = rows * _airy_table(grid, trace.times[idx], -1j, False)
-    states = [SpectralField(grid, w, is_real=False) for w in pullbacks]
-    residuals = [
-        lhat_norm(SpectralField(grid, b - a, is_real=False), rc)
-        for a, b in zip(pullbacks, pullbacks[1:])
-    ]
+    pullbacks = _unfold(trace.coeffs[idx]) * np.exp(
+        -1j * np.outer(trace.times[idx], grid.frequencies ** 3))
+    rprime = holder_conjugate(rc)
+    residuals = [weighted_power_sum(np.abs(b - a), grid.dxi, rprime)
+                 for a, b in zip(pullbacks, pullbacks[1:])]
     if direction == "backward":
         # checkpoints were visited from most negative to least; the limit
         # object lives at the most negative time
         residuals = residuals[::-1]
-        final = states[0]
+        final = pullbacks[0]
     else:
-        final = states[-1]
+        final = pullbacks[-1]
     mono = all(b < a for a, b in zip(residuals, residuals[1:]))
     return ScatteringReport(
         checkpoint_times=[float(trace.times[j]) for j in idx],
         residuals=residuals,
-        final_state=final,
-        final_norm=lhat_norm(final, rc),
+        final_state=SpectralField(grid, _real_ends(_fold(final))),
+        final_norm=weighted_power_sum(np.abs(final), grid.dxi, rprime),
         monotone_decreasing=mono,
     )
 
@@ -112,18 +116,18 @@ def scaling_transform(u0: SpectralField, lam: float, alpha: float) -> SpectralFi
         )
     grid = Grid1D(u0.grid.half_length / lam, u0.grid.size)
     power = 2.0 / (alpha - 1.0) - 1.0
-    return SpectralField(grid, lam ** power * u0.modes, u0.is_real)
+    return SpectralField(grid, lam ** power * u0.modes)
 
 
 def spectral_tail_fraction(u: SpectralField, shell: float = 0.125) -> float:
     """Mass fraction carried by the outer shell of the frequency band."""
-    c2 = np.abs(u.coeffs) ** 2
-    total = float(np.sum(c2))
+    c2 = np.abs(u.modes) ** 2
+    total = float(band_sum(c2, half=True))
     if total == 0.0:
         return 0.0
     cut = (1.0 - shell) * u.grid.max_frequency
-    outer = np.abs(u.grid.frequencies) >= cut
-    return float(np.sum(c2[outer])) / total
+    inner = np.abs(_fold(u.grid.frequencies)) < cut
+    return float(band_sum(np.where(inner, 0.0, c2), half=True)) / total
 
 
 @dataclass

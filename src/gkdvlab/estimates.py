@@ -22,8 +22,8 @@ from .norms import (
     lebesgue_norm,
     lhat_norm,
     lhat_rows,
-    sobolev_norm,
     weighted_norm,
+    weighted_power_sum,
 )
 from .solver import (
     ALPHA_LOWER,
@@ -50,6 +50,7 @@ from .spectral import (
     _fold,
     apply_pointwise_matrix,
     random_band_limited,
+    riesz_weights,
 )
 from .traceio import atomic_write_text, jsonable as _jsonable
 
@@ -320,7 +321,7 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
     envelope = 1.0 + 0.5 * np.sin(omega * times + phase)
     wave = free_evolution(g, times)
     rows = (1j * _fold(grid.frequencies))[None, :] * (envelope[:, None] * wave.coeffs)
-    return TimeTrace(grid, times, spec.amplitude * rows, is_real=True)
+    return TimeTrace(grid, times, spec.amplitude * rows)
 
 
 def _run_inhom_linf(spec, rp):
@@ -331,7 +332,7 @@ def _run_inhom_linf(spec, rp):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
         ret = retarded_integral(forcing, times[0])
         # row by row: the sup must equal lhat_norm of the row that attains it
-        num = max(lhat_rows(row, grid.dxi, r, half=True) for row in ret.coeffs)
+        num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
         den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
         return num, den
 
@@ -418,7 +419,7 @@ def _product_trace(u: TimeTrace, v: TimeTrace, pad: int = 2) -> TimeTrace:
     """Dealiased product of two real traces: one stacked map over all rows."""
     rows = apply_pointwise_matrix(np.stack((u.coeffs, v.coeffs)), u.grid,
                                   lambda w: w[0] * w[1], pad=pad)
-    return TimeTrace(u.grid, u.times, rows, u.is_real and v.is_real)
+    return TimeTrace(u.grid, u.times, rows)
 
 
 def _run_leibniz(spec, rp):
@@ -474,7 +475,7 @@ def _run_chain_rule(spec, rp):
         u = free_evolution(f, times)
         # degree-5 products need the wider dealias margin
         gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3)
-        gu = TimeTrace(grid, times, gu_rows, is_real=True)
+        gu = TimeTrace(grid, times, gu_rows)
         num = mixed_norm(_riesz_trace(gu, s), rp["p"], rp["q"], "x_outer")
         den = (
             lip
@@ -522,7 +523,7 @@ def _run_nonlinear_i(spec, rp):
 
     def one(grid, times, band, decay, child):
         u = _sample_trace(spec, grid, times, band, decay, child)
-        gu = TimeTrace(grid, times, _apply_power(u, G), is_real=True)
+        gu = TimeTrace(grid, times, _apply_power(u, G))
         num = ynorm(gu, s, r)
         den = snorm(u, rc) ** (alpha - 1.0) * xnorm(u, s, r)
         return num, den
@@ -539,9 +540,9 @@ def _run_nonlinear_ii(spec, rp):
         kids = child.spawn(2)
         u = _sample_trace(spec, grid, times, band, decay, kids[0])
         v = _sample_trace(spec, grid, times, band, decay, kids[1])
-        diff = TimeTrace(grid, times, _apply_power(u, G) - _apply_power(v, G), is_real=True)
+        diff = TimeTrace(grid, times, _apply_power(u, G) - _apply_power(v, G))
         num = ynorm(diff, s, r)
-        uv = TimeTrace(grid, times, u.coeffs - v.coeffs, is_real=True)
+        uv = TimeTrace(grid, times, u.coeffs - v.coeffs)
         sx = snorm(u, rc) + snorm(v, rc)
         den = (
             (xnorm(u, s, r) + xnorm(v, s, r)) * sx ** (alpha - 2.0) * snorm(uv, rc)
@@ -663,9 +664,11 @@ def _run_counterexample(spec, rp):
             # p < 1/r' guarantees p * r' < 1, the divergent regime
             prp = p * rprime
             predicted_lhat = ((b ** (1 - prp) - a ** (1 - prp)) / (1 - prp)) ** (1.0 / rprime)
-        f = SpectralField(grid, spec.amplitude * coeffs, is_real=False)
-        lh = lhat_norm(f, r) / spec.amplitude
-        sob = sobolev_norm(f, s) / spec.amplitude
+        # a one-sided band is not a real field: its norms are full-band sums
+        band = spec.amplitude * coeffs
+        lh = weighted_power_sum(np.abs(band), grid.dxi, holder_conjugate(r)) / spec.amplitude
+        sob = weighted_power_sum(np.abs(riesz_weights(grid, s) * band), grid.dxi, 2.0) \
+            / spec.amplitude
         ratio = sob / predicted_sob
         ratios.append(float(ratio))
         rows.append({"sample": n, "decay": 0.0, "ratio": float(ratio)})

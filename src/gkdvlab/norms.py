@@ -61,17 +61,14 @@ def weighted_power_sum(magnitudes: np.ndarray, weight: float, p: float,
     return float(rows) if np.ndim(rows) == 0 else rows
 
 
-def lhat_rows(coeffs: np.ndarray, dxi: float, r: float, half: bool = False):
-    """Fourier-Lebesgue norm of each row (last axis) of a coefficient array.
-
-    With half the rows are half-spectra, as a real trace stores them.
-    """
-    return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r), half)
+def lhat_rows(coeffs: np.ndarray, dxi: float, r: float):
+    """Fourier-Lebesgue norm of each row (last axis) of half-spectra, as traces store them."""
+    return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r), half=True)
 
 
 def lhat_norm(f: SpectralField, r: float) -> float:
     """Fourier-Lebesgue norm: the L^{r'} lattice norm of the coefficients."""
-    return lhat_rows(f.modes, f.grid.dxi, r, f.is_real)
+    return lhat_rows(f.modes, f.grid.dxi, r)
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -79,10 +76,8 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
     The zero mode is excluded for s != 0, matching the Riesz convention.
     """
-    w = riesz_weights(f.grid, s)
-    if f.is_real:
-        w = _fold(w)
-    return weighted_power_sum(np.abs(w * f.modes), f.grid.dxi, 2.0, f.is_real)
+    w = _fold(riesz_weights(f.grid, s))
+    return weighted_power_sum(np.abs(w * f.modes), f.grid.dxi, 2.0, half=True)
 
 
 def besov_norm(f: SpectralField, s: float, q: float) -> float:
@@ -94,12 +89,12 @@ def besov_norm(f: SpectralField, s: float, q: float) -> float:
     if not (q >= 1.0 or q == math.inf):
         raise ValueError(f"exponent must lie in [1, inf], got {q}")
     mags = np.abs(f.modes)
-    xi = _fold(f.grid.frequencies) if f.is_real else f.grid.frequencies
+    xi = _fold(f.grid.frequencies)
     dxi = f.grid.dxi
     terms = []
     for k in dyadic_block_range(f.grid):
         w = dyadic_bump(xi / 2.0 ** k)
-        block = weighted_power_sum(w * mags, dxi, 2.0, f.is_real)
+        block = weighted_power_sum(w * mags, dxi, 2.0, half=True)
         if block == 0.0:
             continue
         with np.errstate(over="ignore"):

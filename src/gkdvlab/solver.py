@@ -195,15 +195,14 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     as exp(i t xi^3) times cumulative trapezoid sums of exp(-i t' xi^3) F(t'):
     the rule acts on that oscillatory product, so the kernel is not
     integrated exactly and the error per step grows with xi^3 dt.  t0 must
-    be one of the sample times.  A real forcing is integrated on its
-    half-spectrum, and the result's zero and unpaired modes are real.
+    be one of the sample times.  The result's zero and unpaired modes are
+    real.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
-    real = forcing.is_real
-    down = _airy_table(forcing.grid, times, -1j, real)
+    down = _airy_table(forcing.grid, times, -1j)
     # down stays the left operand: complex products are not bytewise
     # commutative where numpy's multiply loop uses fused multiply-adds
     integrand = np.multiply(down, forcing.coeffs)
@@ -212,9 +211,7 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
         result -= result[j0]
     up = np.conjugate(down, out=integrand)
     np.multiply(up, result, out=result)
-    if real:
-        _real_ends(result)
-    return TimeTrace(forcing.grid, times, result, real)
+    return TimeTrace(forcing.grid, times, _real_ends(result))
 
 
 def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
@@ -222,8 +219,7 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     """One integral-equation application: free term plus flux integral.
 
     free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, built
-    once per solve; both are real traces, so the map works on their
-    half-spectra.  Returns free(t)
+    once per solve.  Returns free(t)
     + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt'.
     """
     if v.grid != free.grid:
@@ -232,11 +228,11 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     # i xi of the unpaired mode makes it imaginary; the integral keeps it
     # until its result's modes are made real
     np.multiply(1j * _fold(v.grid.frequencies), flux, out=flux)
-    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux, is_real=True), t0).coeffs
+    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), t0).coeffs
     del flux  # trace-sized arrays set peak memory: update the integral in place
     np.multiply(G.mu, coeffs, out=coeffs)
     np.add(free.coeffs, coeffs, out=coeffs)
-    return TimeTrace(v.grid, v.times, coeffs, is_real=True)
+    return TimeTrace(v.grid, v.times, coeffs)
 
 
 def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
@@ -282,8 +278,6 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     Grid and sample times are fixed, so the free trace and the retarded phase
     table are built once per solve (the table in a _shared_tables scope).
     """
-    if not u0.is_real:
-        raise ValueError("the flow is defined for real data")
     check = _wellposed_guard(G, cfg)
     times = cfg.times()
     t0 = cfg.anchor_time()
@@ -309,7 +303,7 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
                 raise NumericalBlowupError(
                     "iterate left the finite regime", time=float(times[0]), trace=v,
                 )
-            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc, half=True)))
+            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc)))
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0.0:
                 factors.append(dists[-1] / dists[-2])
@@ -332,7 +326,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     """Conservation drifts, size bounds, and boundary-mass taint for a trace."""
     check = G.in_wellposed_range()
     rc = critical_exponent(G.alpha)
-    masses = band_sum(np.abs(trace.coeffs) ** 2, trace.is_real) * trace.grid.dxi
+    masses = band_sum(np.abs(trace.coeffs) ** 2, half=True) * trace.grid.dxi
     m0 = masses[0]
     mass_drift = float(np.max(np.abs(masses - m0)) / m0) if m0 > 0 else 0.0
     e0 = energy(trace.field(0), G, pad=cfg.pad)
@@ -340,7 +334,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     emid = energy(trace.field(trace.sample_count // 2), G, pad=cfg.pad)
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
-    sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc, trace.is_real)))
+    sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
     vals = trace.values()  # one transform for the boundary mass and snorm
     boundary = float(np.max(boundary_mass_fraction(vals, trace.grid)))
     scattering_size = snorm(trace, rc, check=check, values=vals)
@@ -437,7 +431,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
         t = t + length
         del res, seg  # trace-sized: let them go before the next segment's solve
     trace = TimeTrace(cfg.grid, np.concatenate(all_times),
-                      np.concatenate(all_coeffs), is_real=u0.is_real)
+                      np.concatenate(all_coeffs))
     return GluedResult(trace=trace, converged=True, segments=segments)
 
 
@@ -481,7 +475,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     state is the half-spectrum of each datum, and after each substep its
     zero and unpaired modes are made real.
 
-    u0 is one field, or a sequence of real fields on one grid; a sequence is
+    u0 is one field, or a sequence of fields on one grid; a sequence is
     integrated as the rows of one (k, N/2 + 1) stack, so each stage makes one
     dealiased map for all data, and one trace per datum is returned.  Rows
     never mix: each equals its single-datum call byte for byte.  A datum
@@ -493,8 +487,6 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     """
     single = isinstance(u0, SpectralField)
     data = FieldStack((u0,) if single else u0)
-    if not all(u.is_real for u in data):
-        raise ValueError("the flow is defined for real data")
     times = cfg.times()
     grid = data.grid
     rc = critical_exponent(G.alpha)
@@ -515,7 +507,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         nsub = max(1, math.ceil(span / cfg.reference_dt))
         if span / nsub != h:  # spans of non-dyadic intervals differ in the last bit
             h = span / nsub
-            e_half = _airy_table(grid, np.array([h / 2.0]), 1j, True)[0]
+            e_half = _airy_table(grid, np.array([h / 2.0]), 1j)[0]
             e_full = e_half * e_half
             back_half, back_full = np.conj(e_half), np.conj(e_full)
         for _ in range(nsub):
@@ -526,8 +518,8 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
             c = _real_ends(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
         for i in range(live):
             if not np.all(np.isfinite(c[i])) \
-                    or lhat_rows(c[i], grid.dxi, rc, half=True) > limits[i]:
-                partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1], is_real=True) \
+                    or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
+                partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1]) \
                     if m >= 1 else None
                 failure = NumericalBlowupError(
                     f"norm left the trusted regime after t = {times[m]:.6g}",
@@ -540,13 +532,13 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
             break
     if failure is not None:
         raise failure
-    traces = [TimeTrace(grid, times, rows, is_real=True) for rows in out]
+    traces = [TimeTrace(grid, times, rows) for rows in out]
     return traces[0] if single else traces
 
 
 def mass(u: SpectralField) -> float:
     """Conserved L^2 mass ||u||^2, evaluated on the frequency side."""
-    return float(band_sum(np.abs(u.modes) ** 2, u.is_real) * u.grid.dxi)
+    return float(band_sum(np.abs(u.modes) ** 2, half=True) * u.grid.dxi)
 
 
 def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
@@ -558,8 +550,8 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     """
     if G.rule != "power":
         raise ValueError("energy is defined for the power nonlinearity")
-    xi = _fold(u.grid.frequencies) if u.is_real else u.grid.frequencies
-    kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, u.is_real) * u.grid.dxi)
+    xi = _fold(u.grid.frequencies)
+    kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, half=True) * u.grid.dxi)
     vals = _real_samples(u.modes, u.grid, pad)
     potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential

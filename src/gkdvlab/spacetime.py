@@ -22,9 +22,9 @@ from .norms import holder_conjugate, weighted_power_sum
 from .spectral import (
     Grid1D,
     SpectralField,
+    _check_modes,
     _fold,
     _real_ends,
-    _stored,
     coeffs_to_values,
     riesz_weights,
 )
@@ -135,20 +135,17 @@ def classify_pair(s: float, r: float) -> PairClass:
 
 @dataclass
 class TimeTrace:
-    """A time-sampled field: coefficient rows at strictly increasing times.
+    """A time-sampled real field: coefficient rows at strictly increasing times.
 
     Row m of coeffs holds the field at times[m], in the layout of
-    SpectralField.modes: a real trace (is_real) stores (M, N/2 + 1)
-    half-spectra, a complex one (M, N) full bands.  A real trace is built
-    from its half-spectra, or from full bands that each meet the Hermitian
-    tolerance of a real SpectralField and are then folded.  At least two
-    samples are required so every time quadrature is defined.
+    SpectralField.modes: coeffs has shape (M, N/2 + 1), half-spectra.
+    is_real is always True.  At least two samples are required so every
+    time quadrature is defined.
     """
 
     grid: Grid1D
     times: np.ndarray
     coeffs: np.ndarray
-    is_real: bool = False
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -156,30 +153,33 @@ class TimeTrace:
             raise ValueError("a trace needs at least 2 time samples")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("trace times must be strictly increasing")
-        if np.ndim(self.coeffs) != 2 or len(self.coeffs) != self.times.size:
-            raise ValueError(
-                f"coeffs shape {np.shape(self.coeffs)} does not match "
-                f"(M, N) = ({self.times.size}, {self.grid.size})"
-            )
-        self.coeffs = _stored(self.coeffs, self.grid, self.is_real)
+        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if self.coeffs.ndim != 2 or len(self.coeffs) != self.times.size:
+            raise ValueError(f"coeffs shape {self.coeffs.shape} does not hold "
+                             f"{self.times.size} rows")
+        _check_modes(self.coeffs, self.grid)
+
+    @property
+    def is_real(self) -> bool:
+        return True
 
     @property
     def sample_count(self) -> int:
         return int(self.times.size)
 
     def field(self, m: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[m].copy(), self.is_real)
+        return SpectralField(self.grid, self.coeffs[m].copy())
 
     def values(self) -> np.ndarray:
-        """Physical samples, shape (M, N); real array when is_real."""
-        return coeffs_to_values(self.coeffs, self.grid, real=self.is_real)
+        """Physical samples, shape (M, N), a real array."""
+        return coeffs_to_values(self.coeffs, self.grid)
 
     def restricted(self, t_max: float) -> "TimeTrace":
         """Sub-trace of samples with time <= t_max (at least two kept)."""
         keep = self.times <= t_max + 1e-12
         if int(np.sum(keep)) < 2:
             raise ValueError(f"fewer than 2 samples at or before t = {t_max}")
-        return TimeTrace(self.grid, self.times[keep], self.coeffs[keep], self.is_real)
+        return TimeTrace(self.grid, self.times[keep], self.coeffs[keep])
 
 
 # Memo of the innermost open _shared_tables scope; None outside every scope.
@@ -202,18 +202,17 @@ def _shared_tables():
         _tables.reset(token)
 
 
-def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex, half: bool) -> np.ndarray:
+def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     """exp(unit * outer(times, xi^3)), read-only and shared inside _shared_tables.
 
-    With half, xi runs over the half-lattice of a real field (k = 0 .. N/2-1,
-    then the unpaired -N/2 mode), as spectral._fold lays it out.
+    xi runs over the half-lattice of a real field (k = 0 .. N/2-1, then the
+    unpaired -N/2 mode), as spectral._fold lays it out.
     """
     memo = _tables.get()
-    key = (grid.half_length, grid.size, unit, half, times.tobytes())
+    key = (grid.half_length, grid.size, unit, times.tobytes())
     table = None if memo is None else memo.get(key)
     if table is None:
-        xi3 = grid.frequencies ** 3
-        table = np.exp(unit * np.outer(times, _fold(xi3) if half else xi3))
+        table = np.exp(unit * np.outer(times, _fold(grid.frequencies ** 3)))
         if memo is not None:
             table.flags.writeable = False
             memo[key] = table
@@ -223,14 +222,11 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex, half: bool) -> n
 def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> TimeTrace:
     """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3).
 
-    A real u0 is evolved on its half-spectrum, with real zero and unpaired
-    modes.
+    The rows' zero and unpaired modes are real.
     """
     times = np.asarray(times, dtype=float)
-    coeffs = _airy_table(u0.grid, times - t0, 1j, u0.is_real) * u0.modes[None, :]
-    if u0.is_real:
-        _real_ends(coeffs)
-    return TimeTrace(u0.grid, times, coeffs, u0.is_real)
+    coeffs = _airy_table(u0.grid, times - t0, 1j) * u0.modes[None, :]
+    return TimeTrace(u0.grid, times, _real_ends(coeffs))
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -285,10 +281,8 @@ def _riesz_trace(trace: TimeTrace, s: float) -> TimeTrace:
     """|D_x|^s applied to every row of a trace; s = 0 returns the trace itself."""
     if s == 0:
         return trace
-    w = riesz_weights(trace.grid, s)
-    if trace.is_real:
-        w = _fold(w)
-    return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :], trace.is_real)
+    w = _fold(riesz_weights(trace.grid, s))
+    return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :])
 
 
 def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True,

@@ -5,6 +5,11 @@ periodic surrogate for the whole line.  All transforms carry the continuum
 normalization with the symmetric 1/sqrt(2*pi) convention, so coefficient
 values approximate the continuum Fourier transform evaluated on the frequency
 lattice xi_k = k*pi/L, k = -N/2 .. N/2-1, independent of N.
+
+Every field is real, so its coefficients satisfy c(-xi) = conj(c(xi)) and
+its k >= 0 half-spectrum carries it: fields, traces and kernels hold N/2 + 1
+modes per row in rfft layout (k = 0 .. N/2-1, then the unpaired -N/2 mode),
+and the transforms are rfft and irfft.  Any other layout raises ValueError.
 """
 
 from __future__ import annotations
@@ -77,36 +82,23 @@ _plans: dict = {}
 class _Plan:
     """Read-only transform tables of one (half_length, size) grid.
 
-    half_forward and half_inverse are the scales of the real-field path on
-    bins k = 0 .. N/2: (-1)^k dx / sqrt(2 pi) after an rfft, and
-    (-1)^k dxi / sqrt(2 pi) before an unnormalized irfft.
+    half_forward and half_inverse are the scales on bins k = 0 .. N/2:
+    (-1)^k dx / sqrt(2 pi) after an rfft, and (-1)^k dxi / sqrt(2 pi)
+    before an unnormalized irfft.
     """
 
-    __slots__ = ("grid", "bin_signs", "forward_scale", "inverse_scale", "half",
-                 "half_forward", "half_inverse")
+    __slots__ = ("grid", "half_forward", "half_inverse")
 
     def __init__(self, half_length: float, size: int) -> None:
         grid = Grid1D(half_length, size)
         k = np.arange(-size // 2, size // 2)
         # (-1)^k for k = -N/2 .. N/2-1; shifts the DFT origin to x = -L.
-        signs = np.where(k % 2 == 0, 1.0, -1.0)
-        forward_scale = (grid.dx / SQRT_2PI) * signs
+        signs = _fold(np.where(k % 2 == 0, 1.0, -1.0))
         self.grid = grid
-        self.half = size // 2
-        # the signs in FFT bin order, for spectra built already half-swapped
-        self.bin_signs = self.swap(signs)
-        self.forward_scale = forward_scale
-        self.inverse_scale = grid.size * grid.dxi / SQRT_2PI
-        self.half_forward = (grid.dx / SQRT_2PI) * _fold(signs)
-        self.half_inverse = (grid.dxi / SQRT_2PI) * _fold(signs)
-        for arr in (grid.points, grid.frequencies, self.bin_signs, forward_scale,
-                    self.half_forward, self.half_inverse):
+        self.half_forward = (grid.dx / SQRT_2PI) * signs
+        self.half_inverse = (grid.dxi / SQRT_2PI) * signs
+        for arr in (grid.points, grid.frequencies, self.half_forward, self.half_inverse):
             arr.flags.writeable = False
-
-    def swap(self, a: np.ndarray) -> np.ndarray:
-        """Swap the halves of the last axis: fftshift, equal to ifftshift for even N."""
-        h = self.half
-        return np.concatenate((a[..., h:], a[..., :h]), axis=-1)
 
 
 def _plan(half_length: float, size: int) -> _Plan:
@@ -125,8 +117,9 @@ def _plan(half_length: float, size: int) -> _Plan:
 # A real field's coefficients satisfy c(-xi) = conj(c(xi)), so the modes
 # k = 0 .. N/2-1 carry it.  Its half-spectrum appends the unpaired -N/2 mode
 # to them: the first N/2 + 1 entries of the coefficients in FFT bin order,
-# the layout of an rfft.  Real fields and traces store their half-spectra;
-# complex ones store the full band in ascending order.
+# the layout of an rfft.  The full band, in ascending order, is only a
+# reference layout for tests, trace files of version 1 and complex arrays
+# such as the scattering pullbacks.
 
 def _fold(a: np.ndarray) -> np.ndarray:
     """Half-spectrum (last axis) of a full-band array: k = 0 .. N/2-1, then -N/2."""
@@ -155,130 +148,95 @@ def _real_ends(half: np.ndarray) -> np.ndarray:
     return half
 
 
-def _stored(coeffs, grid: "Grid1D", real: bool) -> np.ndarray:
-    """The modes a field stores, from its coeffs (last axis).
+_LAYOUT = "the k >= 0 half-spectrum of a real field, N/2 + 1 modes in rfft layout"
 
-    A real field's coeffs are its half-spectrum, taken as given, or its full
-    band, which must meet the Hermitian tolerance of hermitian_breaks in
-    every row and is then folded.  A complex field's are its full band.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if real and c.shape[-1:] == (grid.size // 2 + 1,):
-        return c
-    if c.shape[-1:] != (grid.size,):
-        raise ValueError(f"coeffs shape {c.shape} does not match grid size {grid.size}")
-    if not real:
-        return c
-    if np.any(hermitian_breaks(c)):
-        raise ValueError("is_real=True but Hermitian symmetry fails "
-                         f"(defect {np.max(hermitian_defect(c)):.3e})")
-    return _fold(c)
+
+def _check_modes(modes: np.ndarray, grid: Grid1D) -> None:
+    """Raise unless the last axis holds the N/2 + 1 half-spectrum modes."""
+    if np.shape(modes)[-1:] != (grid.size // 2 + 1,):
+        raise ValueError(f"coeffs shape {np.shape(modes)} on {grid.size} points: "
+                         f"expected {grid.size // 2 + 1} modes per row, {_LAYOUT}")
 
 
 def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
-    """Real samples of a real field's coeffs (last axis) on the grid refined by pad.
+    """Real samples of half-spectra (last axis) on the grid refined by pad.
 
-    coeffs is the half-spectrum or the full band.  One irfft of the
-    half-spectrum: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
+    One irfft: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
     where that bin is the Nyquist bin, and as half its conjugate at
     pad >= 2, where the irfft's implied mirror puts the other half back in
-    bin -N/2.  So for Hermitian coeffs the samples are the real part of
-    dealiased_samples.
+    bin -N/2.  So the samples are the real part of the full band's inverse
+    transform, zero-padded by pad.
     """
-    coeffs = np.asarray(coeffs)
     half = grid.size // 2
-    if coeffs.shape[-1] == grid.size:
-        pos, unpaired = coeffs[..., half:], coeffs[..., 0]
-    else:
-        pos, unpaired = coeffs[..., :half], coeffs[..., half]
     scale = _plan(grid.half_length, grid.size).half_inverse
     spec = np.empty(coeffs.shape[:-1] + (half + 1,), dtype=complex)
-    np.multiply(pos, scale[:half], out=spec[..., :half])
-    unpaired = unpaired * scale[half]
+    np.multiply(coeffs[..., :half], scale[:half], out=spec[..., :half])
+    unpaired = coeffs[..., half] * scale[half]
     spec[..., half] = unpaired if pad == 1 else 0.5 * np.conjugate(unpaired)
     return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward")
 
 
-def _check_length(a: np.ndarray, grid: Grid1D, real: bool = False) -> None:
-    if a.shape[-1] != grid.size and not (real and a.shape[-1] == grid.size // 2 + 1):
-        expected = f"{grid.size} or {grid.size // 2 + 1}" if real else f"{grid.size}"
-        raise ValueError(f"last axis has length {a.shape[-1]}, expected {expected}")
-
-
 def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Continuum-normalized forward transform along the last axis.
+    """Continuum-normalized forward transform of real samples along the last axis.
 
     Implements hat f(xi_k) = (dx / sqrt(2 pi)) * sum_j f(x_j) exp(-i x_j xi_k)
-    via a standard FFT plus an alternating phase; exact for band-limited data.
-    Real samples take an rfft and give the half-spectrum a real field
-    stores, with real zero and unpaired modes; complex samples give the
-    full band.
+    via an rfft plus an alternating phase; exact for band-limited data.  The
+    result is the half-spectrum, with real zero and unpaired modes.
     """
     values = np.asarray(values)
-    _check_length(values, grid)
+    if values.shape[-1] != grid.size:
+        raise ValueError(f"last axis has length {values.shape[-1]}, expected {grid.size}")
+    if not np.isrealobj(values):
+        raise ValueError(f"samples must be real: fields are stored as {_LAYOUT}")
     plan = _plan(grid.half_length, grid.size)
-    if np.isrealobj(values):
-        return _real_ends(np.fft.rfft(values, axis=-1) * plan.half_forward)
-    return plan.forward_scale * plan.swap(np.fft.fft(values, axis=-1))
+    return _real_ends(np.fft.rfft(values, axis=-1) * plan.half_forward)
 
 
-def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D, real: bool = False) -> np.ndarray:
-    """Inverse of values_to_coeffs along the last axis.
+def coeffs_to_values(coeffs: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Inverse of values_to_coeffs along the last axis: real samples (an irfft).
 
-    Implements f(x_j) = (dxi / sqrt(2 pi)) * sum_k hat f(xi_k) exp(i x_j xi_k).
-    With real=True the coeffs, a half-spectrum or a full band, are read as a
-    real field: real samples from the k >= 0 half-spectrum (an irfft).
+    Implements f(x_j) = (dxi / sqrt(2 pi)) * sum_k hat f(xi_k) exp(i x_j xi_k)
+    over the full band the half-spectra stand for.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    _check_length(coeffs, grid, real)
-    return _real_samples(coeffs, grid, 1) if real else dealiased_samples(coeffs, grid, 1)
+    _check_modes(coeffs, grid)
+    return _real_samples(coeffs, grid, 1)
 
 
 class SpectralField:
-    """A single-time field stored by its Fourier coefficients.
+    """A single-time real field stored by its Fourier coefficients.
 
-    coeffs are ordered by ascending frequency (index i holds
-    xi = (i - N/2)*dxi).  is_real declares the Hermitian symmetry
-    coeffs(-xi) = conj(coeffs(xi)), with the unpaired mode at -N/2 real.
-    A real field stores only its half-spectrum, modes: k = 0 .. N/2-1, then
-    -N/2.  It is built from that half, or from a full band that meets the
-    symmetry within 1e-8 (1 + max |coeff|) and is then folded; its coeffs
-    are the full band, rebuilt on each access and read-only.  A complex
-    field stores its full band, and modes and coeffs are the same array.
+    modes is its half-spectrum: k = 0 .. N/2-1, then the unpaired -N/2 mode,
+    N/2 + 1 modes in rfft layout.  The modes k < 0 are the conjugates of
+    modes -k and are not stored.  is_real is always True.
     """
 
-    def __init__(self, grid: Grid1D, coeffs, is_real: bool = False) -> None:
+    def __init__(self, grid: Grid1D, coeffs) -> None:
         self.grid = grid
         self.modes = coeffs
-        self.is_real = is_real
-        # the checks and the fold stay in __post_init__, where they were in
-        # the dataclass: perfbench's tracer times field construction there
+        # the checks stay in __post_init__, where they were in the
+        # dataclass: perfbench's tracer times field construction there
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if np.ndim(self.modes) != 1:
-            raise ValueError(f"coeffs shape {np.shape(self.modes)} does not match "
-                             f"grid size {self.grid.size}")
-        self.modes = _stored(self.modes, self.grid, self.is_real)
+        modes = np.asarray(self.modes, dtype=complex)
+        if modes.ndim != 1:
+            raise ValueError(f"coeffs shape {modes.shape} is not one row of modes")
+        _check_modes(modes, self.grid)
+        self.modes = modes
 
     @property
-    def coeffs(self) -> np.ndarray:
-        if not self.is_real:
-            return self.modes
-        full = _unfold(self.modes)
-        full.flags.writeable = False
-        return full
+    def is_real(self) -> bool:
+        return True
 
     def values(self) -> np.ndarray:
         """Physical samples on grid.points."""
-        return coeffs_to_values(self.modes, self.grid, real=self.is_real)
+        return coeffs_to_values(self.modes, self.grid)
 
     def _combine(self, other: "SpectralField", op) -> "SpectralField":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        if self.is_real and other.is_real:
-            return SpectralField(self.grid, op(self.modes, other.modes), True)
-        return SpectralField(self.grid, op(self.coeffs, other.coeffs))
+        return SpectralField(self.grid, op(self.modes, other.modes))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._combine(other, np.add)
@@ -287,9 +245,9 @@ class SpectralField:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        if self.is_real and not np.iscomplexobj(scalar):
-            return SpectralField(self.grid, self.modes * scalar, True)
-        return SpectralField(self.grid, self.coeffs * scalar)
+        if np.iscomplexobj(scalar):
+            raise ValueError(f"a complex multiple of a real field is not {_LAYOUT}")
+        return SpectralField(self.grid, self.modes * scalar)
 
     __rmul__ = __mul__
 
@@ -310,22 +268,20 @@ def hermitian_defect(coeffs: np.ndarray, half: bool = False):
 
 
 def hermitian_breaks(coeffs: np.ndarray, half: bool = False):
-    """Per row (last axis): defect above the 1e-8 (1 + max |coeff|) is_real allows."""
+    """Per row (last axis): defect above the tolerance 1e-8 (1 + max |coeff|) of a real row."""
     c = np.asarray(coeffs)
     return hermitian_defect(c, half) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
 
 
 def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
-    """Transform physical samples into a SpectralField.
+    """Transform real physical samples into a SpectralField.
 
-    Real input yields is_real=True.  Round trip with SpectralField.values is
-    exact to round-off.
+    Round trip with SpectralField.values is exact to round-off.
     """
     values = np.asarray(values)
     if values.ndim != 1:
         raise ValueError("forward_transform expects a 1-d sample array")
-    is_real = bool(np.isrealobj(values))
-    return SpectralField(grid, values_to_coeffs(values, grid), is_real)
+    return SpectralField(grid, values_to_coeffs(values, grid))
 
 
 def riesz_potential(f: SpectralField, s: float) -> SpectralField:
@@ -336,13 +292,12 @@ def riesz_potential(f: SpectralField, s: float) -> SpectralField:
     operator a bijection on mean-free fields).  s = 0 is the identity.
     """
     if s == 0:
-        return SpectralField(f.grid, f.modes.copy(), f.is_real)
-    w = riesz_weights(f.grid, s)
-    return SpectralField(f.grid, f.modes * (_fold(w) if f.is_real else w), f.is_real)
+        return SpectralField(f.grid, f.modes.copy())
+    return SpectralField(f.grid, f.modes * _fold(riesz_weights(f.grid, s)))
 
 
 def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
-    """|xi|^s on the frequency lattice with the zero mode zeroed (s != 0)."""
+    """|xi|^s on the frequency lattice, ascending, with the zero mode zeroed (s != 0)."""
     if s == 0:
         return np.ones(grid.size)
     absxi = np.abs(grid.frequencies)
@@ -354,19 +309,12 @@ def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
 def airy_propagate(f: SpectralField, t: float) -> SpectralField:
     """Free Airy evolution: multiply coefficients by exp(i t xi^3).
 
-    A real field is evolved on its half-spectrum, and its unpaired -N/2 mode
-    is projected back to its real part after the phase (the exact phase
-    would break the declared symmetry at that single mode; it is zero for
-    band-limited data).
+    The unpaired -N/2 mode is projected back to its real part after the
+    phase (the exact phase would break the field's symmetry at that single
+    mode; it is zero for band-limited data).
     """
-    if not f.is_real:
-        return SpectralField(f.grid, f.coeffs * airy_phases(f.grid, t))
     xi = _fold(f.grid.frequencies)
-    return SpectralField(f.grid, _real_ends(f.modes * np.exp(1j * t * xi ** 3)), True)
-
-
-def airy_phases(grid: Grid1D, t: float) -> np.ndarray:
-    return np.exp(1j * t * grid.frequencies ** 3)
+    return SpectralField(f.grid, _real_ends(f.modes * np.exp(1j * t * xi ** 3)))
 
 
 # -- Littlewood-Paley machinery ----------------------------------------------
@@ -409,8 +357,7 @@ def dyadic_block_range(grid: Grid1D) -> range:
 
 def littlewood_paley_block(f: SpectralField, k: int) -> SpectralField:
     """Frequency-localize f to the dyadic shell |xi| ~ 2^k."""
-    xi = _fold(f.grid.frequencies) if f.is_real else f.grid.frequencies
-    return SpectralField(f.grid, f.modes * dyadic_bump(xi / 2.0 ** k), f.is_real)
+    return SpectralField(f.grid, f.modes * dyadic_bump(_fold(f.grid.frequencies) / 2.0 ** k))
 
 
 # -- Random band-limited ensembles -------------------------------------------
@@ -440,7 +387,7 @@ def random_band_limited(grid: Grid1D, decay: float, band: int, seed) -> Spectral
     pos = sigma * (re + 1j * im) / math.sqrt(2.0)
     half = np.zeros(N // 2 + 1, dtype=complex)
     half[1: 1 + band] = pos
-    return SpectralField(grid, half, is_real=True)
+    return SpectralField(grid, half)
 
 
 def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
@@ -454,39 +401,17 @@ def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
 
 # -- Dealiased pointwise operations ------------------------------------------
 
-def dealiased_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
-    """Complex samples of coeffs (last axis) on the grid refined by pad.
-
-    The inverse transform of the zero-padded spectrum (pad = 1 is
-    coeffs_to_values of a complex field), in one buffer that holds that
-    spectrum in FFT bin order (band mode i in bin (i - N/2) mod M).
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    half = grid.size // 2
-    plan = _plan(grid.half_length, pad * grid.size)
-    m = plan.grid.size
-    shape = coeffs.shape[:-1] + (m,)
-    buf = np.zeros(shape, dtype=complex) if m > grid.size else np.empty(shape, dtype=complex)
-    np.multiply(coeffs[..., half:], plan.bin_signs[:half], out=buf[..., :half])
-    np.multiply(coeffs[..., :half], plan.bin_signs[m - half:], out=buf[..., m - half:])
-    np.fft.ifft(buf, axis=-1, out=buf)
-    buf *= plan.inverse_scale
-    return buf
-
-
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
     """Apply a real pointwise map on a padded grid to rows of real fields.
 
-    coeffs has shape (..., N/2 + 1), half-spectra, or (..., N), full bands;
-    the result has the same layout.  Each row is spectrally interpolated
-    onto a grid with pad*N points from its k >= 0 half-spectrum, func is
-    applied to the real samples (a contiguous array), and the rfft of the
+    coeffs has shape (..., N/2 + 1), half-spectra, and so has the result.
+    Each row is spectrally interpolated onto a grid with pad*N points, func
+    is applied to the real samples (a contiguous array), and the rfft of the
     result is truncated to bins 0 .. N/2 and scaled, with the zero and
-    unpaired -N/2 modes real.  A full band is unfolded from that half, so
-    it is exactly Hermitian.
+    unpaired -N/2 modes real.
     """
     coeffs = np.asarray(coeffs)
-    _check_length(coeffs, grid, real=True)
+    _check_modes(coeffs, grid)
     half = grid.size // 2
     plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
@@ -495,5 +420,4 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
         raise ValueError(f"pointwise map returned last axis {mapped.shape[-1]}, expected {m}")
     spec = np.fft.rfft(mapped, axis=-1)
     del mapped  # fine-grid arrays set peak memory: free them first
-    out = _real_ends(spec[..., :half + 1] * plan.half_forward[:half + 1])
-    return _unfold(out) if coeffs.shape[-1] == grid.size else out
+    return _real_ends(spec[..., :half + 1] * plan.half_forward[:half + 1])

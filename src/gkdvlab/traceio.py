@@ -2,19 +2,20 @@
 
 Container layout (little-endian throughout):
 
-    magic    6 bytes         b"GKTR\x02\x00" (real trace), b"GKTR\x01\x00" (complex)
+    magic    6 bytes         b"GKTR\x02\x00" (version 2), b"GKTR\x01\x00" (version 1)
     header   struct '<dII'   half_length f64, size N u32, sample_count M u32
     times    M f64
     coeffs   M rows of c128, C order: N/2 + 1 half-spectrum modes per row
              (k = 0 .. N/2-1, then -N/2) in version 2, the N modes in
              ascending order in version 1
 
-A real trace is written as version 2 and a complex one as version 1.
-Version-1 files of real traces, written before version 2 existed, still
-read.  A JSON sidecar (same stem, .json suffix) carries everything that is
-not raw array data: realness flag, the container format, config echo,
-free-form diagnostics.  Both files are written atomically (temp file in
-the target directory, then os.replace).
+Traces are written as version 2.  Version-1 files, written before version
+2 existed, still read when they hold a real trace; version-1 files of
+complex data are refused.  A JSON sidecar (same stem, .json suffix) carries
+everything that is not raw array data: realness flag, the container format,
+config echo, free-form diagnostics.  Both files are written atomically
+(temp file in the target directory, then os.replace) with mode
+0o666 & ~umask.
 """
 
 from __future__ import annotations
@@ -23,22 +24,29 @@ import json
 import math
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .spacetime import TimeTrace
-from .spectral import Grid1D, _fold, hermitian_breaks
+from .spectral import _LAYOUT, Grid1D, _fold, hermitian_breaks
 
 _HEADER = struct.Struct("<dII")
 _MAGIC = b"GKTR\x01\x00"  # version 1: full bands
-_MAGIC_HALF = b"GKTR\x02\x00"  # version 2: half-spectra of a real trace
+_MAGIC_HALF = b"GKTR\x02\x00"  # version 2: half-spectra
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # O_EXCL with mode 0o666: the kernel applies the umask, as for open(path, "w").
+    # Not the secrets module: it loads OpenSSL, 3 MB of resident memory.
+    while True:
+        tmp = path.parent / f"{path.name}.{os.urandom(4).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -89,11 +97,10 @@ def sidecar_path(path: Path) -> Path:
 
 
 def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None:
-    """Write a trace container and its sidecar; a real trace as version 2."""
+    """Write a trace container, as version 2, and its sidecar."""
     path = Path(path)
-    magic = _MAGIC_HALF if trace.is_real else _MAGIC
     m, width = trace.coeffs.shape
-    head = magic + _HEADER.pack(trace.grid.half_length, trace.grid.size, m)
+    head = _MAGIC_HALF + _HEADER.pack(trace.grid.half_length, trace.grid.size, m)
     # one buffer, filled in place: no per-part copies of the rows
     payload = bytearray(len(head) + 8 * m + 16 * m * width)
     payload[:len(head)] = head
@@ -102,22 +109,21 @@ def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None
         trace.coeffs
     _atomic_write_bytes(path, payload)
     side = dict(metadata or {})
-    side["is_real"] = trace.is_real
-    side["format"] = {"magic": magic.decode("latin1"), "header": "<dII",
+    side["is_real"] = True
+    side["format"] = {"magic": _MAGIC_HALF.decode("latin1"), "header": "<dII",
                       "times": "<f8", "coeffs": "<c16",
-                      "modes": "half-spectrum, N/2 + 1 per row" if trace.is_real
-                      else "full band, N per row"}
+                      "modes": "half-spectrum, N/2 + 1 per row"}
     atomic_write_json(sidecar_path(path), side)
 
 
 def read_trace(path) -> Tuple[TimeTrace, dict]:
     """Read a trace container and its sidecar; returns (trace, metadata).
 
-    A version-2 container holds a real trace.  A row whose zero or unpaired
-    mode is complex beyond the Hermitian tolerance of a real SpectralField,
-    or a sidecar declaring the trace complex, raises ValueError.  In a
-    version-1 container is_real holds when every row meets that tolerance;
-    a sidecar declaring it for other data raises ValueError.
+    A sidecar declaring the trace complex raises ValueError, and so does a
+    row beyond the Hermitian tolerance of spectral.hermitian_breaks: in
+    version 2 a row whose zero or unpaired mode is complex, in version 1 a
+    full band that is not the mirror of its half-spectrum.  The rows of a
+    version-1 container are folded to their half-spectra.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -145,23 +151,14 @@ def read_trace(path) -> Tuple[TimeTrace, dict]:
     coeffs = coeffs.astype(np.complex128, copy=False)
     side_file = sidecar_path(path)
     metadata = json.loads(side_file.read_text()) if side_file.exists() else {}
-    claimed = metadata.get("is_real")
-    if half:
-        if claimed is False:
-            raise ValueError(f"{path}: the sidecar declares a complex trace, but the "
-                             "container holds half-spectra of a real one")
-        broken = int(np.count_nonzero(hermitian_breaks(coeffs, half=True)))
-        if broken:
-            raise ValueError(f"{path}: {broken} of {m} rows have a complex zero or "
-                             "unpaired mode")
-        is_real = True
-    else:
-        broken = 0 if claimed is False else int(np.count_nonzero(hermitian_breaks(coeffs)))
-        if claimed and broken:
-            raise ValueError(f"{path}: the sidecar declares is_real, but {broken} of {m} "
-                             "rows break Hermitian symmetry")
-        is_real = claimed is not False and broken == 0
-        if is_real:
-            coeffs = _fold(coeffs)  # checked above: TimeTrace need not check again
-    grid = Grid1D(half_length, int(size))
-    return TimeTrace(grid, times, coeffs, is_real=is_real), metadata
+    if metadata.get("is_real") is False:
+        raise ValueError(f"{path}: the sidecar declares a complex trace, but traces "
+                         f"are read as {_LAYOUT}")
+    broken = int(np.count_nonzero(hermitian_breaks(coeffs, half)))
+    if broken:
+        defect = "have a complex zero or unpaired mode" if half \
+            else "break Hermitian symmetry"
+        raise ValueError(f"{path}: {broken} of {m} rows {defect}, so they are not {_LAYOUT}")
+    if not half:
+        coeffs = _fold(coeffs)
+    return TimeTrace(Grid1D(half_length, int(size)), times, coeffs), metadata

@@ -27,6 +27,7 @@ from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
     forward_transform,
+    _fold,
     gaussian_profile,
     random_band_limited,
 )
@@ -39,7 +40,7 @@ def test_boundary_mass_fraction_extremes():
     assert boundary_mass_fraction(centered.values(), GRID) < 1e-12
     shifted = forward_transform(np.exp(-(GRID.points - 60.0) ** 2), GRID)
     assert boundary_mass_fraction(shifted.values(), GRID) > 0.5
-    zero = SpectralField(GRID, np.zeros(GRID.size, dtype=complex), True)
+    zero = SpectralField(GRID, np.zeros(GRID.size // 2 + 1, dtype=complex))
     assert boundary_mass_fraction(zero.values(), GRID) == 0.0
 
 
@@ -76,9 +77,14 @@ def test_boundary_mass_fraction_matches_both_former_formulas_bytewise(
 def test_spectral_tail_fraction():
     resolved = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=1)
     assert spectral_tail_fraction(resolved) == 0.0
-    c = np.zeros(GRID.size, dtype=complex)
-    c[1] = 1.0  # most negative frequency, inside the outer shell
+    h = GRID.size // 2
+    c = np.zeros(h + 1, dtype=complex)
+    c[h - 1] = 1.0  # the pair +-(N/2 - 1), inside the outer shell
     assert spectral_tail_fraction(SpectralField(GRID, c)) == 1.0
+    # the unpaired -N/2 mode counts once, the pair +-1 twice: a third in the shell
+    c[h - 1], c[1], c[h] = 0.0, 1.0, 1.0
+    assert spectral_tail_fraction(SpectralField(GRID, c)) == pytest.approx(1.0 / 3.0,
+                                                                           rel=1e-15)
 
 
 def test_scaling_preserves_critical_norms_exactly():
@@ -102,8 +108,8 @@ def test_scaling_critical_norm_other_alpha():
 
 
 def test_scaling_refuses_under_resolved_data():
-    c = np.zeros(GRID.size, dtype=complex)
-    c[1] = 1.0
+    c = np.zeros(GRID.size // 2 + 1, dtype=complex)
+    c[-2] = 1.0  # the pair +-(N/2 - 1)
     with pytest.raises(ValueError):
         scaling_transform(SpectralField(GRID, c), 2.0, 5.0)
     with pytest.raises(ValueError):
@@ -117,6 +123,8 @@ def test_free_flow_pullback_residuals_vanish():
     assert report.checkpoint_times == [1.0, 2.0, 4.0, 8.0]
     assert all(res < 1e-13 for res in report.residuals)
     assert report.final_norm == pytest.approx(lhat_norm(f, 2.0), rel=1e-12)
+    # the free flow's pullback is its datum, a real field
+    np.testing.assert_allclose(report.final_state.modes, f.modes, rtol=0, atol=1e-13)
 
 
 def test_scattering_checkpoint_snapping():
@@ -149,8 +157,8 @@ def test_rigid_translation_snorm_grows_like_dyadic_root():
     norms = []
     for span in spans:
         times = np.linspace(0.0, span, int(span * 16) + 1)
-        phases = np.exp(-1j * np.outer(times, grid.frequencies))  # speed 1
-        trace = TimeTrace(grid, times, phases * f.coeffs[None, :], is_real=True)
+        phases = np.exp(-1j * np.outer(times, _fold(grid.frequencies)))  # speed 1
+        trace = TimeTrace(grid, times, phases * f.modes[None, :])
         norms.append(snorm(trace, 2.0))
     assert norms[1] / norms[0] == pytest.approx(2.0 ** 0.1, rel=1e-10)
     assert norms[2] / norms[1] == pytest.approx(2.0 ** 0.1, rel=1e-10)
@@ -199,14 +207,14 @@ def test_nonpositive_energy_amplitude_closed_form():
     a_star = nonpositive_energy_amplitude(profile, G)
     assert a_star == pytest.approx((1.5 * math.sqrt(3.0)) ** 0.25, rel=1e-8)
     from gkdvlab.solver import energy
-    assert energy(SpectralField(grid, a_star * profile.coeffs, True), G) <= 0.0
-    assert energy(SpectralField(grid, 0.999 * a_star * profile.coeffs, True), G) > 0.0
+    assert energy(SpectralField(grid, a_star * profile.modes), G) <= 0.0
+    assert energy(SpectralField(grid, 0.999 * a_star * profile.modes), G) > 0.0
 
 
 def test_nonpositive_energy_amplitude_validation():
     profile = gaussian_profile(GRID, 1.0)
     with pytest.raises(ValueError):
         nonpositive_energy_amplitude(profile, NonlinearityG(alpha=5.0, mu=1.0))
-    zero = SpectralField(GRID, np.zeros(GRID.size, dtype=complex), True)
+    zero = SpectralField(GRID, np.zeros(GRID.size // 2 + 1, dtype=complex))
     with pytest.raises(ValueError):
         nonpositive_energy_amplitude(zero, NonlinearityG(alpha=5.0, mu=-1.0))

@@ -21,10 +21,10 @@ from gkdvlab.estimates import (
 from gkdvlab.solver import NonlinearityG
 from gkdvlab.spacetime import TimeTrace
 from gkdvlab.spectral import (
+    SQRT_2PI,
     Grid1D,
     _unfold,
     apply_pointwise_matrix,
-    coeffs_to_values,
     hermitian_defect,
     values_to_coeffs,
 )
@@ -186,14 +186,17 @@ def _former_per_row_product(f, g, grid, pad):
     """
     fine = grid.refined(pad)
     lo = (fine.size - grid.size) // 2
+    k = np.arange(-fine.size // 2, fine.size // 2)
+    signs = np.where(k % 2 == 0, 1.0, -1.0)
 
     def fine_values(c):
         padded = np.zeros(fine.size, dtype=complex)
         padded[lo: lo + grid.size] = c
-        return coeffs_to_values(padded, fine).real
+        vals = np.fft.ifft(np.fft.ifftshift(padded * signs))
+        return (vals * (fine.size * fine.dxi / SQRT_2PI)).real
 
-    prod = (fine_values(f) * fine_values(g)).astype(complex)
-    back = values_to_coeffs(prod, fine)[lo: lo + grid.size]
+    prod = fine_values(f) * fine_values(g)
+    back = ((fine.dx / SQRT_2PI) * signs * np.fft.fftshift(np.fft.fft(prod)))[lo: lo + grid.size]
     out = np.empty_like(back)
     out[0] = back[0].real
     out[1:] = 0.5 * (back[1:] + np.conj(back[:0:-1]))
@@ -214,7 +217,7 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, rows)
     u, v = (TimeTrace(grid, times, values_to_coeffs(rng.standard_normal((rows, grid.size)),
-                                                    grid), is_real=True)
+                                                    grid))
             for _ in range(2))
     prod = _product_trace(u, v, pad=pad)
     want = np.stack([apply_pointwise_matrix(np.stack((u.coeffs[m], v.coeffs[m])), grid,
@@ -263,8 +266,8 @@ def test_doubling_leg_matches_a_full_ensemble(estimate_id):
 def test_no_phase_table_outlives_verify(monkeypatch):
     made = []
 
-    def recording(grid, times, unit, half, _table=spacetime._airy_table):
-        table = _table(grid, times, unit, half)
+    def recording(grid, times, unit, _table=spacetime._airy_table):
+        table = _table(grid, times, unit)
         made.append((weakref.ref(table), table.flags.writeable))
         return table
 

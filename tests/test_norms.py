@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab.norms import (
+    band_sum,
     besov_norm,
     holder_conjugate,
     lebesgue_norm,
@@ -15,10 +16,12 @@ from gkdvlab.norms import (
     lhat_rows,
     sobolev_norm,
     weighted_norm,
+    weighted_power_sum,
 )
 from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
+    _fold,
     forward_transform,
     gaussian_profile,
     random_band_limited,
@@ -27,9 +30,11 @@ from gkdvlab.spectral import (
 GRID = Grid1D(64.0, 256)
 
 
-def _single_mode(grid, index):
-    c = np.zeros(grid.size, dtype=complex)
-    c[index] = 1.0
+def _single_mode(grid, k):
+    """The real field with half-spectrum entry k equal to 1: the pair +-k for
+    0 < k < N/2, the zero mode for k = 0, the unpaired -N/2 mode for k = N/2."""
+    c = np.zeros(grid.size // 2 + 1, dtype=complex)
+    c[k] = 1.0
     return SpectralField(grid, c)
 
 
@@ -48,11 +53,14 @@ def test_holder_conjugate_involution(r):
 
 
 def test_lhat_single_mode_closed_form():
-    f = _single_mode(GRID, GRID.size // 2 + 17)
+    pair = _single_mode(GRID, 17)
+    unpaired = _single_mode(GRID, GRID.size // 2)
     for r in (1.0, 1.5, 2.0, 4.0, math.inf):
         rp = holder_conjugate(r)
         expect = GRID.dxi ** (1.0 / rp) if rp != math.inf else 1.0
-        assert lhat_norm(f, r) == pytest.approx(expect, rel=1e-12)
+        assert lhat_norm(unpaired, r) == pytest.approx(expect, rel=1e-12)
+        expect = (2.0 * GRID.dxi) ** (1.0 / rp) if rp != math.inf else 1.0
+        assert lhat_norm(pair, r) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lhat_2_is_plancherel():
@@ -63,13 +71,13 @@ def test_lhat_2_is_plancherel():
 
 
 def test_sobolev_single_mode():
-    mid = GRID.size // 2
-    f = _single_mode(GRID, mid + 8)
     xi = 8 * GRID.dxi
-    assert sobolev_norm(f, 0.75) == pytest.approx(
-        xi ** 0.75 * math.sqrt(GRID.dxi), rel=1e-12)
+    assert sobolev_norm(_single_mode(GRID, 8), 0.75) == pytest.approx(
+        xi ** 0.75 * math.sqrt(2.0 * GRID.dxi), rel=1e-12)
+    assert sobolev_norm(_single_mode(GRID, GRID.size // 2), 0.75) == pytest.approx(
+        GRID.max_frequency ** 0.75 * math.sqrt(GRID.dxi), rel=1e-12)
     # zero mode carries no homogeneous smoothness
-    assert sobolev_norm(_single_mode(GRID, mid), 0.5) == 0.0
+    assert sobolev_norm(_single_mode(GRID, 0), 0.5) == 0.0
 
 
 def test_weighted_norm_matches_direct_sum():
@@ -99,10 +107,10 @@ def test_besov_single_shell():
     # data supported in one dyadic shell: the sum collapses to one term
     grid = Grid1D(64.0, 512)
     f = random_band_limited(grid, decay=0.0, band=200, seed=2)
-    c = np.where((np.abs(grid.frequencies) >= 2.5) & (np.abs(grid.frequencies) < 3.5),
-                 f.coeffs, 0.0)
-    g = SpectralField(grid, c, True)
-    l2 = math.sqrt(np.sum(np.abs(c) ** 2) * grid.dxi)
+    xi = np.abs(_fold(grid.frequencies))
+    c = np.where((xi >= 2.5) & (xi < 3.5), f.modes, 0.0)
+    g = SpectralField(grid, c)
+    l2 = math.sqrt(2.0 * np.sum(np.abs(c) ** 2) * grid.dxi)  # each mode with its mirror
     for s in (-0.5, 0.0, 0.5):
         for q in (1.0, 2.0, math.inf):
             val = besov_norm(g, s, q)
@@ -112,13 +120,13 @@ def test_besov_single_shell():
 
 
 def test_besov_zero_field():
-    f = SpectralField(GRID, np.zeros(GRID.size, dtype=complex))
+    f = SpectralField(GRID, np.zeros(GRID.size // 2 + 1, dtype=complex))
     assert besov_norm(f, 0.5, 2.0) == 0.0
 
 
 def test_scaling_of_norms_under_amplitude():
     f = forward_transform(np.cos(GRID.points) * np.exp(-GRID.points ** 2 / 9.0), GRID)
-    g = SpectralField(GRID, 3.0 * f.coeffs, f.is_real)
+    g = SpectralField(GRID, 3.0 * f.modes)
     for evaluate in (lambda h: lhat_norm(h, 2.5), lambda h: sobolev_norm(h, 0.4),
                      lambda h: besov_norm(h, 0.25, 2.0), lambda h: weighted_norm(h, 0.5),
                      lambda h: lebesgue_norm(h, 3.0)):
@@ -137,22 +145,30 @@ def test_row_norms_match_the_former_copies_bytewise(half_size, rows, r, seed):
     coeffs = scale * (rng.standard_normal((rows, grid.size))
                       + 1j * rng.standard_normal((rows, grid.size)))
     rp = holder_conjugate(r)
-    mags = np.abs(coeffs)
-    # the vectorised copies in the solver: one axis sum, numpy's array power
-    former = np.max(mags, axis=1) if rp == math.inf \
-        else (np.sum(mags ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
-    assert lhat_rows(coeffs, grid.dxi, r).tobytes() == former.tobytes()
-    # the per-row copies and lhat_norm: a row on its own takes Python's power
-    for row in coeffs:
-        mags = np.abs(row)
-        former = float(np.max(mags)) if rp == math.inf \
-            else float(np.sum(mags ** rp) * grid.dxi) ** (1.0 / rp)
-        assert lhat_rows(row, grid.dxi, r) == former
-        assert lhat_norm(SpectralField(grid, row), r) == former
+    # full bands (the complex arrays of the pullbacks and the counterexample)
+    # take the former copies' plain sum, half-spectra the same sum with each
+    # mode 0 < k < N/2 counted twice
+    for rows_of, half in ((coeffs, False), (_fold(coeffs), True)):
+        mags = np.abs(rows_of)
+        # the vectorised copies in the solver: one axis sum, numpy's array power
+        former = np.max(mags, axis=1) if rp == math.inf \
+            else (band_sum(mags ** rp, half) * grid.dxi) ** (1.0 / rp)
+        assert weighted_power_sum(mags, grid.dxi, rp, half).tobytes() == former.tobytes()
+        if half:
+            assert lhat_rows(rows_of, grid.dxi, r).tobytes() == former.tobytes()
+        # the per-row copies and lhat_norm: a row on its own takes Python's power
+        for row in rows_of:
+            mags = np.abs(row)
+            former = float(np.max(mags)) if rp == math.inf \
+                else float(band_sum(mags ** rp, half) * grid.dxi) ** (1.0 / rp)
+            assert weighted_power_sum(mags, grid.dxi, rp, half) == former
+            if half:
+                assert lhat_rows(row, grid.dxi, r) == former
+                assert lhat_norm(SpectralField(grid, row), r) == former
 
 
 def test_row_norms_overflow_to_infinity_quietly():
-    coeffs = np.full((2, GRID.size), 1e250 + 0j)
+    coeffs = np.full((2, GRID.size // 2 + 1), 1e250 + 0j)
     coeffs[1] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -60,7 +60,7 @@ def test_free_flow_recovered_when_uncoupled():
     # band-limited datum: the unpaired Nyquist mode is empty, so the
     # mu = 0 dynamics is the free flow to round-off in both solvers
     f = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=3)
-    u0 = SpectralField(GRID, 0.3 * f.coeffs, True)
+    u0 = SpectralField(GRID, 0.3 * f.modes)
     G0 = NonlinearityG(alpha=5.0, mu=0.0)
     cfg = SolverConfig(grid=GRID, samples_per_unit=32)
     res = picard_solve(u0, G0, cfg)
@@ -72,7 +72,7 @@ def test_free_flow_recovered_when_uncoupled():
 
 
 def test_zero_datum():
-    u0 = SpectralField(GRID, np.zeros(GRID.size, dtype=complex), True)
+    u0 = SpectralField(GRID, np.zeros(GRID.size // 2 + 1, dtype=complex))
     res = picard_solve(u0, G5, SolverConfig(grid=GRID, samples_per_unit=16))
     assert res.converged
     assert res.epsilon == 0.0
@@ -134,9 +134,10 @@ def test_reference_self_convergence_is_fourth_order():
 
 
 def test_rejects_complex_data():
+    # a one-sided band is no real field's half-spectrum: it cannot be built
     c = np.zeros(GRID.size, dtype=complex)
     c[GRID.size // 2 + 3] = 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N/2 \\+ 1 modes in rfft layout"):
         picard_solve(SpectralField(GRID, c), G5, SolverConfig(grid=GRID))
 
 
@@ -207,8 +208,13 @@ def test_mass_energy_closed_forms():
 # The real-field kernels as they were when traces stored full bands: the
 # half-spectrum computation, mirrored onto the full band by the two helpers
 # below.  Unfolded half-spectra must reproduce them bit for bit.  The
-# dealiased map is the public one with full-band input, which
-# test_spectral checks bit for bit against its own reference.
+# dealiased map is the public one, given the folded band and unfolded, as
+# the former full-band entry point did; test_spectral checks it bit for bit
+# against its own reference.
+
+def _full_band_map(full, grid, func, pad):
+    return _unfold(apply_pointwise_matrix(_fold(full), grid, func, pad=pad))
+
 
 def _parent_mirror(full):
     half = full.shape[-1] // 2
@@ -254,7 +260,7 @@ def _parent_retarded(rows, grid, times, t0):
 
 
 def _parent_duhamel(v, free, grid, times, t0, G, pad, retarded=_parent_retarded):
-    flux = apply_pointwise_matrix(v, grid, G.apply_values, pad=pad)
+    flux = _full_band_map(v, grid, G.apply_values, pad)
     np.multiply(1j * grid.frequencies, flux, out=flux)
     coeffs = retarded(flux, grid, times, t0)
     np.multiply(G.mu, coeffs, out=coeffs)
@@ -275,7 +281,7 @@ def _assert_equal_values(got, want):
 # The full-band retarded integral as first written: the trapezoid rule on
 # every mode.  The half-spectrum integral reproduces it to round-off.
 
-def _former_retarded(rows, grid, times, t0, real=True):
+def _former_retarded(rows, grid, times, t0):
     j0 = int(np.argmin(np.abs(times - t0)))
     down = np.exp(-1j * np.outer(times, grid.frequencies ** 3))
     integrand = down * rows
@@ -284,8 +290,7 @@ def _former_retarded(rows, grid, times, t0, real=True):
     np.cumsum(increments, axis=0, out=cumulative[1:])
     cumulative -= cumulative[j0]
     result = np.conj(down) * cumulative
-    if real:
-        result[:, 0] = result[:, 0].real
+    result[:, 0] = result[:, 0].real
     return result
 
 
@@ -294,7 +299,7 @@ def _former_picard(u0, G, cfg, retarded=_former_retarded):
     times, t0 = cfg.times(), cfg.anchor_time()
     rp = holder_conjugate(critical_exponent(G.alpha))
     grid = u0.grid
-    free = _parent_free(u0.coeffs, grid, times, t0)
+    free = _parent_free(_unfold(u0.modes), grid, times, t0)
     v = free
     dists = []
     for _ in range(cfg.max_iterations):
@@ -313,7 +318,7 @@ def test_free_evolution_matches_the_full_band_kernel_bytewise():
     for u0 in (gaussian_profile(grid, 0.4), random_band_limited(grid, 1.0, 40, seed=5)):
         got = free_evolution(u0, times, t0=0.5)
         assert got.coeffs.shape == (times.size, grid.size // 2 + 1)
-        want = _parent_free(u0.coeffs, grid, times, 0.5)
+        want = _parent_free(_unfold(u0.modes), grid, times, 0.5)
         assert _unfold(got.coeffs).tobytes() == want.tobytes()
         assert _fold(want).tobytes() == got.coeffs.tobytes()
 
@@ -322,18 +327,9 @@ def test_free_evolution_matches_the_full_band_kernel_bytewise():
 def test_retarded_integral_matches_the_former_formula(j0):
     grid = Grid1D(32.0, 128)
     times = np.linspace(0.5, 1.5, 33)
-    rng = np.random.default_rng(j0)
-    rows = rng.standard_normal((times.size, grid.size)) \
-        + 1j * rng.standard_normal((times.size, grid.size))
-    # a complex forcing keeps the full-band formula, bit for bit
-    forcing = TimeTrace(grid, times, rows)
-    got = retarded_integral(forcing, times[j0])
-    assert got.coeffs.tobytes() == _former_retarded(rows, grid, times, times[j0],
-                                                    real=False).tobytes()
-    assert np.all(got.coeffs[j0] == 0.0)
-    # a real forcing runs on its half-spectrum: after unfolding, the
-    # mirrored full-band kernel bit for bit, the former formula to
-    # round-off (1e-13 of the largest coefficient), with real end modes
+    # the forcing's half-spectrum, unfolded: the mirrored full-band kernel
+    # bit for bit, the former formula to round-off (1e-13 of the largest
+    # coefficient), with real end modes
     forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)
     got = retarded_integral(forcing, times[j0])
     full = _unfold(got.coeffs)
@@ -377,7 +373,7 @@ def _assert_same_distances(dists, want):
 def test_picard_and_glued_match_the_former_loop_bytewise(mu):
     G = NonlinearityG(alpha=5.0, mu=mu)
     f = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=7)
-    u0 = SpectralField(GRID, 1.5 * f.coeffs, True)
+    u0 = SpectralField(GRID, 1.5 * f.modes)
     cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
     res = picard_solve(u0, G, cfg)
     coeffs, dists = _former_picard(u0, G, cfg, _parent_retarded)
@@ -415,8 +411,8 @@ def _assert_near_the_former_loop(coeffs, dists, former, former_dists):
 def test_no_phase_table_outlives_picard_solve(monkeypatch):
     made = []
 
-    def recording(grid, times, unit, half, _table=spacetime._airy_table):
-        table = _table(grid, times, unit, half)
+    def recording(grid, times, unit, _table=spacetime._airy_table):
+        table = _table(grid, times, unit)
         made.append((weakref.ref(table), table.flags.writeable, spacetime._tables.get()))
         return table
 
@@ -458,11 +454,10 @@ def _former_reference(u0, G, cfg):
     flux_multiplier = G.mu * 1j * xi
 
     def flux(c):
-        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values,
-                                                        pad=cfg.pad)
+        return flux_multiplier * _full_band_map(c, grid, G.apply_values, cfg.pad)
 
     out = np.empty((times.size, grid.size), dtype=complex)
-    c = u0.coeffs.copy()
+    c = _unfold(u0.modes)
     out[0] = c
     for m in range(times.size - 1):
         span = times[m + 1] - times[m]
@@ -487,10 +482,10 @@ def _parent_reference(data, G, cfg):
     flux_multiplier = G.mu * 1j * grid.frequencies
 
     def flux(c):
-        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
+        return flux_multiplier * _full_band_map(c, grid, G.apply_values, cfg.pad)
 
     out = np.empty((len(data), times.size, grid.size), dtype=complex)
-    c = np.stack([u.coeffs for u in data])
+    c = np.stack([_unfold(u.modes) for u in data])
     out[:, 0] = c
     h = None
     for m in range(times.size - 1):
@@ -544,7 +539,7 @@ def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
     data = []
     for _ in range(rows):
         f = random_band_limited(grid, 1.0, max(1, n // 4), seed=int(rng.integers(2 ** 32)))
-        data.append(SpectralField(grid, rng.uniform(0.05, 0.6) * f.coeffs, True))
+        data.append(SpectralField(grid, rng.uniform(0.05, 0.6) * f.modes))
     traces = reference_solve(data, G, cfg)
     assert len(traces) == rows
     for u0, trace in zip(data, traces):
@@ -594,21 +589,19 @@ def test_field_stacks_need_real_data_on_one_grid():
     with pytest.raises(ValueError, match="different grids"):
         reference_solve([u, gaussian_profile(Grid1D(32.0, 256), 0.1)], G5,
                         SolverConfig(grid=GRID))
-    with pytest.raises(ValueError, match="real data"):
-        reference_solve([u, SpectralField(GRID, 1j * u.coeffs)], G5,
-                        SolverConfig(grid=GRID))
+    with pytest.raises(ValueError, match="rfft layout"):
+        reference_solve([u, 1j * u], G5, SolverConfig(grid=GRID))
 
 
 def test_real_kernels_return_exactly_hermitian_traces():
     grid = Grid1D(32.0, 128)
     times = np.linspace(0.0, 0.5, 17)
     data = [gaussian_profile(grid, 0.4),
-            SpectralField(grid, 0.4 * random_band_limited(grid, 1.0, 40, seed=2).coeffs, True)]
+            SpectralField(grid, 0.4 * random_band_limited(grid, 1.0, 40, seed=2).modes)]
     for u0 in data:
         free = free_evolution(u0, times)
         g_rows = apply_pointwise_matrix(free.coeffs, grid, G5.apply_values)
-        forcing = TimeTrace(grid, times, (1j * _fold(grid.frequencies)) * g_rows,
-                            is_real=True)
+        forcing = TimeTrace(grid, times, (1j * _fold(grid.frequencies)) * g_rows)
         assert np.any(forcing.coeffs[:, -1].imag != 0.0)  # i xi of the unpaired mode
         for trace in (free, retarded_integral(forcing, times[3])):
             assert trace.is_real and np.all(hermitian_defect(trace.coeffs, half=True) == 0.0)

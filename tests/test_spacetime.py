@@ -26,7 +26,6 @@ from gkdvlab.spacetime import (
 )
 from gkdvlab.spectral import (
     Grid1D,
-    SpectralField,
     _fold,
     _unfold,
     airy_propagate,
@@ -119,7 +118,7 @@ def test_classify_pair_clamps_and_rejects():
 
 def test_trace_validation():
     times = np.array([0.0, 0.5, 1.0])
-    coeffs = np.zeros((3, GRID.size), dtype=complex)
+    coeffs = np.zeros((3, GRID.size // 2 + 1), dtype=complex)
     TimeTrace(GRID, times, coeffs)
     with pytest.raises(ValueError):
         TimeTrace(GRID, times[:1], coeffs[:1])
@@ -129,24 +128,17 @@ def test_trace_validation():
         TimeTrace(GRID, times, coeffs[:, :-1])
 
 
-def test_real_trace_checks_and_folds_full_bands():
+def test_trace_rows_are_half_spectra():
     f = random_band_limited(GRID, decay=1.0, band=20, seed=2)
     times = np.array([0.0, 0.5, 1.0])
     half = free_evolution(f, times).coeffs
     assert half.shape == (3, GRID.size // 2 + 1)
-    full = _unfold(half)
-    trace = TimeTrace(GRID, times, full, is_real=True)
-    assert trace.coeffs.shape == half.shape and trace.coeffs.tobytes() == half.tobytes()
-    assert TimeTrace(GRID, times, full).coeffs.shape == full.shape  # complex: full band
-    broken = full.copy()
-    broken[1, GRID.size // 2 + 5] += 1e-3  # its mirror mode is left alone
-    with pytest.raises(ValueError, match="Hermitian symmetry fails"):
-        TimeTrace(GRID, times, broken, is_real=True)
-    with pytest.raises(ValueError, match="Hermitian symmetry fails"):
-        SpectralField(GRID, broken[1], is_real=True)
-    with pytest.raises(ValueError):
-        TimeTrace(GRID, times, half)  # a half-spectrum is a real trace's layout only
-    assert trace.field(1).coeffs.tobytes() == full[1].tobytes()
+    trace = TimeTrace(GRID, times, half)
+    assert trace.is_real and trace.coeffs.tobytes() == half.tobytes()
+    # the full band, even an exactly Hermitian one, is not a trace's layout
+    with pytest.raises(ValueError, match="expected 65 modes per row, .* rfft layout"):
+        TimeTrace(GRID, times, _unfold(half))
+    assert trace.field(1).modes.tobytes() == half[1].tobytes()
     assert trace.restricted(0.5).coeffs.tobytes() == half[:2].tobytes()
 
 
@@ -234,22 +226,19 @@ def test_shared_phase_tables_change_no_bytes():
 
     def evaluate():
         free = free_evolution(f, times, t0=0.25)
-        forcing = TimeTrace(grid, times, free.coeffs * (1j * _fold(grid.frequencies)),
-                            is_real=True)
+        forcing = TimeTrace(grid, times, free.coeffs * (1j * _fold(grid.frequencies)))
         return free.coeffs.tobytes(), retarded_integral(forcing, 0.25).coeffs.tobytes()
 
     fresh = evaluate()
     with _shared_tables():
         assert evaluate() == fresh
         assert evaluate() == fresh  # second pass reads the memoized tables
-        table = _airy_table(grid, times, -1j, True)
-        assert _airy_table(grid, times, -1j, True) is table
-        assert _airy_table(grid, times, 1j, True) is not table
-        full = _airy_table(grid, times, -1j, False)  # the key tells half from full
-        assert full.shape == (times.size, grid.size) != table.shape
-        assert full[:, grid.size // 2:].tobytes() == table[:, :-1].tobytes()
-        assert full[:, 0].tobytes() == table[:, -1].tobytes()
+        table = _airy_table(grid, times, -1j)
+        assert table.shape == (times.size, grid.size // 2 + 1)
+        assert _airy_table(grid, times, -1j) is table
+        assert _airy_table(grid, times, 1j) is not table
+        assert _airy_table(grid, times[1:], -1j) is not table
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
-    assert _airy_table(grid, times, -1j, True) is not table
-    assert _airy_table(grid, times, -1j, True).flags.writeable
+    assert _airy_table(grid, times, -1j) is not table
+    assert _airy_table(grid, times, -1j).flags.writeable

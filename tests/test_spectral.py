@@ -12,6 +12,8 @@ from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
     SpectralField,
+    _fold,
+    _unfold,
     airy_propagate,
     apply_pointwise_matrix,
     coeffs_to_values,
@@ -47,11 +49,24 @@ def test_grid_validation():
         Grid1D(8.0, 4)
 
 
-def test_transform_round_trip_complex():
-    rng = np.random.default_rng(7)
-    vals = rng.standard_normal(GRID.size) + 1j * rng.standard_normal(GRID.size)
-    back = coeffs_to_values(values_to_coeffs(vals, GRID), GRID)
-    np.testing.assert_allclose(back, vals, atol=1e-12)
+# Every way into the removed complex and full-band layouts, each refused
+# with a message that names the one layout left.
+_REMOVED_LAYOUTS = {
+    "values_to_coeffs": lambda: values_to_coeffs(np.ones(GRID.size) + 0j, GRID),
+    "forward_transform": lambda: forward_transform(np.ones(GRID.size) * 1j, GRID),
+    "complex_scalar": lambda: gaussian_profile(GRID, 0.5) * 2j,
+    "complex_numpy_scalar": lambda: np.complex64(2j) * gaussian_profile(GRID, 0.5),
+    "SpectralField": lambda: SpectralField(GRID, _unfold(gaussian_profile(GRID).modes)),
+    "coeffs_to_values": lambda: coeffs_to_values(np.ones((2, GRID.size)), GRID),
+    "apply_pointwise_matrix": lambda: apply_pointwise_matrix(np.ones(GRID.size), GRID,
+                                                             np.asarray),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REMOVED_LAYOUTS))
+def test_removed_layouts_fail_loudly(case):
+    with pytest.raises(ValueError, match=r"N/2 \+ 1 modes in rfft layout"):
+        _REMOVED_LAYOUTS[case]()
 
 
 def test_transform_round_trip_real_field():
@@ -59,16 +74,16 @@ def test_transform_round_trip_real_field():
     vals = rng.standard_normal(GRID.size)
     f = forward_transform(vals, GRID)
     assert f.is_real
-    assert hermitian_defect(f.coeffs) == 0.0  # rfft and mirror: exactly Hermitian
+    assert hermitian_defect(f.modes, half=True) == 0.0  # rfft: real end modes
     np.testing.assert_allclose(f.values(), vals, atol=1e-12)
 
 
 def test_gaussian_transform_closed_form():
     # exp(-x^2/2) is its own transform under the symmetric convention
     f = gaussian_profile(GRID, 1.0, 1.0)
-    expected = np.exp(-GRID.frequencies ** 2 / 2.0)
-    np.testing.assert_allclose(f.coeffs.real, expected, atol=1e-12)
-    np.testing.assert_allclose(f.coeffs.imag, 0.0, atol=1e-12)
+    expected = np.exp(-_fold(GRID.frequencies) ** 2 / 2.0)
+    np.testing.assert_allclose(f.modes.real, expected, atol=1e-12)
+    np.testing.assert_allclose(f.modes.imag, 0.0, atol=1e-12)
 
 
 def test_gaussian_profile_validation():
@@ -81,7 +96,7 @@ def test_plancherel():
     vals = rng.standard_normal(GRID.size)
     f = forward_transform(vals, GRID)
     phys = math.sqrt(np.sum(vals ** 2) * GRID.dx)
-    spec = math.sqrt(np.sum(np.abs(f.coeffs) ** 2) * GRID.dxi)
+    spec = math.sqrt(np.sum(np.abs(_unfold(f.modes)) ** 2) * GRID.dxi)
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -89,11 +104,11 @@ def test_airy_group_law_and_isometry():
     f = random_band_limited(GRID, decay=1.0, band=100, seed=3)
     g1 = airy_propagate(airy_propagate(f, 0.4), 0.6)
     g2 = airy_propagate(f, 1.0)
-    np.testing.assert_allclose(g1.coeffs, g2.coeffs, atol=1e-12)
+    np.testing.assert_allclose(g1.modes, g2.modes, atol=1e-12)
     # modulus of every coefficient is preserved exactly
-    np.testing.assert_allclose(np.abs(g2.coeffs), np.abs(f.coeffs), atol=1e-14)
+    np.testing.assert_allclose(np.abs(g2.modes), np.abs(f.modes), atol=1e-14)
     back = airy_propagate(g2, -1.0)
-    np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
+    np.testing.assert_allclose(back.modes, f.modes, atol=1e-12)
 
 
 def test_airy_keeps_reality():
@@ -113,71 +128,55 @@ def test_riesz_zero_mode_dropped():
 def test_riesz_inverts_off_zero_mode():
     f = random_band_limited(GRID, decay=1.0, band=100, seed=4)
     g = riesz_potential(riesz_potential(f, 0.7), -0.7)
-    mid = GRID.size // 2
-    expect = f.coeffs.copy()
-    expect[mid] = 0.0
-    np.testing.assert_allclose(g.coeffs, expect, atol=1e-12)
+    expect = f.modes.copy()
+    expect[0] = 0.0
+    np.testing.assert_allclose(g.modes, expect, atol=1e-12)
 
 
 def test_random_band_limited_support_and_determinism():
     f = random_band_limited(GRID, decay=1.2, band=37, seed=11)
     g = random_band_limited(GRID, decay=1.2, band=37, seed=11)
-    np.testing.assert_array_equal(f.coeffs, g.coeffs)
+    np.testing.assert_array_equal(f.modes, g.modes)
     assert f.is_real
-    mid = GRID.size // 2
-    assert f.coeffs[mid] == 0.0  # no mean
-    assert np.all(f.coeffs[mid + 38:] == 0.0)
-    assert np.all(f.coeffs[: mid - 37] == 0.0)
-    assert np.any(f.coeffs[mid + 1: mid + 38] != 0.0)
+    assert f.modes[0] == 0.0  # no mean
+    assert np.all(f.modes[38:] == 0.0)  # the unpaired -N/2 mode included
+    assert np.all(f.modes[1:38] != 0.0)
     h = random_band_limited(GRID, decay=1.2, band=37, seed=12)
-    assert not np.array_equal(f.coeffs, h.coeffs)
+    assert not np.array_equal(f.modes, h.modes)
 
 
 def test_littlewood_paley_blocks_reconstruct():
     f = random_band_limited(GRID, decay=0.8, band=200, seed=5)
-    total = np.zeros(GRID.size, dtype=complex)
+    total = np.zeros(GRID.size // 2 + 1, dtype=complex)
     for k in range(-30, 30):
-        total += littlewood_paley_block(f, k).coeffs
-    mid = GRID.size // 2
-    expect = f.coeffs.copy()
-    expect[mid] = 0.0  # dyadic decomposition never sees the zero mode
+        total += littlewood_paley_block(f, k).modes
+    expect = f.modes.copy()
+    expect[0] = 0.0  # dyadic decomposition never sees the zero mode
     np.testing.assert_allclose(total, expect, atol=1e-12)
 
 
 def test_spectral_field_rejects_bad_symmetry():
+    grid = Grid1D(8.0, 16)
     c = np.zeros(16, dtype=complex)
     c[9] = 1.0  # positive mode without its mirror
-    with pytest.raises(ValueError):
-        SpectralField(Grid1D(8.0, 16), c, True)
+    with pytest.raises(ValueError, match="expected 9 modes per row"):
+        SpectralField(grid, c)
+    with pytest.raises(ValueError, match="one row of modes"):
+        SpectralField(grid, np.zeros((2, 9), dtype=complex))
 
 
 def test_real_field_stores_its_half_spectrum():
     grid = Grid1D(8.0, 16)
     f = random_band_limited(grid, decay=1.0, band=5, seed=1)
-    assert f.modes.shape == (9,)
-    full = f.coeffs
-    assert full.shape == (16,) and hermitian_defect(full) == 0.0
-    assert not full.flags.writeable
-    with pytest.raises(ValueError):
-        full[3] = 1.0
-    _assert_same_bytes(spectral._fold(full), f.modes)
-    # a Hermitian full band is folded into the same half, within tolerance too
-    g = SpectralField(grid, full + 1e-12j * (np.arange(16) == 3), True)
-    assert g.modes.shape == (9,) and np.array_equal(g.modes, f.modes)
-    _assert_same_bytes(SpectralField(grid, f.modes, True).coeffs, full)
-    # a complex field stores, and hands out, its full band
-    h = SpectralField(grid, 1j * full)
-    assert h.coeffs is h.modes and h.coeffs.flags.writeable
-    with pytest.raises(ValueError, match="does not match grid size"):
-        SpectralField(grid, f.modes)
-
-
-def test_complex_numpy_scalar_clears_is_real():
-    f = gaussian_profile(Grid1D(8.0, 16), 0.5)
-    g = f * np.complex64(2j)
-    assert not g.is_real
-    np.testing.assert_array_equal(g.coeffs, f.coeffs * np.complex64(2j))
-    assert (np.float32(2.0) * f).is_real
+    assert f.modes.shape == (9,) and f.is_real
+    with pytest.raises(AttributeError):
+        f.is_real = False
+    assert not hasattr(f, "coeffs")  # no full-band view
+    _assert_same_bytes(SpectralField(grid, f.modes).modes, f.modes)
+    # real scalars, numpy ones included, and sums keep the half-spectrum
+    for g in (np.float32(2.0) * f, f * 2, f + f, f - f):
+        assert g.is_real and g.modes.shape == (9,)
+    _assert_same_bytes((f + f).modes, (2.0 * f).modes)
 
 
 # Reference transforms as first written: fresh signs, numpy's shifts and a
@@ -259,31 +258,22 @@ def _cube(v):
        half_size=st.integers(min_value=4, max_value=160),
        pad=st.sampled_from([2, 3]),
        rows=st.sampled_from([1, 3]),
-       real=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
-                                                     half_size, pad, rows, real,
-                                                     seed):
+                                                     half_size, pad, rows, seed):
     n = 2 * half_size
     shape = (n,) if rows == 1 else (rows, n)
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(shape)
-    if not real:
-        vals = vals + 1j * rng.standard_normal(shape)
+    vals = np.random.default_rng(seed).standard_normal(shape)
 
     def check(grid):
-        # real samples give the half-spectrum; the map keeps either layout
+        # the references take full bands: unfold the half-spectra
         coeffs = values_to_coeffs(vals, grid)
-        full = spectral._unfold(coeffs) if real else coeffs
+        full = _unfold(coeffs)
         _assert_same_bytes(full, _reference_forward(vals, grid))
-        want = _reference_inverse(full, grid, real=real)
-        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=real), want)
-        _assert_same_bytes(coeffs_to_values(full, grid, real=real), want)
-        if real:
-            want = _reference_pointwise(full, grid, _cube, pad)
-            _assert_same_bytes(apply_pointwise_matrix(full, grid, _cube, pad=pad), want)
-            _assert_same_bytes(spectral._unfold(apply_pointwise_matrix(coeffs, grid, _cube,
-                                                                       pad=pad)), want)
+        _assert_same_bytes(coeffs_to_values(coeffs, grid),
+                           _reference_inverse(full, grid, real=True))
+        _assert_same_bytes(_unfold(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad)),
+                           _reference_pointwise(full, grid, _cube, pad))
         return coeffs
 
     grids = (Grid1D(half_length, n), Grid1D(other_length, n))
@@ -292,13 +282,12 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
         check(grid)
     if half_length != other_length:
         plans = (spectral._plan(half_length, n), spectral._plan(other_length, n))
-        assert not np.array_equal(plans[0].forward_scale, plans[1].forward_scale)
         assert not np.array_equal(plans[0].half_forward, plans[1].half_forward)
         assert not np.array_equal(plans[0].half_inverse, plans[1].half_inverse)
 
     grid = grids[0]
     coeffs = check(grid)
-    for out in (values_to_coeffs(vals, grid), coeffs_to_values(coeffs, grid, real=real),
+    for out in (values_to_coeffs(vals, grid), coeffs_to_values(coeffs, grid),
                 apply_pointwise_matrix(coeffs, grid, _cube, pad=pad)):
         out[...] = 7.0
     check(grid)
@@ -351,8 +340,8 @@ def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, ro
         _assert_same_bytes(got[m], apply_pointwise_matrix(coeffs[m], grid, func, pad=pad))
     _assert_same_bytes(coeffs, before)
     assert np.all(hermitian_defect(got, half=True) == 0.0)
-    former = _former_pointwise(spectral._unfold(coeffs), grid, func, pad)
-    got = spectral._unfold(got)
+    former = _former_pointwise(_unfold(coeffs), grid, func, pad)
+    got = _unfold(got)
     assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
 
 
@@ -389,13 +378,12 @@ ACCURACY_TOL = 2e-15
 def test_pointwise_map_matches_long_double_sums(size, pad, data):
     grid = Grid1D(size / 4.0, size)
     if data == "gaussian":
-        coeffs = spectral._unfold(
-            free_evolution(gaussian_profile(grid, 0.8), np.array([0.0, 0.5, 1.0])).coeffs)
+        coeffs = free_evolution(gaussian_profile(grid, 0.8), np.array([0.0, 0.5, 1.0])).coeffs
     else:
-        coeffs = np.stack([random_band_limited(grid, 1.0, size // 4, seed=s).coeffs
+        coeffs = np.stack([random_band_limited(grid, 1.0, size // 4, seed=s).modes
                            for s in range(3)])
-    want = _long_double_pointwise(coeffs, grid, _quintic, pad)
-    got = apply_pointwise_matrix(coeffs, grid, _quintic, pad=pad)
+    want = _long_double_pointwise(_unfold(coeffs), grid, _quintic, pad)
+    got = _unfold(apply_pointwise_matrix(coeffs, grid, _quintic, pad=pad))
     scale = np.max(np.abs(want))
     assert float(np.max(np.abs(got - want)) / scale) <= ACCURACY_TOL
 
@@ -406,27 +394,27 @@ def test_real_samples_read_the_hermitian_part(pad):
     # Nyquist bin and pad >= 2 splits between bins N/2 and -N/2
     grid = Grid1D(16.0, 64)
     half = values_to_coeffs(np.random.default_rng(pad).standard_normal((2, 64)), grid)
-    coeffs = spectral._unfold(half)
+    coeffs = _unfold(half)
     assert np.all(coeffs[:, 0] != 0.0)
-    want = spectral.dealiased_samples(coeffs, grid, pad).real
-    got = spectral._real_samples(coeffs, grid, pad)
+    fine = Grid1D(grid.half_length, pad * grid.size)
+    want = _reference_inverse(_pad(coeffs, pad), fine).real
+    got = spectral._real_samples(half, grid, pad)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    _assert_same_bytes(spectral._real_samples(half, grid, pad), got)
     if pad == 1:
-        _assert_same_bytes(coeffs_to_values(coeffs, grid, real=True), got)
+        _assert_same_bytes(coeffs_to_values(half, grid), got)
 
 
 def test_pointwise_map_rejects_a_wrong_output_length():
     with pytest.raises(ValueError, match="last axis"):
-        apply_pointwise_matrix(GRID.frequencies + 0j, GRID, lambda v: v[..., ::2])
+        apply_pointwise_matrix(_fold(GRID.frequencies) + 0j, GRID, lambda v: v[..., ::2])
 
 
 def test_hermitian_defect_per_row():
-    f = random_band_limited(GRID, decay=1.0, band=40, seed=2)
-    rows = np.stack([f.coeffs, f.coeffs * 1j, f.coeffs])
+    full = _unfold(random_band_limited(GRID, decay=1.0, band=40, seed=2).modes)
+    rows = np.stack([full, full * 1j, full])
     defects = hermitian_defect(rows)
     assert defects.shape == (3,)
-    assert defects[0] == defects[2] == hermitian_defect(f.coeffs) < 1e-12
+    assert defects[0] == defects[2] == hermitian_defect(full) < 1e-12
     assert defects[1] > 1e-3
     assert list(spectral.hermitian_breaks(rows)) == [False, True, False]
 
@@ -445,7 +433,7 @@ def test_conjugate_mirror_is_exactly_hermitian(shape):
         _assert_same_bytes(half[..., j].real, before[..., j].real)
         assert np.all(half[..., j].imag == 0.0) and not np.any(np.signbit(half[..., j].imag))
     # unfolding mirrors the modes 0 < k < N/2 and folds back to the half
-    full = spectral._unfold(half)
+    full = _unfold(half)
     assert full.shape == shape and np.all(hermitian_defect(full) == 0.0)
     _assert_same_bytes(full, _reference_full_band(before))
-    _assert_same_bytes(spectral._fold(full), half)
+    _assert_same_bytes(_fold(full), half)

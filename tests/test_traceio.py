@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
-from gkdvlab.spacetime import TimeTrace, free_evolution
+from gkdvlab.spacetime import free_evolution
 from gkdvlab.spectral import Grid1D, _unfold, gaussian_profile, random_band_limited
 from gkdvlab.traceio import (
     atomic_write_json,
@@ -99,34 +101,42 @@ def test_atomic_write_json(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def _broken_row(trace):
-    coeffs = _unfold(trace.coeffs)
-    coeffs[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
-    return TimeTrace(trace.grid, trace.times, coeffs, is_real=False)
+def _version_1_file(path, trace, broken=False):
+    """The full-band layout of traces before half-spectrum files, byte by byte."""
+    full = _unfold(trace.coeffs)
+    if broken:
+        full[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
+    m = trace.sample_count
+    path.write_bytes(b"GKTR\x01\x00" + struct.pack("<dII", GRID.half_length, GRID.size, m)
+                     + trace.times.astype("<f8").tobytes() + full.astype("<c16").tobytes())
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_missing_sidecar_infers_realness_from_the_data(tmp_path, broken):
-    trace = _broken_row(_trace()) if broken else _trace()
+    trace = _trace()
     path = tmp_path / "run.trace"
-    write_trace(path, trace)
-    sidecar_path(path).unlink()
+    _version_1_file(path, trace, broken)
+    if broken:
+        # complex data: not the N/2 + 1 half-spectrum of a real trace
+        with pytest.raises(ValueError, match=r"1 of 5 rows break Hermitian symmetry, so "
+                                             r"they are not .*N/2 \+ 1 modes in rfft layout"):
+            read_trace(path)
+        return
     back, meta = read_trace(path)
     assert meta == {}
-    assert back.is_real is (not broken)
+    assert back.is_real
     np.testing.assert_array_equal(back.coeffs, trace.coeffs)
 
 
 def test_sidecar_claiming_realness_of_complex_data_is_rejected(tmp_path):
     path = tmp_path / "run.trace"
-    write_trace(path, _broken_row(_trace()))
+    _version_1_file(path, _trace(), broken=True)
     side = sidecar_path(path)
-    doc = json.loads(side.read_text())
-    assert doc["is_real"] is False
-    assert read_trace(path)[0].is_real is False
-    doc["is_real"] = True
-    side.write_text(json.dumps(doc))
+    side.write_text(json.dumps({"is_real": True}))
     with pytest.raises(ValueError, match="1 of 5 rows break Hermitian symmetry"):
+        read_trace(path)
+    side.write_text(json.dumps({"is_real": False}))
+    with pytest.raises(ValueError, match="declares a complex trace"):
         read_trace(path)
 
 
@@ -149,24 +159,11 @@ def test_real_trace_is_written_as_half_spectrum_rows(tmp_path):
     assert back.times.tobytes() == trace.times.tobytes()
 
 
-def test_complex_trace_keeps_the_full_band_format(tmp_path):
-    trace = _broken_row(_trace())
-    path = tmp_path / "run.trace"
-    write_trace(path, trace)
-    data = path.read_bytes()
-    assert data[:6] == b"GKTR\x01\x00"
-    assert len(data) == 6 + 16 + 8 * 5 + 16 * 5 * GRID.size
-
-
 @pytest.mark.parametrize("sidecar", [None, True])
 def test_version_1_file_of_a_real_trace_still_reads(tmp_path, sidecar):
-    # the full-band layout of real traces before half-spectrum files,
-    # written byte by byte
     trace = _trace()
-    full = _unfold(trace.coeffs)
     path = tmp_path / "old.trace"
-    path.write_bytes(b"GKTR\x01\x00" + struct.pack("<dII", GRID.half_length, GRID.size, 5)
-                     + trace.times.astype("<f8").tobytes() + full.astype("<c16").tobytes())
+    _version_1_file(path, trace)
     if sidecar is not None:
         sidecar_path(path).write_text(json.dumps({"is_real": sidecar}))
     back, _ = read_trace(path)
@@ -198,3 +195,15 @@ def test_version_2_file_with_a_complex_sidecar_is_rejected(tmp_path):
     side.write_text(json.dumps(dict(json.loads(side.read_text()), is_real=False)))
     with pytest.raises(ValueError, match="declares a complex trace"):
         read_trace(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_trace(tmp_path / "run.trace", _trace())
+        atomic_write_json(tmp_path / "report.json", {"x": 1.0})
+    finally:
+        os.umask(old)
+    for name in ("run.trace", "run.json", "report.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
