@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .norms import band_sum, holder_conjugate, lhat_norm, sobolev_norm, weighted_power_sum
+from .norms import band_sum, lhat_norm, lhat_rows, sobolev_norm
 from .solver import (
     NonlinearityG,
+    _energy_terms,
     aux_smoothness,
     boundary_mass_fraction,
     critical_exponent,
     energy,
     mass,
 )
-from .spacetime import TimeTrace, snorm, xnorm
-from .spectral import Grid1D, SpectralField, _fold, _real_ends, _unfold
+from .spacetime import TimeTrace, _airy_table, snorm, xnorm
+from .spectral import Grid1D, SpectralField, _plan, _real_ends
 
 
 @dataclass
@@ -59,10 +61,8 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
     The pullback w(t) removes the free evolution from u(t), so w settles to
     a limit exactly when the flow scatters; residuals are critical-norm
     distances between consecutive dyadic checkpoints |t| = T/2^levels .. T.
-    The pullbacks are full bands, with the phase taken on the ascending
-    lattice and full-band norms: a half-lattice phase table rounds
-    differently at some modes, and the reported residuals would move at
-    round-off.
+    The pullbacks are half-spectra: the half-lattice phase table is odd in
+    xi bitwise, so they stand for the full-band pullbacks mode for mode.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
@@ -77,11 +77,8 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
         )
     rc = critical_exponent(alpha)
     grid = trace.grid
-    pullbacks = _unfold(trace.coeffs[idx]) * np.exp(
-        -1j * np.outer(trace.times[idx], grid.frequencies ** 3))
-    rprime = holder_conjugate(rc)
-    residuals = [weighted_power_sum(np.abs(b - a), grid.dxi, rprime)
-                 for a, b in zip(pullbacks, pullbacks[1:])]
+    pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j)
+    residuals = [lhat_rows(b - a, grid.dxi, rc) for a, b in zip(pullbacks, pullbacks[1:])]
     if direction == "backward":
         # checkpoints were visited from most negative to least; the limit
         # object lives at the most negative time
@@ -93,8 +90,8 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
     return ScatteringReport(
         checkpoint_times=[float(trace.times[j]) for j in idx],
         residuals=residuals,
-        final_state=SpectralField(grid, _real_ends(_fold(final))),
-        final_norm=weighted_power_sum(np.abs(final), grid.dxi, rprime),
+        final_norm=lhat_rows(final, grid.dxi, rc),  # before _real_ends edits final
+        final_state=SpectralField(grid, _real_ends(final)),
         monotone_decreasing=mono,
     )
 
@@ -126,7 +123,7 @@ def spectral_tail_fraction(u: SpectralField, shell: float = 0.125) -> float:
     if total == 0.0:
         return 0.0
     cut = (1.0 - shell) * u.grid.max_frequency
-    inner = np.abs(_fold(u.grid.frequencies)) < cut
+    inner = np.abs(_plan(u.grid.half_length, u.grid.size).xi) < cut
     return float(band_sum(np.where(inner, 0.0, c2), half=True)) / total
 
 
@@ -214,33 +211,22 @@ def monitor(trace: TimeTrace, G: NonlinearityG,
     return MonitorReport(entries=entries, tainted=tainted)
 
 
-def nonpositive_energy_amplitude(profile: SpectralField, G: NonlinearityG,
-                                 tol: float = 1e-10) -> float:
-    """Smallest amplitude A with E[A * profile] <= 0, found by bisection.
+def nonpositive_energy_amplitude(profile: SpectralField, G: NonlinearityG) -> float:
+    """Amplitude A at which E[A * profile] turns nonpositive, in closed form.
 
-    Needs a focusing coupling (mu < 0); with the power rule the energy of
-    A * profile is a two-term function of A crossing zero exactly once for
-    nonzero profiles.
+    Needs a focusing coupling (mu < 0).  With the power rule the energy of
+    A * profile is A^2 K + (mu/(alpha+1)) A^(alpha+1) P, for the kinetic
+    term K and the potential integral P of the profile, so it crosses zero
+    once, at A^(alpha-1) = -(alpha+1) K / (mu P).  The energy of A * profile
+    rounds differently from that formula, so A is stepped up to the next
+    float while it is still positive: E[A * profile] <= 0 holds.
     """
     if G.mu >= 0:
         raise ValueError("nonpositive energy needs a focusing coupling (mu < 0)")
     if mass(profile) == 0.0:
         raise ValueError("profile must be nonzero")
-
-    def e_of(a: float) -> float:
-        return energy(a * profile, G)
-
-    lo, hi = 1e-6, 1.0
-    doublings = 0
-    while e_of(hi) > 0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ValueError("energy stayed positive up to astronomically large amplitudes")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if e_of(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    kinetic, potential = _energy_terms(profile, G)
+    a = (-(G.alpha + 1.0) * kinetic / (G.mu * potential)) ** (1.0 / (G.alpha - 1.0))
+    while energy(a * profile, G) > 0:
+        a = float(np.nextafter(a, math.inf))
+    return a

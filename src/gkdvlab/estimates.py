@@ -37,6 +37,7 @@ from .spacetime import (
     TimeTrace,
     _riesz_trace,
     _shared_tables,
+    _solve_exponents,
     classify_pair,
     free_evolution,
     mixed_norm,
@@ -47,7 +48,7 @@ from .spacetime import (
 from .spectral import (
     Grid1D,
     SpectralField,
-    _fold,
+    _plan,
     apply_pointwise_matrix,
     random_band_limited,
     riesz_weights,
@@ -271,22 +272,15 @@ def _run_strichartz(spec, rp):
 # retarded (Duhamel) bounds
 
 
-def _duhamel_exponents(s: float, inv_rho: float) -> Tuple[float, float]:
-    invp = 0.4 * inv_rho - 0.2 * s
-    invq = 0.4 * s + 0.2 * inv_rho
-    return invp, invq
-
-
 def _require_duhamel_window(tag: str, s: float, inv_rho: float) -> Tuple[float, float]:
-    invp, invq = _duhamel_exponents(s, inv_rho)
+    """exponent_map's (p, q) at (s, 1/inv_rho), inside the retarded bounds' window."""
+    (invp, invq), exponents = _solve_exponents(s, inv_rho)
     if not (0.0 <= invp < 0.25 and 0.0 <= invq < 0.5 - invp):
         raise ValueError(
             f"{tag}: derived exponents need 0 <= 1/p < 1/4 and 0 <= 1/q < 1/2 - 1/p, "
             f"got 1/p = {invp:g}, 1/q = {invq:g}"
         )
-    p = math.inf if invp == 0.0 else 1.0 / invp
-    q = math.inf if invq == 0.0 else 1.0 / invq
-    return p, q
+    return exponents
 
 
 def _check_inhom_linf(params: dict) -> dict:
@@ -320,7 +314,8 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
     phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = 1.0 + 0.5 * np.sin(omega * times + phase)
     wave = free_evolution(g, times)
-    rows = (1j * _fold(grid.frequencies))[None, :] * (envelope[:, None] * wave.coeffs)
+    d_x = 1j * _plan(grid.half_length, grid.size).xi
+    rows = d_x[None, :] * (envelope[:, None] * wave.coeffs)
     return TimeTrace(grid, times, spec.amplitude * rows)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from .spectral import (
     SpectralField,
     _fold,
+    _plan,
     dyadic_block_range,
     dyadic_bump,
     riesz_weights,
@@ -89,7 +90,7 @@ def besov_norm(f: SpectralField, s: float, q: float) -> float:
     if not (q >= 1.0 or q == math.inf):
         raise ValueError(f"exponent must lie in [1, inf], got {q}")
     mags = np.abs(f.modes)
-    xi = _fold(f.grid.frequencies)
+    xi = _plan(f.grid.half_length, f.grid.size).xi
     dxi = f.grid.dxi
     terms = []
     for k in dyadic_block_range(f.grid):

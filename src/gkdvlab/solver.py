@@ -6,7 +6,9 @@ integral factors the Airy phase out per Fourier mode and applies cumulative
 trapezoid weights to exp(-i t xi^3) F(t), so its quadrature error grows
 with xi^3 dt and is largest at the top modes.  An integrating-factor
 Runge-Kutta stepper of classical order four provides an independent
-cross-check.
+cross-check.  Both take their phases from spacetime._airy_table and their
+flux multiplier i xi from the grid's cached half-lattice, and both are
+tested against the exact travelling wave of the focusing equation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .spacetime import TimeTrace, _airy_table, _shared_tables, free_evolution, s
 from .spectral import (
     Grid1D,
     SpectralField,
-    _fold,
+    _plan,
     _real_ends,
     _real_samples,
     apply_pointwise_matrix,
@@ -45,11 +47,6 @@ DELTA_DEFAULT = 1.3
 def critical_exponent(alpha: float) -> float:
     """Scale-critical Fourier-Lebesgue exponent (alpha - 1)/2."""
     return (alpha - 1.0) / 2.0
-
-
-def critical_sobolev(alpha: float) -> float:
-    """Scale-critical Sobolev smoothness 1/2 - 2/(alpha - 1)."""
-    return 0.5 - 2.0 / (alpha - 1.0)
 
 
 def aux_smoothness(alpha: float) -> float:
@@ -227,7 +224,7 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad)
     # i xi of the unpaired mode makes it imaginary; the integral keeps it
     # until its result's modes are made real
-    np.multiply(1j * _fold(v.grid.frequencies), flux, out=flux)
+    np.multiply(1j * _plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
     coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), t0).coeffs
     del flux  # trace-sized arrays set peak memory: update the integral in place
     np.multiply(G.mu, coeffs, out=coeffs)
@@ -491,7 +488,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     grid = data.grid
     rc = critical_exponent(G.alpha)
     limits = [BLOWUP_FACTOR * max(lhat_norm(u, rc), 1e-300) for u in data]
-    flux_multiplier = G.mu * 1j * _fold(grid.frequencies)
+    flux_multiplier = G.mu * 1j * _plan(grid.half_length, grid.size).xi
 
     def flux(c: np.ndarray) -> np.ndarray:
         return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
@@ -541,6 +538,17 @@ def mass(u: SpectralField) -> float:
     return float(band_sum(np.abs(u.modes) ** 2, half=True) * u.grid.dxi)
 
 
+def _energy_terms(u: SpectralField, G: NonlinearityG, pad: int = 2) -> Tuple[float, float]:
+    """The kinetic term (1/2)||d_x u||^2 and the potential integral ||u||^{alpha+1}."""
+    if G.rule != "power":
+        raise ValueError("energy is defined for the power nonlinearity")
+    xi = _plan(u.grid.half_length, u.grid.size).xi
+    kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, half=True) * u.grid.dxi)
+    vals = _real_samples(u.modes, u.grid, pad)
+    potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
+    return kinetic, potential
+
+
 def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     """Conserved energy: (1/2)||d_x u||^2 + (mu/(alpha+1)) ||u||^{alpha+1}.
 
@@ -548,12 +556,7 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     samples of u's k >= 0 half-spectrum.  Defined for the power rule; a
     custom rule raises.
     """
-    if G.rule != "power":
-        raise ValueError("energy is defined for the power nonlinearity")
-    xi = _fold(u.grid.frequencies)
-    kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, half=True) * u.grid.dxi)
-    vals = _real_samples(u.modes, u.grid, pad)
-    potential = float(np.sum(np.abs(vals) ** (G.alpha + 1.0)) * u.grid.refined(pad).dx)
+    kinetic, potential = _energy_terms(u, G, pad)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential
 
 

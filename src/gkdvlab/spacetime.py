@@ -24,6 +24,7 @@ from .spectral import (
     SpectralField,
     _check_modes,
     _fold,
+    _plan,
     _real_ends,
     coeffs_to_values,
     riesz_weights,
@@ -44,6 +45,12 @@ def _inverse(r):
     return 1 / r if not isinstance(r, float) else 1.0 / r
 
 
+def _solve_exponents(s, rho):
+    """((1/p, 1/q), (p, q)) solving 2/p + 1/q = rho, -1/p + 2/q = s."""
+    inverses = (-s / 5 + 2 * rho / 5, 2 * s / 5 + rho / 5)
+    return inverses, tuple(math.inf if x == 0 else 1 / x for x in inverses)
+
+
 def exponent_map(s, r) -> Tuple[float, float]:
     """Solve 2/p + 1/q = 1/r, -1/p + 2/q = s for (p, q).
 
@@ -51,12 +58,7 @@ def exponent_map(s, r) -> Tuple[float, float]:
     1/p = -s/5 + (2/5)(1/r), 1/q = (2/5)s + (1/5)(1/r).  Fraction inputs are
     propagated exactly; a zero reciprocal yields an infinite exponent.
     """
-    rho = _inverse(r)
-    invp = -s / 5 + 2 * rho / 5
-    invq = 2 * s / 5 + rho / 5
-    p = math.inf if invp == 0 else 1 / invp
-    q = math.inf if invq == 0 else 1 / invq
-    return p, q
+    return _solve_exponents(s, _inverse(r))[1]
 
 
 def dual_exponent_map(s, r) -> Tuple[float, float]:
@@ -65,12 +67,7 @@ def dual_exponent_map(s, r) -> Tuple[float, float]:
     Same linear system as exponent_map with 1/r shifted by 2; equivalently
     both reciprocals shift by (4/5, 2/5).
     """
-    rho = _inverse(r)
-    invp = -s / 5 + 2 * (2 + rho) / 5
-    invq = 2 * s / 5 + (2 + rho) / 5
-    p = math.inf if invp == 0 else 1 / invp
-    q = math.inf if invq == 0 else 1 / invq
-    return p, q
+    return _solve_exponents(s, 2 + _inverse(r))[1]
 
 
 @dataclass(frozen=True)
@@ -206,13 +203,13 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     """exp(unit * outer(times, xi^3)), read-only and shared inside _shared_tables.
 
     xi runs over the half-lattice of a real field (k = 0 .. N/2-1, then the
-    unpaired -N/2 mode), as spectral._fold lays it out.
+    unpaired -N/2 mode), and xi^3 is the plan's odd product xi*xi*xi.
     """
     memo = _tables.get()
     key = (grid.half_length, grid.size, unit, times.tobytes())
     table = None if memo is None else memo.get(key)
     if table is None:
-        table = np.exp(unit * np.outer(times, _fold(grid.frequencies ** 3)))
+        table = np.exp(unit * np.outer(times, _plan(grid.half_length, grid.size).xi3))
         if memo is not None:
             table.flags.writeable = False
             memo[key] = table

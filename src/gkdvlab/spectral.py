@@ -80,24 +80,29 @@ _plans: dict = {}
 
 
 class _Plan:
-    """Read-only transform tables of one (half_length, size) grid.
+    """Read-only lattice and transform tables of one (half_length, size) grid.
 
-    half_forward and half_inverse are the scales on bins k = 0 .. N/2:
-    (-1)^k dx / sqrt(2 pi) after an rfft, and (-1)^k dxi / sqrt(2 pi)
-    before an unnormalized irfft.
+    xi is the half-lattice of a real field (k = 0 .. N/2-1, then -N/2) and
+    xi3 the product xi*xi*xi, which is odd bitwise, unlike numpy's SIMD
+    array power xi**3.  half_forward and half_inverse are the scales on
+    bins k = 0 .. N/2: (-1)^k dx / sqrt(2 pi) after an rfft, and
+    (-1)^k dxi / sqrt(2 pi) before an unnormalized irfft.
     """
 
-    __slots__ = ("grid", "half_forward", "half_inverse")
+    __slots__ = ("grid", "xi", "xi3", "half_forward", "half_inverse")
 
     def __init__(self, half_length: float, size: int) -> None:
         grid = Grid1D(half_length, size)
-        k = np.arange(-size // 2, size // 2)
-        # (-1)^k for k = -N/2 .. N/2-1; shifts the DFT origin to x = -L.
-        signs = _fold(np.where(k % 2 == 0, 1.0, -1.0))
+        k = _fold(np.arange(-size // 2, size // 2))
+        # (-1)^k shifts the DFT origin to x = -L.
+        signs = np.where(k % 2 == 0, 1.0, -1.0)
         self.grid = grid
+        self.xi = k * (math.pi / half_length)  # as grid.frequencies, folded
+        self.xi3 = self.xi * self.xi * self.xi
         self.half_forward = (grid.dx / SQRT_2PI) * signs
         self.half_inverse = (grid.dxi / SQRT_2PI) * signs
-        for arr in (grid.points, grid.frequencies, self.half_forward, self.half_inverse):
+        for arr in (grid.points, grid.frequencies, self.xi, self.xi3,
+                    self.half_forward, self.half_inverse):
             arr.flags.writeable = False
 
 
@@ -118,8 +123,8 @@ def _plan(half_length: float, size: int) -> _Plan:
 # k = 0 .. N/2-1 carry it.  Its half-spectrum appends the unpaired -N/2 mode
 # to them: the first N/2 + 1 entries of the coefficients in FFT bin order,
 # the layout of an rfft.  The full band, in ascending order, is only a
-# reference layout for tests, trace files of version 1 and complex arrays
-# such as the scattering pullbacks.
+# reference layout for tests, trace files of version 1 and the complex
+# one-sided bands of the counterexample.
 
 def _fold(a: np.ndarray) -> np.ndarray:
     """Half-spectrum (last axis) of a full-band array: k = 0 .. N/2-1, then -N/2."""
@@ -284,18 +289,6 @@ def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
     return SpectralField(grid, values_to_coeffs(values, grid))
 
 
-def riesz_potential(f: SpectralField, s: float) -> SpectralField:
-    """Apply |D_x|^s, the Fourier multiplier |xi|^s.
-
-    The zero mode is annihilated for every s != 0 (for negative s it is not
-    defined there; for positive s it vanishes anyway, and zeroing keeps the
-    operator a bijection on mean-free fields).  s = 0 is the identity.
-    """
-    if s == 0:
-        return SpectralField(f.grid, f.modes.copy())
-    return SpectralField(f.grid, f.modes * _fold(riesz_weights(f.grid, s)))
-
-
 def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
     """|xi|^s on the frequency lattice, ascending, with the zero mode zeroed (s != 0)."""
     if s == 0:
@@ -313,8 +306,8 @@ def airy_propagate(f: SpectralField, t: float) -> SpectralField:
     phase (the exact phase would break the field's symmetry at that single
     mode; it is zero for band-limited data).
     """
-    xi = _fold(f.grid.frequencies)
-    return SpectralField(f.grid, _real_ends(f.modes * np.exp(1j * t * xi ** 3)))
+    xi3 = _plan(f.grid.half_length, f.grid.size).xi3
+    return SpectralField(f.grid, _real_ends(f.modes * np.exp(1j * t * xi3)))
 
 
 # -- Littlewood-Paley machinery ----------------------------------------------
@@ -353,11 +346,6 @@ def dyadic_block_range(grid: Grid1D) -> range:
     lo = math.floor(math.log2(grid.dxi)) - 1
     hi = math.ceil(math.log2(grid.max_frequency)) + 1
     return range(lo, hi + 1)
-
-
-def littlewood_paley_block(f: SpectralField, k: int) -> SpectralField:
-    """Frequency-localize f to the dyadic shell |xi| ~ 2^k."""
-    return SpectralField(f.grid, f.modes * dyadic_bump(_fold(f.grid.frequencies) / 2.0 ** k))
 
 
 # -- Random band-limited ensembles -------------------------------------------

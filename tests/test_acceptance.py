@@ -129,7 +129,7 @@ def test_criterion_07_contraction_solver_with_conservation():
         assert res.diagnostics["energy_drift"] < 1e-6
         ref = reference_solve(u0, G, cfg)
         gap = float(np.max(np.sqrt(
-            np.sum(np.abs(res.trace.coeffs - ref.coeffs) ** 2, axis=1) * grid.dxi)))
+            band_sum(np.abs(res.trace.coeffs - ref.coeffs) ** 2, half=True) * grid.dxi)))
         assert gap < 1e-6
     print("[criterion 07] PASS contraction, conservation, cross-integrator gap")
 

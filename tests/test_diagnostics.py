@@ -14,13 +14,15 @@ from gkdvlab.diagnostics import (
     scattering_state,
     spectral_tail_fraction,
 )
-from gkdvlab.norms import lhat_norm, sobolev_norm
+from gkdvlab.norms import lhat_norm, sobolev_norm, weighted_power_sum
 from gkdvlab.solver import (
     NonlinearityG,
     SolverConfig,
     aux_smoothness,
     critical_exponent,
+    energy,
     glued_solve,
+    picard_solve,
 )
 from gkdvlab.spacetime import TimeTrace, free_evolution, snorm
 from gkdvlab.spectral import (
@@ -28,6 +30,7 @@ from gkdvlab.spectral import (
     SpectralField,
     forward_transform,
     _fold,
+    _unfold,
     gaussian_profile,
     random_band_limited,
 )
@@ -127,6 +130,33 @@ def test_free_flow_pullback_residuals_vanish():
     np.testing.assert_allclose(report.final_state.modes, f.modes, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_pullbacks_match_the_full_band_formula(direction):
+    # the half-lattice pullbacks, unfolded, are the full-band pullbacks
+    # conj(c) exp(-i t (-xi)^3) value for value; final_state makes the
+    # unpaired -N/2 mode real, the full band keeps its phase
+    f = random_band_limited(GRID, decay=1.0, band=GRID.size // 2 - 1, seed=8)
+    sign = 1.0 if direction == "forward" else -1.0
+    u0 = SpectralField(GRID, f.modes + 0.01)  # a nonzero unpaired mode
+    cfg = SolverConfig(grid=GRID, t_start=min(0.0, sign), t_end=max(0.0, sign),
+                       anchor=0.0, samples_per_unit=32)
+    trace = picard_solve(0.2 * u0, NonlinearityG(alpha=5.0, mu=1.0), cfg).trace
+    report = scattering_state(trace, 5.0, direction=direction, levels=3)
+    idx = [int(np.flatnonzero(trace.times == t)[0]) for t in report.checkpoint_times]
+    xi = GRID.frequencies
+    full = _unfold(trace.coeffs[idx]) * np.exp(-1j * np.outer(trace.times[idx], xi * xi * xi))
+    final = full[-1 if direction == "forward" else 0]
+    got = _unfold(report.final_state.modes)
+    np.testing.assert_array_equal(got[1:], final[1:])
+    assert got[0] == final[0].real and final[0].imag != 0.0
+    norms = [weighted_power_sum(np.abs(b - a), GRID.dxi, 2.0) for a, b in zip(full, full[1:])]
+    if direction == "backward":
+        norms = norms[::-1]
+    assert report.residuals == pytest.approx(norms, rel=1e-13)
+    assert report.final_norm == pytest.approx(weighted_power_sum(np.abs(final), GRID.dxi, 2.0),
+                                              rel=1e-13)
+
+
 def test_scattering_checkpoint_snapping():
     f = gaussian_profile(GRID, 0.1)
     trace = free_evolution(f, np.linspace(0.0, 64.0, 129))
@@ -205,10 +235,25 @@ def test_nonpositive_energy_amplitude_closed_form():
     profile = gaussian_profile(grid, 1.0)
     G = NonlinearityG(alpha=5.0, mu=-1.0)
     a_star = nonpositive_energy_amplitude(profile, G)
-    assert a_star == pytest.approx((1.5 * math.sqrt(3.0)) ** 0.25, rel=1e-8)
-    from gkdvlab.solver import energy
+    assert a_star == pytest.approx((1.5 * math.sqrt(3.0)) ** 0.25, rel=1e-12)
     assert energy(SpectralField(grid, a_star * profile.modes), G) <= 0.0
     assert energy(SpectralField(grid, 0.999 * a_star * profile.modes), G) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [4.5, 5.0, 7.0])
+@pytest.mark.parametrize("mu", [-1.0, -0.25])
+@pytest.mark.parametrize("width", [1.0, 2.0])
+def test_nonpositive_energy_amplitude_of_gaussians(alpha, mu, width):
+    # width w: K = sqrt(pi) / (4 w), P = w sqrt(2 pi / (alpha + 1)), so
+    # A^(alpha-1) = -(alpha+1)^(3/2) / (4 sqrt(2) mu w^2)
+    profile = gaussian_profile(Grid1D(64.0, 512), 1.0, width)
+    G = NonlinearityG(alpha=alpha, mu=mu)
+    a_star = nonpositive_energy_amplitude(profile, G)
+    exact = (-(alpha + 1.0) ** 1.5 / (4.0 * math.sqrt(2.0) * mu * width ** 2)) \
+        ** (1.0 / (alpha - 1.0))
+    assert a_star == pytest.approx(exact, rel=1e-12)
+    assert energy(a_star * profile, G) <= 0.0
+    assert energy((1.0 - 1e-9) * a_star * profile, G) > 0.0
 
 
 def test_nonpositive_energy_amplitude_validation():

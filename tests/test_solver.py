@@ -17,7 +17,6 @@ from gkdvlab.solver import (
     SolverConfig,
     aux_smoothness,
     critical_exponent,
-    critical_sobolev,
     energy,
     free_smallness,
     glued_solve,
@@ -50,7 +49,6 @@ def _sup_l2(a, b, grid):
 def test_critical_exponents():
     assert critical_exponent(5.0) == 2.0
     assert critical_exponent(7.0) == 3.0
-    assert critical_sobolev(5.0) == 0.0
     assert aux_smoothness(5.0) == 0.5
     with pytest.raises(ValueError):
         aux_smoothness(100.0)
@@ -234,7 +232,10 @@ def _parent_mirrored_product(a, b):
 
 
 def _parent_table(grid, times, unit, half):
-    xi3 = grid.frequencies ** 3
+    # xi^3 as the product xi*xi*xi, which is odd bitwise, as the grid's plan
+    # computes it; the array power xi**3 is not at some modes
+    xi = grid.frequencies
+    xi3 = xi * xi * xi
     return np.exp(unit * np.outer(times, _fold(xi3) if half else xi3))
 
 
@@ -283,7 +284,8 @@ def _assert_equal_values(got, want):
 
 def _former_retarded(rows, grid, times, t0):
     j0 = int(np.argmin(np.abs(times - t0)))
-    down = np.exp(-1j * np.outer(times, grid.frequencies ** 3))
+    xi = grid.frequencies
+    down = np.exp(-1j * np.outer(times, xi * xi * xi))
     integrand = down * rows
     cumulative = np.zeros_like(integrand)
     increments = 0.5 * np.diff(times)[:, None] * (integrand[1:] + integrand[:-1])
@@ -450,7 +452,7 @@ def _former_hermitian_project(c):
 def _former_reference(u0, G, cfg):
     times, grid = cfg.times(), u0.grid
     xi = grid.frequencies
-    xi3 = xi ** 3
+    xi3 = xi * xi * xi
     flux_multiplier = G.mu * 1j * xi
 
     def flux(c):

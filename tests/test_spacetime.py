@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
+from gkdvlab.estimates import _require_duhamel_window
 from gkdvlab.norms import holder_conjugate
 from gkdvlab.solver import retarded_integral
 from gkdvlab.spacetime import (
@@ -59,6 +60,46 @@ def test_dual_exponent_map_shifted_system(s, rho):
     invq = 0 if q == math.inf else 1 / q
     assert 2 * invp + invq == 2 + rho
     assert -invp + 2 * invq == s
+
+
+def _former_maps(s, r):
+    """exponent_map, dual_exponent_map and the retarded bounds' window as
+    each computed its own reciprocals before they shared one solver."""
+    rho = Fraction(0) if r == math.inf else (1.0 / r if isinstance(r, float) else 1 / r)
+
+    def invert(invp, invq):
+        return (math.inf if invp == 0 else 1 / invp, math.inf if invq == 0 else 1 / invq)
+
+    direct = invert(-s / 5 + 2 * rho / 5, 2 * s / 5 + rho / 5)
+    dual = invert(-s / 5 + 2 * (2 + rho) / 5, 2 * s / 5 + (2 + rho) / 5)
+    window = (0.4 * rho - 0.2 * s, 0.4 * s + 0.2 * rho)
+    return direct, dual, window
+
+
+def test_exponent_maps_and_duhamel_window_on_a_lattice():
+    # the maps are bitwise what they were; the window returns exponent_map's
+    # (p, q), accepts the same pairs as its former 0.4/0.2 arithmetic and
+    # agrees with it to round-off
+    lattice = [(float(s), float(r)) for s in np.round(np.arange(-1.0, 1.0001, 0.05), 10)
+               for r in np.round(np.arange(1.35, 4.0, 0.05), 10)]
+    for s, r in [(Fraction(1, 3), 2), (Fraction(-1, 4), Fraction(7, 3)), (0.25, math.inf)]:
+        direct, dual, _ = _former_maps(s, r)
+        assert exponent_map(s, r) == direct and dual_exponent_map(s, r) == dual
+    accepted = 0
+    for s, r in lattice:
+        direct, dual, (invp, invq) = _former_maps(s, r)
+        assert exponent_map(s, r) == direct and dual_exponent_map(s, r) == dual
+        in_window = 0.0 <= invp < 0.25 and 0.0 <= invq < 0.5 - invp
+        try:
+            got = _require_duhamel_window("side", s, 1.0 / r)
+        except ValueError:
+            assert not in_window
+            continue
+        assert in_window and got == direct
+        former = tuple(math.inf if x == 0 else 1 / x for x in (invp, invq))
+        assert got == pytest.approx(former, rel=1e-13)
+        accepted += 1
+    assert accepted > 200
 
 
 def test_region_corners():

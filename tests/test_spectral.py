@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab import spectral
-from gkdvlab.spacetime import free_evolution
+from gkdvlab.spacetime import _airy_table, free_evolution
 from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
@@ -17,12 +17,11 @@ from gkdvlab.spectral import (
     airy_propagate,
     apply_pointwise_matrix,
     coeffs_to_values,
+    dyadic_bump,
     forward_transform,
     gaussian_profile,
     hermitian_defect,
-    littlewood_paley_block,
     random_band_limited,
-    riesz_potential,
     riesz_weights,
     values_to_coeffs,
 )
@@ -127,10 +126,10 @@ def test_riesz_zero_mode_dropped():
 
 def test_riesz_inverts_off_zero_mode():
     f = random_band_limited(GRID, decay=1.0, band=100, seed=4)
-    g = riesz_potential(riesz_potential(f, 0.7), -0.7)
+    g = f.modes * _fold(riesz_weights(GRID, 0.7)) * _fold(riesz_weights(GRID, -0.7))
     expect = f.modes.copy()
     expect[0] = 0.0
-    np.testing.assert_allclose(g.modes, expect, atol=1e-12)
+    np.testing.assert_allclose(g, expect, atol=1e-12)
 
 
 def test_random_band_limited_support_and_determinism():
@@ -146,13 +145,18 @@ def test_random_band_limited_support_and_determinism():
 
 
 def test_littlewood_paley_blocks_reconstruct():
+    # the dyadic bumps phi(xi/2^k) partition unity off the zero mode, so
+    # the Littlewood-Paley blocks of a field add up to it
     f = random_band_limited(GRID, decay=0.8, band=200, seed=5)
+    xi = _fold(GRID.frequencies)
     total = np.zeros(GRID.size // 2 + 1, dtype=complex)
     for k in range(-30, 30):
-        total += littlewood_paley_block(f, k).modes
+        total += dyadic_bump(xi / 2.0 ** k) * f.modes
     expect = f.modes.copy()
     expect[0] = 0.0  # dyadic decomposition never sees the zero mode
     np.testing.assert_allclose(total, expect, atol=1e-12)
+    np.testing.assert_allclose(sum(dyadic_bump(xi / 2.0 ** k) for k in range(-30, 30)),
+                               np.where(xi == 0.0, 0.0, 1.0), atol=1e-14)
 
 
 def test_spectral_field_rejects_bad_symmetry():
@@ -250,6 +254,25 @@ def _assert_same_bytes(got, want):
 
 def _cube(v):
     return v * v * v
+
+
+@pytest.mark.parametrize("size", [256, 1024, 4096])
+def test_plan_cube_is_the_odd_product(size):
+    grid = Grid1D(64.0, size)
+    plan = spectral._plan(64.0, size)
+    assert not plan.xi.flags.writeable and not plan.xi3.flags.writeable
+    assert plan.xi.tobytes() == _fold(grid.frequencies).tobytes()
+    assert plan.xi3.tobytes() == (plan.xi * plan.xi * plan.xi).tobytes()
+    # odd bitwise: the cube of -xi is -xi^3 at every pair (+-k), and the
+    # half table's phases unfold to the full band's phases value for value
+    full = grid.frequencies
+    cube = full * full * full
+    half = size // 2
+    assert np.array_equal(cube[1:half], -cube[:half:-1])
+    times = np.linspace(-4.0, 4.0, 9)
+    for unit in (1j, -1j):
+        np.testing.assert_array_equal(_unfold(_airy_table(grid, times, unit)),
+                                      np.exp(unit * np.outer(times, cube)))
 
 
 @settings(max_examples=60, deadline=None)
