@@ -13,7 +13,6 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    _fold,
     _plan,
     dyadic_block_range,
     dyadic_bump,
@@ -77,7 +76,7 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
 
     The zero mode is excluded for s != 0, matching the Riesz convention.
     """
-    w = _fold(riesz_weights(f.grid, s))
+    w = riesz_weights(f.grid, s, half=True)
     return weighted_power_sum(np.abs(w * f.modes), f.grid.dxi, 2.0, half=True)
 
 

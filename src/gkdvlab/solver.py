@@ -3,8 +3,11 @@
 The equation is d_t u + d_x^3 u = mu * d_x(|u|^(alpha-1) u) for real u.  The
 integral formulation is iterated on whole-interval traces: the retarded
 integral factors the Airy phase out per Fourier mode and applies cumulative
-trapezoid weights to exp(-i t xi^3) F(t), so its quadrature error grows
-with xi^3 dt and is largest at the top modes.  An integrating-factor
+trapezoid weights to exp(-i (t - t0) xi^3) F(t), so its quadrature error
+grows with xi^3 dt and is largest at the top modes.  Its phases are the free
+flow's table of offsets t - t0 from the anchor, so a solve depends on where
+it sits in time only through those offsets, as the autonomous flow does,
+and a glued run shares one table among its segments.  An integrating-factor
 Runge-Kutta stepper of classical order four provides an independent
 cross-check.  Both take their phases from spacetime._airy_table and their
 flux multiplier i xi from the grid's cached half-lattice, and both are
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -163,6 +167,7 @@ class SolveResult:
     update_distances[k] is the sup-in-time critical-norm distance between
     iterates k and k+1; contraction_factors are their successive ratios.
     epsilon is the free-evolution smallness the gate compares against delta.
+    diagnose, when set, computes the diagnostics of the trace.
     """
 
     trace: TimeTrace
@@ -173,7 +178,12 @@ class SolveResult:
     update_distances: List[float] = field(default_factory=list)
     contraction_factors: List[float] = field(default_factory=list)
     reason: str = ""
-    diagnostics: dict = field(default_factory=dict)
+    diagnose: Optional[Callable[[], dict]] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """solve_diagnostics of the trace, computed on first read; {} if declined."""
+        return {} if self.diagnose is None else self.diagnose()
 
 
 def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -189,24 +199,27 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     """Mode-wise retarded integral of a forcing trace from the anchor t0.
 
     Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'
-    as exp(i t xi^3) times cumulative trapezoid sums of exp(-i t' xi^3) F(t'):
-    the rule acts on that oscillatory product, so the kernel is not
-    integrated exactly and the error per step grows with xi^3 dt.  t0 must
-    be one of the sample times.  The result's zero and unpaired modes are
-    real.
+    as exp(i (t - t0) xi^3) times cumulative trapezoid sums of
+    exp(-i (t' - t0) xi^3) F(t'): the rule acts on that oscillatory
+    product, so the kernel is not integrated exactly and the error per step
+    grows with xi^3 dt.  The phases are the table of offsets t - t0 that
+    free_evolution reads, so traces whose offsets are equal bit for bit
+    give the same bytes wherever they sit in time.  t0 must be one of the
+    sample times.  The result's zero and unpaired modes are real.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
-    down = _airy_table(forcing.grid, times, -1j)
-    # down stays the left operand: complex products are not bytewise
+    up = _airy_table(forcing.grid, times - t0, 1j)
+    # the phase stays the left operand: complex products are not bytewise
     # commutative where numpy's multiply loop uses fused multiply-adds
-    integrand = np.multiply(down, forcing.coeffs)
+    integrand = np.conjugate(up)
+    np.multiply(integrand, forcing.coeffs, out=integrand)
     result = _cumulative_trapezoid(integrand, times)
+    del integrand
     if j0:
         result -= result[j0]
-    up = np.conjugate(down, out=integrand)
     np.multiply(up, result, out=result)
     return TimeTrace(forcing.grid, times, _real_ends(result))
 
@@ -272,28 +285,30 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     or overflow in an iterate raises NumericalBlowupError carrying the last
     healthy iterate.
 
-    Grid and sample times are fixed, so the free trace and the retarded phase
-    table are built once per solve (the table in a _shared_tables scope).
+    Grid and sample times are fixed, so the free trace is built once per
+    solve, and one phase table of offsets from the anchor serves it and
+    every retarded integral (shared in a _shared_tables scope, which joins
+    a glued run's).  The diagnostics are computed when first read.
     """
     check = _wellposed_guard(G, cfg)
     times = cfg.times()
     t0 = cfg.anchor_time()
     rc = critical_exponent(G.alpha)
-    free = free_evolution(u0, times, t0=t0)
-    eps = _smallness(free, G, check)
-    if eps > cfg.delta:
-        return SolveResult(
-            trace=free, converged=False, iterations=0, epsilon=eps,
-            delta=cfg.delta,
-            reason=f"smallness gate: epsilon {eps:.6g} exceeds delta {cfg.delta:.6g}",
-        )
-    v = free
-    dists: List[float] = []
-    factors: List[float] = []
-    converged = False
-    reason = "max iterations reached"
-    iterations = 0
     with _shared_tables():
+        free = free_evolution(u0, times, t0=t0)
+        eps = _smallness(free, G, check)
+        if eps > cfg.delta:
+            return SolveResult(
+                trace=free, converged=False, iterations=0, epsilon=eps,
+                delta=cfg.delta,
+                reason=f"smallness gate: epsilon {eps:.6g} exceeds delta {cfg.delta:.6g}",
+            )
+        v = free
+        dists: List[float] = []
+        factors: List[float] = []
+        converged = False
+        reason = "max iterations reached"
+        iterations = 0
         for iterations in range(1, cfg.max_iterations + 1):
             w = duhamel_map(v, free, t0, G, cfg)
             if not np.all(np.isfinite(w.coeffs)):
@@ -309,13 +324,18 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
                 converged = True
                 reason = ""
                 break
-    result = SolveResult(
+    return SolveResult(
         trace=v, converged=converged, iterations=iterations, epsilon=eps,
         delta=cfg.delta, update_distances=dists, contraction_factors=factors,
-        reason=reason,
+        reason=reason, diagnose=lambda: solve_diagnostics(v, u0, G, cfg, eps),
     )
-    result.diagnostics = solve_diagnostics(result.trace, u0, G, cfg, eps)
-    return result
+
+
+def _mass_drift(trace: TimeTrace) -> Tuple[float, float]:
+    """Initial mass of a trace and its largest relative change over the rows."""
+    masses = band_sum(np.abs(trace.coeffs) ** 2, half=True) * trace.grid.dxi
+    m0 = masses[0]
+    return float(m0), (float(np.max(np.abs(masses - m0)) / m0) if m0 > 0 else 0.0)
 
 
 def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
@@ -323,9 +343,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     """Conservation drifts, size bounds, and boundary-mass taint for a trace."""
     check = G.in_wellposed_range()
     rc = critical_exponent(G.alpha)
-    masses = band_sum(np.abs(trace.coeffs) ** 2, half=True) * trace.grid.dxi
-    m0 = masses[0]
-    mass_drift = float(np.max(np.abs(masses - m0)) / m0) if m0 > 0 else 0.0
+    m0, mass_drift = _mass_drift(trace)
     e0 = energy(trace.field(0), G, pad=cfg.pad)
     e1 = energy(trace.field(trace.sample_count - 1), G, pad=cfg.pad)
     emid = energy(trace.field(trace.sample_count // 2), G, pad=cfg.pad)
@@ -338,7 +356,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     del vals  # xnorm transforms its own weighted copy; keep one sample array live
     size = scattering_size + xnorm(trace, aux_smoothness(G.alpha), rc, check=check)
     return {
-        "mass_initial": float(m0),
+        "mass_initial": m0,
         "mass_drift": mass_drift,
         "energy_initial": float(e0),
         "energy_drift": energy_drift,
@@ -385,7 +403,11 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     Each segment takes the previous final state as datum; a segment whose
     gate declines (or whose iteration stalls) is bisected down to
     min_segment before giving up.  store_stride thins the stored samples of
-    each segment (endpoints always kept).
+    each segment (endpoints always kept).  The segments share one
+    _shared_tables scope: segments of one length repeat the same offsets
+    from their anchors, so they read one phase table.  Each segment reports
+    only its mass drift and boundary mass fraction, computed as
+    solve_diagnostics computes them.
     """
     if not math.isfinite(cfg.t_end):
         raise ValueError(f"a glued solve needs a finite end time, got {cfg.t_end}")
@@ -395,38 +417,40 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     all_times: List[np.ndarray] = []
     all_coeffs: List[np.ndarray] = []
     segments: List[dict] = []
-    while t < t_final - 1e-12:
-        length = min(segment_length, t_final - t)
-        while True:
-            seg_cfg = replace(cfg, t_start=t, t_end=t + length, anchor=t)
-            res = picard_solve(u, G, seg_cfg)
-            if res.converged:
-                break
-            if length / 2.0 < min_segment:
-                return GluedResult(
-                    trace=res.trace, converged=False, segments=segments,
-                    reason=f"segment [{t:.6g}, {t + length:.6g}] failed: {res.reason}",
-                )
-            length /= 2.0
-            del res  # a declined attempt's trace must not outlive it
-        seg = res.trace
-        segments.append({
-            "t_start": float(t),
-            "t_end": float(t + length),
-            "iterations": res.iterations,
-            "epsilon": res.epsilon,
-            "contraction_factors": res.contraction_factors,
-            "mass_drift": res.diagnostics["mass_drift"],
-            "boundary_mass_fraction": res.diagnostics["boundary_mass_fraction"],
-        })
-        idx = _strided_indices(seg.sample_count, store_stride)
-        if all_times:
-            idx = idx[1:]  # segment start duplicates previous endpoint
-        all_times.append(seg.times[idx])
-        all_coeffs.append(seg.coeffs[idx])
-        u = seg.field(seg.sample_count - 1)
-        t = t + length
-        del res, seg  # trace-sized: let them go before the next segment's solve
+    with _shared_tables():
+        while t < t_final - 1e-12:
+            length = min(segment_length, t_final - t)
+            while True:
+                seg_cfg = replace(cfg, t_start=t, t_end=t + length, anchor=t)
+                res = picard_solve(u, G, seg_cfg)
+                if res.converged:
+                    break
+                if length / 2.0 < min_segment:
+                    return GluedResult(
+                        trace=res.trace, converged=False, segments=segments,
+                        reason=f"segment [{t:.6g}, {t + length:.6g}] failed: {res.reason}",
+                    )
+                length /= 2.0
+                del res  # a declined attempt's trace must not outlive it
+            seg = res.trace
+            boundary = boundary_mass_fraction(seg.values(), seg.grid)
+            segments.append({
+                "t_start": float(t),
+                "t_end": float(t + length),
+                "iterations": res.iterations,
+                "epsilon": res.epsilon,
+                "contraction_factors": res.contraction_factors,
+                "mass_drift": _mass_drift(seg)[1],
+                "boundary_mass_fraction": float(np.max(boundary)),
+            })
+            idx = _strided_indices(seg.sample_count, store_stride)
+            if all_times:
+                idx = idx[1:]  # segment start duplicates previous endpoint
+            all_times.append(seg.times[idx])
+            all_coeffs.append(seg.coeffs[idx])
+            u = seg.field(seg.sample_count - 1)
+            t = t + length
+            del res, seg  # trace-sized: let them go before the next segment's solve
     trace = TimeTrace(cfg.grid, np.concatenate(all_times),
                       np.concatenate(all_coeffs))
     return GluedResult(trace=trace, converged=True, segments=segments)

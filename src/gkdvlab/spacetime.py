@@ -23,7 +23,6 @@ from .spectral import (
     Grid1D,
     SpectralField,
     _check_modes,
-    _fold,
     _plan,
     _real_ends,
     coeffs_to_values,
@@ -172,26 +171,41 @@ class TimeTrace:
         return coeffs_to_values(self.coeffs, self.grid)
 
     def restricted(self, t_max: float) -> "TimeTrace":
-        """Sub-trace of samples with time <= t_max (at least two kept)."""
-        keep = self.times <= t_max + 1e-12
-        if int(np.sum(keep)) < 2:
+        """Sub-trace of samples with time <= t_max (at least two kept).
+
+        The times are increasing, so the sub-trace is a prefix: its arrays
+        are views of this trace's.
+        """
+        k = int(np.searchsorted(self.times, t_max + 1e-12, side="right"))
+        if k < 2:
             raise ValueError(f"fewer than 2 samples at or before t = {t_max}")
-        return TimeTrace(self.grid, self.times[keep], self.coeffs[keep])
+        return TimeTrace(self.grid, self.times[:k], self.coeffs[:k])
 
 
-# Memo of the innermost open _shared_tables scope; None outside every scope.
-# A context variable, so concurrent threads never see each other's memo.
+# Memo of the open _shared_tables scope, least recently used table first;
+# None outside every scope.  A context variable, so concurrent threads never
+# see each other's memo.
 _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=None)
+
+# Tables one scope holds at most.  A Picard solve needs one (its offsets
+# from the anchor) and an ensemble leg at most two; segments of a glued run
+# whose offsets differ in the last bit replace each other instead of piling up.
+_TABLES_PER_SCOPE = 2
 
 
 @contextmanager
 def _shared_tables():
     """Share Airy phase tables between the calls made inside this scope.
 
-    Meant for work on one grid and one set of sample times: an ensemble leg
-    of estimates, or the iteration loop of one Picard solve.  The memo is
-    dropped when the scope closes, so no table outlives the leg or solve.
+    Meant for work on one grid: an ensemble leg of estimates, one Picard
+    solve, or a glued run whose segments repeat the same offsets from their
+    anchors.  A scope opened inside another joins it.  The memo holds at
+    most _TABLES_PER_SCOPE tables, dropping the least recently used, and
+    is dropped when the outermost scope closes, so no table outlives it.
     """
+    if _tables.get() is not None:
+        yield
+        return
     token = _tables.set({})
     try:
         yield
@@ -207,12 +221,14 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     """
     memo = _tables.get()
     key = (grid.half_length, grid.size, unit, times.tobytes())
-    table = None if memo is None else memo.get(key)
+    table = None if memo is None else memo.pop(key, None)
     if table is None:
         table = np.exp(unit * np.outer(times, _plan(grid.half_length, grid.size).xi3))
-        if memo is not None:
-            table.flags.writeable = False
-            memo[key] = table
+        table.flags.writeable = memo is None
+    if memo is not None:
+        memo[key] = table  # reinserted: the most recently used is last
+        if len(memo) > _TABLES_PER_SCOPE:
+            del memo[next(iter(memo))]
     return table
 
 
@@ -278,7 +294,7 @@ def _riesz_trace(trace: TimeTrace, s: float) -> TimeTrace:
     """|D_x|^s applied to every row of a trace; s = 0 returns the trace itself."""
     if s == 0:
         return trace
-    w = _fold(riesz_weights(trace.grid, s))
+    w = riesz_weights(trace.grid, s, half=True)
     return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :])
 
 

@@ -132,20 +132,6 @@ def _fold(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[..., half:], a[..., :1]), axis=-1)
 
 
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """Full band (last axis, ascending) of a real field's half-spectrum.
-
-    Modes k < 0 are the conjugates of modes -k; the zero and the unpaired
-    -N/2 mode are copied as stored.
-    """
-    h = half.shape[-1] - 1
-    full = np.empty(half.shape[:-1] + (2 * h,), dtype=complex)
-    full[..., h:] = half[..., :h]
-    full[..., 0] = half[..., h]
-    np.conjugate(half[..., h - 1:0:-1], out=full[..., 1:h])
-    return full
-
-
 def _real_ends(half: np.ndarray) -> np.ndarray:
     """Zero the imaginary parts of the zero and unpaired modes of half-spectra, in place."""
     half[..., 0].imag = 0.0
@@ -289,11 +275,16 @@ def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:
     return SpectralField(grid, values_to_coeffs(values, grid))
 
 
-def riesz_weights(grid: Grid1D, s: float) -> np.ndarray:
-    """|xi|^s on the frequency lattice, ascending, with the zero mode zeroed (s != 0)."""
+def riesz_weights(grid: Grid1D, s: float, half: bool = False) -> np.ndarray:
+    """|xi|^s with the zero mode zeroed (s != 0).
+
+    On the frequency lattice, ascending, or with half on the half-lattice
+    of a real field, in the layout of SpectralField.modes.
+    """
+    xi = _plan(grid.half_length, grid.size).xi if half else grid.frequencies
     if s == 0:
-        return np.ones(grid.size)
-    absxi = np.abs(grid.frequencies)
+        return np.ones(xi.size)
+    absxi = np.abs(xi)
     with np.errstate(divide="ignore"):
         w = np.where(absxi == 0.0, 0.0, absxi ** s)
     return w

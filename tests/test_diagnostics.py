@@ -30,10 +30,11 @@ from gkdvlab.spectral import (
     SpectralField,
     forward_transform,
     _fold,
-    _unfold,
     gaussian_profile,
     random_band_limited,
 )
+
+from full_band import unfold
 
 GRID = Grid1D(64.0, 256)
 
@@ -144,9 +145,9 @@ def test_pullbacks_match_the_full_band_formula(direction):
     report = scattering_state(trace, 5.0, direction=direction, levels=3)
     idx = [int(np.flatnonzero(trace.times == t)[0]) for t in report.checkpoint_times]
     xi = GRID.frequencies
-    full = _unfold(trace.coeffs[idx]) * np.exp(-1j * np.outer(trace.times[idx], xi * xi * xi))
+    full = unfold(trace.coeffs[idx]) * np.exp(-1j * np.outer(trace.times[idx], xi * xi * xi))
     final = full[-1 if direction == "forward" else 0]
-    got = _unfold(report.final_state.modes)
+    got = unfold(report.final_state.modes)
     np.testing.assert_array_equal(got[1:], final[1:])
     assert got[0] == final[0].real and final[0].imag != 0.0
     norms = [weighted_power_sum(np.abs(b - a), GRID.dxi, 2.0) for a, b in zip(full, full[1:])]

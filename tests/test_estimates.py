@@ -23,11 +23,12 @@ from gkdvlab.spacetime import TimeTrace
 from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
-    _unfold,
     apply_pointwise_matrix,
     hermitian_defect,
     values_to_coeffs,
 )
+
+from full_band import unfold
 
 # small grid/ensemble so each call stays well under a second
 FAST = dict(ensemble=8, size=128, half_length=32.0)
@@ -227,9 +228,9 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
     assert prod.coeffs.tobytes() == want.tobytes()
     assert np.all(hermitian_defect(prod.coeffs, half=True) == 0.0)
     # the former single-field product to round-off: 1e-13 of the largest coefficient
-    former = np.stack([_former_per_row_product(_unfold(u.coeffs[m]), _unfold(v.coeffs[m]),
+    former = np.stack([_former_per_row_product(unfold(u.coeffs[m]), unfold(v.coeffs[m]),
                                                grid, pad) for m in range(rows)])
-    assert np.max(np.abs(_unfold(prod.coeffs) - former)) <= 1e-13 * np.max(np.abs(former))
+    assert np.max(np.abs(unfold(prod.coeffs) - former)) <= 1e-13 * np.max(np.abs(former))
 
 
 # refinement-stability gate and CLI ensemble floor of every id

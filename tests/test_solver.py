@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,12 +31,13 @@ from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
     _fold,
-    _unfold,
     apply_pointwise_matrix,
     gaussian_profile,
     hermitian_defect,
     random_band_limited,
 )
+
+from full_band import unfold
 
 GRID = Grid1D(64.0, 256)
 G5 = NonlinearityG(alpha=5.0, mu=1.0)
@@ -211,7 +213,7 @@ def test_mass_energy_closed_forms():
 # against its own reference.
 
 def _full_band_map(full, grid, func, pad):
-    return _unfold(apply_pointwise_matrix(_fold(full), grid, func, pad=pad))
+    return unfold(apply_pointwise_matrix(_fold(full), grid, func, pad=pad))
 
 
 def _parent_mirror(full):
@@ -245,11 +247,15 @@ def _parent_free(u0, grid, times, t0):
 
 
 def _parent_retarded(rows, grid, times, t0):
-    """Full-band retarded integral of the full-band rows of a real forcing."""
+    """Full-band retarded integral of the full-band rows of a real forcing.
+
+    The phases are offsets from the anchor, exp(i (t - t0) xi^3), and their
+    conjugates.
+    """
     j0 = int(np.argmin(np.abs(times - t0)))
-    down = _parent_table(grid, times, -1j, True)
+    up = _parent_table(grid, times - t0, 1j, True)
     integrand = _fold(rows)
-    np.multiply(down, integrand, out=integrand)
+    np.multiply(np.conjugate(up), integrand, out=integrand)
     result = np.empty_like(integrand)
     result[0] = 0.0
     steps = np.add(integrand[1:], integrand[:-1], out=result[1:])
@@ -257,7 +263,7 @@ def _parent_retarded(rows, grid, times, t0):
     np.cumsum(steps, axis=0, out=steps)
     if j0:
         result -= result[j0]
-    return _parent_mirrored_product(np.conjugate(down, out=integrand), result)
+    return _parent_mirrored_product(up, result)
 
 
 def _parent_duhamel(v, free, grid, times, t0, G, pad, retarded=_parent_retarded):
@@ -301,7 +307,7 @@ def _former_picard(u0, G, cfg, retarded=_former_retarded):
     times, t0 = cfg.times(), cfg.anchor_time()
     rp = holder_conjugate(critical_exponent(G.alpha))
     grid = u0.grid
-    free = _parent_free(_unfold(u0.modes), grid, times, t0)
+    free = _parent_free(unfold(u0.modes), grid, times, t0)
     v = free
     dists = []
     for _ in range(cfg.max_iterations):
@@ -320,8 +326,8 @@ def test_free_evolution_matches_the_full_band_kernel_bytewise():
     for u0 in (gaussian_profile(grid, 0.4), random_band_limited(grid, 1.0, 40, seed=5)):
         got = free_evolution(u0, times, t0=0.5)
         assert got.coeffs.shape == (times.size, grid.size // 2 + 1)
-        want = _parent_free(_unfold(u0.modes), grid, times, 0.5)
-        assert _unfold(got.coeffs).tobytes() == want.tobytes()
+        want = _parent_free(unfold(u0.modes), grid, times, 0.5)
+        assert unfold(got.coeffs).tobytes() == want.tobytes()
         assert _fold(want).tobytes() == got.coeffs.tobytes()
 
 
@@ -334,8 +340,8 @@ def test_retarded_integral_matches_the_former_formula(j0):
     # coefficient), with real end modes
     forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)
     got = retarded_integral(forcing, times[j0])
-    full = _unfold(got.coeffs)
-    rows = _unfold(forcing.coeffs)
+    full = unfold(got.coeffs)
+    rows = unfold(forcing.coeffs)
     assert full.tobytes() == _parent_retarded(rows, grid, times, times[j0]).tobytes()
     want = _former_retarded(rows, grid, times, times[j0])
     assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
@@ -353,10 +359,10 @@ def test_duhamel_map_matches_the_full_band_kernel_bytewise():
         free = free_evolution(u0, times, t0=t0)
         v = free_evolution(gaussian_profile(grid, 0.6), times, t0=t0)
         got = solver.duhamel_map(v, free, t0, G, cfg)
-        want = _parent_duhamel(_unfold(v.coeffs), _unfold(free.coeffs), grid, times, t0,
+        want = _parent_duhamel(unfold(v.coeffs), unfold(free.coeffs), grid, times, t0,
                                G, cfg.pad)
         assert got.is_real
-        _assert_equal_values(_unfold(got.coeffs), want)
+        _assert_equal_values(unfold(got.coeffs), want)
 
 
 # Update distances are sums over the modes.  A real trace's are taken over
@@ -381,8 +387,8 @@ def test_picard_and_glued_match_the_former_loop_bytewise(mu):
     coeffs, dists = _former_picard(u0, G, cfg, _parent_retarded)
     assert res.converged and res.iterations == len(dists) >= 3
     _assert_same_distances(res.update_distances, dists)
-    _assert_equal_values(_unfold(res.trace.coeffs), coeffs)
-    _assert_near_the_former_loop(_unfold(res.trace.coeffs), res.update_distances,
+    _assert_equal_values(unfold(res.trace.coeffs), coeffs)
+    _assert_near_the_former_loop(unfold(res.trace.coeffs), res.update_distances,
                                  *_former_picard(u0, G, cfg))
 
     glued = glued_solve(u0, G, cfg, segment_length=0.25, store_stride=1)
@@ -394,8 +400,8 @@ def test_picard_and_glued_match_the_former_loop_bytewise(mu):
                                anchor=seg["t_start"], samples_per_unit=32)
         coeffs, dists = _former_picard(datum, G, seg_cfg, _parent_retarded)
         assert seg["iterations"] == len(dists)
-        _assert_equal_values(_unfold(glued.trace.coeffs[rows]), coeffs)
-        _assert_near_the_former_loop(_unfold(glued.trace.coeffs[rows]), dists,
+        _assert_equal_values(unfold(glued.trace.coeffs[rows]), coeffs)
+        _assert_near_the_former_loop(unfold(glued.trace.coeffs[rows]), dists,
                                      *_former_picard(datum, G, seg_cfg))
 
 
@@ -410,31 +416,115 @@ def _assert_near_the_former_loop(coeffs, dists, former, former_dists):
     assert max(abs(a - b) for a, b in zip(dists, former_dists)) <= 1e-13 * former_dists[0]
 
 
-def test_no_phase_table_outlives_picard_solve(monkeypatch):
+def _record_tables(monkeypatch):
+    """Every phase table handed out, with the number the memo holds after the call.
+
+    The list keeps the tables alive, so distinct ids are distinct builds;
+    clear it before checking that nothing else keeps them.
+    """
     made = []
 
     def recording(grid, times, unit, _table=spacetime._airy_table):
         table = _table(grid, times, unit)
-        made.append((weakref.ref(table), table.flags.writeable, spacetime._tables.get()))
+        memo = spacetime._tables.get()
+        made.append((table, None if memo is None else len(memo)))
         return table
 
     monkeypatch.setattr(spacetime, "_airy_table", recording)
     monkeypatch.setattr(solver, "_airy_table", recording)
-    res = picard_solve(gaussian_profile(GRID, 0.05), G5,
-                       SolverConfig(grid=GRID, samples_per_unit=32))
-    assert res.iterations >= 2
-    # one free trace outside the scope, then one shared retarded table
-    # handed out once per iteration
-    assert len(made) == 1 + res.iterations
-    assert made[0][2] is None and made[0][1]
-    shared = [ref() for ref, _, _ in made[1:]]
-    assert all(t is shared[0] for t in shared)
-    assert not any(writeable for _, writeable, _ in made[1:])
-    del shared
+    return made
+
+
+def _assert_none_outlive(made):
+    refs = [weakref.ref(table) for table, _ in made]
+    made.clear()
     assert spacetime._tables.get() is None
-    made = [ref for ref, _, _ in made]
     gc.collect()
-    assert all(ref() is None for ref in made)
+    assert all(ref() is None for ref in refs)
+
+
+def test_no_phase_table_outlives_picard_solve(monkeypatch):
+    made = _record_tables(monkeypatch)
+    res = picard_solve(gaussian_profile(GRID, 0.05), G5,
+                       SolverConfig(grid=GRID, t_start=0.5, t_end=1.5, samples_per_unit=32))
+    assert res.iterations >= 2
+    # the free trace, then one retarded integral per iteration, all reading
+    # the one read-only table of offsets from the anchor
+    assert len(made) == 1 + res.iterations
+    assert len({id(t) for t, _ in made}) == 1
+    assert not made[0][0].flags.writeable
+    _assert_none_outlive(made)
+
+
+def test_equal_dyadic_segments_share_one_phase_table(monkeypatch):
+    made = _record_tables(monkeypatch)
+    cfg = SolverConfig(grid=GRID, t_start=0.5, t_end=2.5, samples_per_unit=32)
+    glued = glued_solve(gaussian_profile(GRID, 0.05), G5, cfg, segment_length=0.5)
+    assert glued.converged and len(glued.segments) == 4
+    assert len(made) == sum(1 + seg["iterations"] for seg in glued.segments)
+    assert len({id(t) for t, _ in made}) == 1
+    _assert_none_outlive(made)
+
+
+def test_a_glued_run_holds_at_most_two_phase_tables(monkeypatch):
+    # segment starts 0.1, 0.4, 0.7, ... are not dyadic: their offsets from
+    # the anchor differ in the last bit, so segments need tables of their own
+    made = _record_tables(monkeypatch)
+    cfg = SolverConfig(grid=GRID, t_start=0.1, t_end=2.5, samples_per_unit=32)
+    glued = glued_solve(gaussian_profile(GRID, 0.05), G5, cfg, segment_length=0.3)
+    assert glued.converged and len(glued.segments) == 8
+    assert len({id(t) for t, _ in made}) > 2
+    assert max(held for _, held in made) == 2
+    _assert_none_outlive(made)
+
+
+@pytest.mark.parametrize("shift", [2.0, 64.0])
+def test_free_and_retarded_traces_are_invariant_under_time_shifts(shift):
+    # dyadic times: shifted times minus the shifted anchor are the offsets
+    # of the unshifted ones bit for bit
+    grid = Grid1D(32.0, 128)
+    times = np.linspace(0.25, 1.25, 33)
+    u0 = random_band_limited(grid, 1.0, 40, seed=6)
+    forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=8), times)
+    for t0 in (times[0], times[5]):
+        free = free_evolution(u0, times, t0=t0)
+        moved = free_evolution(u0, times + shift, t0=t0 + shift)
+        assert moved.coeffs.tobytes() == free.coeffs.tobytes()
+        ret = retarded_integral(forcing, t0)
+        moved = retarded_integral(TimeTrace(grid, times + shift, forcing.coeffs), t0 + shift)
+        assert moved.coeffs.tobytes() == ret.coeffs.tobytes()
+
+
+def test_glued_segments_report_their_solve_diagnostics_bytewise():
+    u0 = gaussian_profile(GRID, 0.4)
+    cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
+    glued = glued_solve(u0, G5, cfg, segment_length=0.25, store_stride=1)
+    assert glued.converged and len(glued.segments) == 4
+    for k, seg in enumerate(glued.segments):
+        seg_cfg = replace(cfg, t_start=seg["t_start"], t_end=seg["t_end"],
+                          anchor=seg["t_start"])
+        res = picard_solve(glued.trace.field(8 * k), G5, seg_cfg)
+        assert res.trace.coeffs.tobytes() == glued.trace.coeffs[8 * k:8 * k + 9].tobytes()
+        assert res.iterations == seg["iterations"]
+        assert res.contraction_factors == seg["contraction_factors"]
+        assert res.diagnostics["mass_drift"] == seg["mass_drift"]
+        assert res.diagnostics["boundary_mass_fraction"] == seg["boundary_mass_fraction"]
+        assert res.diagnostics == solver.solve_diagnostics(res.trace, res.trace.field(0), G5,
+                                                           seg_cfg, res.epsilon)
+
+
+def test_a_repeated_glued_run_is_byte_identical():
+    u0 = gaussian_profile(GRID, 0.4)
+    cfg = SolverConfig(grid=GRID, t_start=0.1, t_end=1.6, samples_per_unit=32)
+
+    def run():
+        glued = glued_solve(u0, G5, cfg, segment_length=0.3)
+        return glued.trace.times.tobytes(), glued.trace.coeffs.tobytes(), glued.segments
+
+    first = run()
+    other = Grid1D(32.0, 128)
+    picard_solve(gaussian_profile(other, 0.4), G5, replace(cfg, grid=other))
+    assert run() == first
 
 
 def _former_hermitian_project(c):
@@ -459,7 +549,7 @@ def _former_reference(u0, G, cfg):
         return flux_multiplier * _full_band_map(c, grid, G.apply_values, cfg.pad)
 
     out = np.empty((times.size, grid.size), dtype=complex)
-    c = _unfold(u0.modes)
+    c = unfold(u0.modes)
     out[0] = c
     for m in range(times.size - 1):
         span = times[m + 1] - times[m]
@@ -487,7 +577,7 @@ def _parent_reference(data, G, cfg):
         return flux_multiplier * _full_band_map(c, grid, G.apply_values, cfg.pad)
 
     out = np.empty((len(data), times.size, grid.size), dtype=complex)
-    c = np.stack([_unfold(u.modes) for u in data])
+    c = np.stack([unfold(u.modes) for u in data])
     out[:, 0] = c
     h = None
     for m in range(times.size - 1):
@@ -519,7 +609,7 @@ def test_reference_solve_rows_match_the_full_band_scheme_bytewise(mu):
     for trace, rows in zip(reference_solve(data, G, cfg), want):
         assert trace.coeffs.shape == (cfg.times().size, grid.size // 2 + 1)
         for m in range(rows.shape[0]):
-            assert _unfold(trace.coeffs[m]).tobytes() == rows[m].tobytes()
+            assert unfold(trace.coeffs[m]).tobytes() == rows[m].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,7 +642,7 @@ def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
         # the mirror replaced the averaging projection: round-off apart, within
         # 1e-13 of the largest coefficient (about 1e-15 measured)
         former = _former_reference(u0, G, cfg)
-        assert np.max(np.abs(_unfold(single.coeffs) - former)) \
+        assert np.max(np.abs(unfold(single.coeffs) - former)) \
             <= 1e-13 * np.max(np.abs(former))
 
 

@@ -28,11 +28,12 @@ from gkdvlab.spacetime import (
 from gkdvlab.spectral import (
     Grid1D,
     _fold,
-    _unfold,
     airy_propagate,
     gaussian_profile,
     random_band_limited,
 )
+
+from full_band import unfold
 
 GRID = Grid1D(32.0, 128)
 
@@ -178,7 +179,7 @@ def test_trace_rows_are_half_spectra():
     assert trace.is_real and trace.coeffs.tobytes() == half.tobytes()
     # the full band, even an exactly Hermitian one, is not a trace's layout
     with pytest.raises(ValueError, match="expected 65 modes per row, .* rfft layout"):
-        TimeTrace(GRID, times, _unfold(half))
+        TimeTrace(GRID, times, unfold(half))
     assert trace.field(1).modes.tobytes() == half[1].tobytes()
     assert trace.restricted(0.5).coeffs.tobytes() == half[:2].tobytes()
 

@@ -13,7 +13,6 @@ from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
     _fold,
-    _unfold,
     airy_propagate,
     apply_pointwise_matrix,
     coeffs_to_values,
@@ -25,6 +24,8 @@ from gkdvlab.spectral import (
     riesz_weights,
     values_to_coeffs,
 )
+
+from full_band import unfold
 
 GRID = Grid1D(64.0, 512)
 
@@ -55,7 +56,7 @@ _REMOVED_LAYOUTS = {
     "forward_transform": lambda: forward_transform(np.ones(GRID.size) * 1j, GRID),
     "complex_scalar": lambda: gaussian_profile(GRID, 0.5) * 2j,
     "complex_numpy_scalar": lambda: np.complex64(2j) * gaussian_profile(GRID, 0.5),
-    "SpectralField": lambda: SpectralField(GRID, _unfold(gaussian_profile(GRID).modes)),
+    "SpectralField": lambda: SpectralField(GRID, unfold(gaussian_profile(GRID).modes)),
     "coeffs_to_values": lambda: coeffs_to_values(np.ones((2, GRID.size)), GRID),
     "apply_pointwise_matrix": lambda: apply_pointwise_matrix(np.ones(GRID.size), GRID,
                                                              np.asarray),
@@ -95,7 +96,7 @@ def test_plancherel():
     vals = rng.standard_normal(GRID.size)
     f = forward_transform(vals, GRID)
     phys = math.sqrt(np.sum(vals ** 2) * GRID.dx)
-    spec = math.sqrt(np.sum(np.abs(_unfold(f.modes)) ** 2) * GRID.dxi)
+    spec = math.sqrt(np.sum(np.abs(unfold(f.modes)) ** 2) * GRID.dxi)
     assert phys == pytest.approx(spec, rel=1e-12)
 
 
@@ -130,6 +131,15 @@ def test_riesz_inverts_off_zero_mode():
     expect = f.modes.copy()
     expect[0] = 0.0
     np.testing.assert_allclose(g, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [8, 256, 1024, 4096])
+@pytest.mark.parametrize("s", [0.0, 0.5, -0.25, 0.7, -1.0 / 3.0, 2.0])
+def test_half_lattice_riesz_weights_are_the_folded_band_bytewise(size, s):
+    grid = Grid1D(37.0, size)
+    half = riesz_weights(grid, s, half=True)
+    assert half.shape == (size // 2 + 1,)
+    assert half.tobytes() == _fold(riesz_weights(grid, s)).tobytes()
 
 
 def test_random_band_limited_support_and_determinism():
@@ -271,7 +281,7 @@ def test_plan_cube_is_the_odd_product(size):
     assert np.array_equal(cube[1:half], -cube[:half:-1])
     times = np.linspace(-4.0, 4.0, 9)
     for unit in (1j, -1j):
-        np.testing.assert_array_equal(_unfold(_airy_table(grid, times, unit)),
+        np.testing.assert_array_equal(unfold(_airy_table(grid, times, unit)),
                                       np.exp(unit * np.outer(times, cube)))
 
 
@@ -291,11 +301,11 @@ def test_cached_plan_matches_fresh_formulas_bytewise(half_length, other_length,
     def check(grid):
         # the references take full bands: unfold the half-spectra
         coeffs = values_to_coeffs(vals, grid)
-        full = _unfold(coeffs)
+        full = unfold(coeffs)
         _assert_same_bytes(full, _reference_forward(vals, grid))
         _assert_same_bytes(coeffs_to_values(coeffs, grid),
                            _reference_inverse(full, grid, real=True))
-        _assert_same_bytes(_unfold(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad)),
+        _assert_same_bytes(unfold(apply_pointwise_matrix(coeffs, grid, _cube, pad=pad)),
                            _reference_pointwise(full, grid, _cube, pad))
         return coeffs
 
@@ -363,8 +373,8 @@ def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, ro
         _assert_same_bytes(got[m], apply_pointwise_matrix(coeffs[m], grid, func, pad=pad))
     _assert_same_bytes(coeffs, before)
     assert np.all(hermitian_defect(got, half=True) == 0.0)
-    former = _former_pointwise(_unfold(coeffs), grid, func, pad)
-    got = _unfold(got)
+    former = _former_pointwise(unfold(coeffs), grid, func, pad)
+    got = unfold(got)
     assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
 
 
@@ -405,8 +415,8 @@ def test_pointwise_map_matches_long_double_sums(size, pad, data):
     else:
         coeffs = np.stack([random_band_limited(grid, 1.0, size // 4, seed=s).modes
                            for s in range(3)])
-    want = _long_double_pointwise(_unfold(coeffs), grid, _quintic, pad)
-    got = _unfold(apply_pointwise_matrix(coeffs, grid, _quintic, pad=pad))
+    want = _long_double_pointwise(unfold(coeffs), grid, _quintic, pad)
+    got = unfold(apply_pointwise_matrix(coeffs, grid, _quintic, pad=pad))
     scale = np.max(np.abs(want))
     assert float(np.max(np.abs(got - want)) / scale) <= ACCURACY_TOL
 
@@ -417,7 +427,7 @@ def test_real_samples_read_the_hermitian_part(pad):
     # Nyquist bin and pad >= 2 splits between bins N/2 and -N/2
     grid = Grid1D(16.0, 64)
     half = values_to_coeffs(np.random.default_rng(pad).standard_normal((2, 64)), grid)
-    coeffs = _unfold(half)
+    coeffs = unfold(half)
     assert np.all(coeffs[:, 0] != 0.0)
     fine = Grid1D(grid.half_length, pad * grid.size)
     want = _reference_inverse(_pad(coeffs, pad), fine).real
@@ -433,7 +443,7 @@ def test_pointwise_map_rejects_a_wrong_output_length():
 
 
 def test_hermitian_defect_per_row():
-    full = _unfold(random_band_limited(GRID, decay=1.0, band=40, seed=2).modes)
+    full = unfold(random_band_limited(GRID, decay=1.0, band=40, seed=2).modes)
     rows = np.stack([full, full * 1j, full])
     defects = hermitian_defect(rows)
     assert defects.shape == (3,)
@@ -456,7 +466,7 @@ def test_conjugate_mirror_is_exactly_hermitian(shape):
         _assert_same_bytes(half[..., j].real, before[..., j].real)
         assert np.all(half[..., j].imag == 0.0) and not np.any(np.signbit(half[..., j].imag))
     # unfolding mirrors the modes 0 < k < N/2 and folds back to the half
-    full = _unfold(half)
+    full = unfold(half)
     assert full.shape == shape and np.all(hermitian_defect(full) == 0.0)
     _assert_same_bytes(full, _reference_full_band(before))
     _assert_same_bytes(_fold(full), half)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gkdvlab.spacetime import free_evolution
-from gkdvlab.spectral import Grid1D, _unfold, gaussian_profile, random_band_limited
+from gkdvlab.spectral import Grid1D, gaussian_profile, random_band_limited
 from gkdvlab.traceio import (
     atomic_write_json,
     jsonable,
@@ -18,6 +18,8 @@ from gkdvlab.traceio import (
     sidecar_path,
     write_trace,
 )
+
+from full_band import unfold
 
 GRID = Grid1D(16.0, 32)
 
@@ -103,7 +105,7 @@ def test_atomic_write_json(tmp_path):
 
 def _version_1_file(path, trace, broken=False):
     """The full-band layout of traces before half-spectrum files, byte by byte."""
-    full = _unfold(trace.coeffs)
+    full = unfold(trace.coeffs)
     if broken:
         full[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
     m = trace.sample_count
