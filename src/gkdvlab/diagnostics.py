@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -12,13 +12,13 @@ from .norms import band_sum, lhat_norm, lhat_rows, sobolev_norm
 from .solver import (
     NonlinearityG,
     _energy_terms,
-    aux_smoothness,
+    _size_norms,
     boundary_mass_fraction,
     critical_exponent,
     energy,
     mass,
 )
-from .spacetime import TimeTrace, _airy_table, snorm, xnorm
+from .spacetime import TimeTrace, _airy_table
 from .spectral import Grid1D, SpectralField, _plan, _real_ends
 
 
@@ -140,20 +140,6 @@ class MonitorEntry:
     sobolev: dict
     boundary_mass_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "snorm_to_t": self.snorm_to_t,
-            "aux_xnorm_to_t": self.aux_xnorm_to_t,
-            "mass": self.mass,
-            "mass_drift": self.mass_drift,
-            "energy": self.energy,
-            "energy_drift": self.energy_drift,
-            "lhat": self.lhat,
-            "sobolev": self.sobolev,
-            "boundary_mass_fraction": self.boundary_mass_fraction,
-        }
-
 
 @dataclass
 class MonitorReport:
@@ -161,8 +147,7 @@ class MonitorReport:
     tainted: bool = False
 
     def to_dict(self) -> dict:
-        return {"tainted": self.tainted,
-                "entries": [e.to_dict() for e in self.entries]}
+        return asdict(self)
 
 
 def monitor(trace: TimeTrace, G: NonlinearityG,
@@ -179,9 +164,6 @@ def monitor(trace: TimeTrace, G: NonlinearityG,
     if checkpoint_times is None:
         span = times[-1] - times[0]
         checkpoint_times = [times[0] + span / 2.0 ** j for j in range(4, -1, -1)]
-    rc = critical_exponent(G.alpha)
-    check = G.in_wellposed_range()
-    sl = aux_smoothness(G.alpha)
     f0 = trace.field(0)
     m0 = mass(f0)
     e0 = energy(f0, G, pad=pad)
@@ -195,10 +177,11 @@ def monitor(trace: TimeTrace, G: NonlinearityG,
         fj = trace.field(j)
         mj = mass(fj)
         ej = energy(fj, G, pad=pad)
+        snorm_to_t, aux_xnorm_to_t = _size_norms(sub, G.alpha)
         entries.append(MonitorEntry(
             t=float(times[j]),
-            snorm_to_t=snorm(sub, rc, check=check),
-            aux_xnorm_to_t=xnorm(sub, sl, rc, check=check),
+            snorm_to_t=snorm_to_t,
+            aux_xnorm_to_t=aux_xnorm_to_t,
             mass=mj,
             mass_drift=abs(mj - m0) / m0 if m0 > 0 else 0.0,
             energy=ej,

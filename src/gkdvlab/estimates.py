@@ -35,7 +35,7 @@ from .solver import (
 )
 from .spacetime import (
     TimeTrace,
-    _riesz_trace,
+    _sample_times,
     _shared_tables,
     _solve_exponents,
     classify_pair,
@@ -93,9 +93,7 @@ class EstimateSpec:
         return self.band if self.band is not None else self.size // 4
 
     def times(self) -> np.ndarray:
-        a, b = self.interval
-        m = max(2, int(round((b - a) * self.samples_per_unit)))
-        return np.linspace(a, b, m + 1)
+        return _sample_times(*self.interval, self.samples_per_unit)
 
 
 @dataclass
@@ -205,8 +203,7 @@ def _run_stein_tomas(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _riesz_trace(free_evolution(f, times), 1.0 / r)
-        return mixed_norm(tr, r, r, "x_outer"), lhat_norm(f, r / 3.0)
+        return mixed_norm(free_evolution(f, times), r, r, 1.0 / r), lhat_norm(f, r / 3.0)
 
     return one, {}
 
@@ -218,9 +215,9 @@ def _check_kenig_ruiz(params: dict) -> dict:
 def _run_kenig_ruiz(spec, rp):
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _riesz_trace(free_evolution(f, times), -0.25)
+        u = free_evolution(f, times)
         # the time sup is a sample maximum, hence a certified lower bound
-        return mixed_norm(tr, 4.0, math.inf, "x_outer"), lebesgue_norm(f, 2.0)
+        return mixed_norm(u, 4.0, math.inf, -0.25), lebesgue_norm(f, 2.0)
 
     return one, {}
 
@@ -238,8 +235,7 @@ def _run_kato(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _riesz_trace(free_evolution(f, times), s)
-        return mixed_norm(tr, math.inf, q, "x_outer"), lhat_norm(f, q)
+        return mixed_norm(free_evolution(f, times), math.inf, q, s), lhat_norm(f, q)
 
     return one, {}
 
@@ -262,8 +258,7 @@ def _run_strichartz(spec, rp):
 
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        tr = _riesz_trace(free_evolution(f, times), s)
-        return mixed_norm(tr, p, q, "x_outer"), lhat_norm(f, r)
+        return mixed_norm(free_evolution(f, times), p, q, s), lhat_norm(f, r)
 
     return one, {"exponents": {"p": p, "q": q}, "boundary_pair": rp["boundary"]}
 
@@ -328,7 +323,7 @@ def _run_inhom_linf(spec, rp):
         ret = retarded_integral(forcing, times[0])
         # row by row: the sup must equal lhat_norm of the row that attains it
         num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
-        den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
+        den = mixed_norm(forcing, pd, qd, -s2)
         return num, den
 
     return one, {}
@@ -342,8 +337,8 @@ def _run_inhom_xy(spec, rp):
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
         ret = retarded_integral(forcing, times[0])
-        num = mixed_norm(_riesz_trace(ret, s1), p1, q1, "x_outer")
-        den = mixed_norm(_riesz_trace(forcing, -s2), pd, qd, "x_outer")
+        num = mixed_norm(ret, p1, q1, s1)
+        den = mixed_norm(forcing, pd, qd, -s2)
         return num, den
 
     return one, {}
@@ -382,10 +377,10 @@ def _run_interpolation(spec, rp):
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
         u = free_evolution(f, times)
-        num = mixed_norm(_riesz_trace(u, rp["s"]), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(u, rp["p"], rp["q"], rp["s"])
         den = (
-            mixed_norm(_riesz_trace(u, rp["s1"]), rp["p1"], rp["q1"], "x_outer") ** theta
-            * mixed_norm(_riesz_trace(u, rp["s2"]), rp["p2"], rp["q2"], "x_outer") ** (1.0 - theta)
+            mixed_norm(u, rp["p1"], rp["q1"], rp["s1"]) ** theta
+            * mixed_norm(u, rp["p2"], rp["q2"], rp["s2"]) ** (1.0 - theta)
         )
         return num, den
 
@@ -426,12 +421,10 @@ def _run_leibniz(spec, rp):
         g = _datum(grid, band, decay, kids[1], spec.amplitude)
         u, v = free_evolution(f, times), free_evolution(g, times)
         prod = _product_trace(u, v)
-        num = mixed_norm(_riesz_trace(prod, s), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(prod, rp["p"], rp["q"], s)
         den = (
-            mixed_norm(_riesz_trace(u, s), rp["p1"], rp["q1"], "x_outer")
-            * mixed_norm(v, rp["p2"], rp["q2"], "x_outer")
-            + mixed_norm(u, rp["p3"], rp["q3"], "x_outer")
-            * mixed_norm(_riesz_trace(v, s), rp["p4"], rp["q4"], "x_outer")
+            mixed_norm(u, rp["p1"], rp["q1"], s) * mixed_norm(v, rp["p2"], rp["q2"])
+            + mixed_norm(u, rp["p3"], rp["q3"]) * mixed_norm(v, rp["p4"], rp["q4"], s)
         )
         return num, den
 
@@ -471,11 +464,11 @@ def _run_chain_rule(spec, rp):
         # degree-5 products need the wider dealias margin
         gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3)
         gu = TimeTrace(grid, times, gu_rows)
-        num = mixed_norm(_riesz_trace(gu, s), rp["p"], rp["q"], "x_outer")
+        num = mixed_norm(gu, rp["p"], rp["q"], s)
         den = (
             lip
-            * mixed_norm(u, rp["p1"], rp["q1"], "x_outer") ** (mu - 1.0)
-            * mixed_norm(_riesz_trace(u, s), rp["p2"], rp["q2"], "x_outer")
+            * mixed_norm(u, rp["p1"], rp["q1"]) ** (mu - 1.0)
+            * mixed_norm(u, rp["p2"], rp["q2"], s)
         )
         return num, den
 
@@ -709,9 +702,9 @@ def lip_norm_estimate(G: NonlinearityG, mu: float, z_max: float = 10.0,
     unbounded quotient shows up as growth under refinement rather than a
     crash.
 
-    Derivatives are exact for the shipped odd-power map; anything else falls
-    back to central differences with step 1e-5 * max(|z|, 1), which is
-    unreliable beyond second order.
+    Derivatives are exact for the power rule at every alpha; a custom rule
+    falls back to central differences with step 1e-5 * max(|z|, 1), which
+    cancel catastrophically beyond second order.
     """
     if not mu > 0:
         raise ValueError(f"membership order must be positive, got {mu:g}")
@@ -722,11 +715,7 @@ def lip_norm_estimate(G: NonlinearityG, mu: float, z_max: float = 10.0,
     decades = 0.03 * samples
     mags = z_max * np.logspace(-decades, 0.0, samples // 2)
     z = np.concatenate([-mags[::-1], mags])
-    analytic = (
-        G.rule == "power"
-        and abs(G.alpha - round(G.alpha)) < 1e-12
-        and int(round(G.alpha)) % 2 == 1
-    )
+    analytic = G.rule == "power"
     h = 1e-5 * np.maximum(np.abs(z), 1.0)
     best = 0.0
     deriv = None

@@ -25,7 +25,15 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .norms import band_sum, lhat_norm, lhat_rows
-from .spacetime import TimeTrace, _airy_table, _shared_tables, free_evolution, snorm, xnorm
+from .spacetime import (
+    TimeTrace,
+    _airy_table,
+    _sample_times,
+    _shared_tables,
+    exponent_map,
+    free_evolution,
+    mixed_norm,
+)
 from .spectral import (
     Grid1D,
     SpectralField,
@@ -152,9 +160,7 @@ class SolverConfig:
             raise ValueError("samples_per_unit must be >= 2")
 
     def times(self) -> np.ndarray:
-        span = self.t_end - self.t_start
-        m = max(2, round(span * self.samples_per_unit))
-        return np.linspace(self.t_start, self.t_end, m + 1)
+        return _sample_times(self.t_start, self.t_end, self.samples_per_unit)
 
     def anchor_time(self) -> float:
         return self.t_start if self.anchor is None else self.anchor
@@ -245,10 +251,10 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     return TimeTrace(v.grid, v.times, coeffs)
 
 
-def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
-    """Returns whether norm-pair checks stay on; raises outside the ranges."""
+def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> None:
+    """Raises outside the ranges; warns on an exploratory alpha."""
     if G.in_wellposed_range():
-        return True
+        return
     if cfg.exploratory and ALPHA_EXPLORATORY_LOWER < G.alpha < ALPHA_UPPER:
         warnings.warn(
             f"alpha = {G.alpha} is outside the well-posedness range "
@@ -256,7 +262,7 @@ def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
             "norm-pair checks disabled",
             stacklevel=3,
         )
-        return False
+        return
     raise ValueError(
         f"alpha = {G.alpha} needs the well-posedness range "
         f"({ALPHA_LOWER:.6g}, {ALPHA_UPPER:.6g}); pass exploratory=True for "
@@ -264,16 +270,24 @@ def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> bool:
     )
 
 
-def _smallness(free: TimeTrace, G: NonlinearityG, check: bool) -> float:
-    rc = critical_exponent(G.alpha)
-    return snorm(free, rc, check=check) + xnorm(free, aux_smoothness(G.alpha), rc,
-                                               check=check)
+def _size_norms(trace: TimeTrace, alpha: float,
+                values: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """The contraction's scattering norm and auxiliary norm of a trace.
+
+    snorm and xnorm at the critical exponent, with no pair check: an
+    exploratory alpha leaves the acceptable region, and the exponent map
+    still applies there.  values, when given, are trace.values().
+    """
+    rc = critical_exponent(alpha)
+    sl = aux_smoothness(alpha)
+    return (mixed_norm(trace, *exponent_map(0.0, rc), values=values),
+            mixed_norm(trace, *exponent_map(sl, rc), sl))
 
 
 def free_smallness(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> float:
     """The gate quantity: scattering norm plus auxiliary norm of the free flow."""
     free = free_evolution(u0, cfg.times(), t0=cfg.anchor_time())
-    return _smallness(free, G, G.in_wellposed_range())
+    return sum(_size_norms(free, G.alpha))
 
 
 def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> SolveResult:
@@ -290,13 +304,13 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     every retarded integral (shared in a _shared_tables scope, which joins
     a glued run's).  The diagnostics are computed when first read.
     """
-    check = _wellposed_guard(G, cfg)
+    _wellposed_guard(G, cfg)
     times = cfg.times()
     t0 = cfg.anchor_time()
     rc = critical_exponent(G.alpha)
     with _shared_tables():
         free = free_evolution(u0, times, t0=t0)
-        eps = _smallness(free, G, check)
+        eps = sum(_size_norms(free, G.alpha))
         if eps > cfg.delta:
             return SolveResult(
                 trace=free, converged=False, iterations=0, epsilon=eps,
@@ -341,7 +355,6 @@ def _mass_drift(trace: TimeTrace) -> Tuple[float, float]:
 def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
                       cfg: SolverConfig, eps: float) -> dict:
     """Conservation drifts, size bounds, and boundary-mass taint for a trace."""
-    check = G.in_wellposed_range()
     rc = critical_exponent(G.alpha)
     m0, mass_drift = _mass_drift(trace)
     e0 = energy(trace.field(0), G, pad=cfg.pad)
@@ -352,9 +365,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
     vals = trace.values()  # one transform for the boundary mass and snorm
     boundary = float(np.max(boundary_mass_fraction(vals, trace.grid)))
-    scattering_size = snorm(trace, rc, check=check, values=vals)
-    del vals  # xnorm transforms its own weighted copy; keep one sample array live
-    size = scattering_size + xnorm(trace, aux_smoothness(G.alpha), rc, check=check)
+    size = sum(_size_norms(trace, G.alpha, vals))
     return {
         "mass_initial": m0,
         "mass_drift": mass_drift,

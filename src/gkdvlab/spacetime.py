@@ -5,6 +5,8 @@ when it lies in the closed-bottom quadrangle described by classify_pair, and
 "conjugate acceptable" when (1 - s, r') is acceptable.  Acceptable pairs map
 to mixed Lebesgue exponents (p, q) through a fixed linear system; conjugate
 pairs map to the dual exponents used for inhomogeneous estimates.
+mixed_norm is the one L^p_x L^q_t quadrature of |D_x|^s u on a trace;
+xnorm, snorm and ynorm are its wrappers that check the pair first.
 """
 
 from __future__ import annotations
@@ -242,6 +244,11 @@ def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> Tim
     return TimeTrace(u0.grid, times, _real_ends(coeffs))
 
 
+def _sample_times(a: float, b: float, per_unit: int) -> np.ndarray:
+    """Uniform sample times on [a, b]: round((b - a) * per_unit) intervals, at least 2."""
+    return np.linspace(a, b, max(2, round((b - a) * per_unit)) + 1)
+
+
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     dt = np.diff(times)
     w = np.empty(times.size)
@@ -256,87 +263,57 @@ def _validate_exponent(name: str, e: float) -> None:
         raise ValueError(f"{name} must lie in [1, inf], got {e}")
 
 
-def mixed_norm_values(values: np.ndarray, grid: Grid1D, times: np.ndarray,
-                      p: float, q: float, order: str = "x_outer") -> float:
-    """Mixed norm of sampled physical values, shape (M, N).
+def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0,
+               values: Optional[np.ndarray] = None) -> float:
+    """Mixed space-time norm || |D_x|^s u ||_{L^p_x L^q_t} of a trace.
 
-    x_outer is the L^p_x(L^q_t) norm (time inside), t_outer the L^q_t(L^p_x)
-    norm.  Time integrals use trapezoid weights on the stored sample times,
-    space integrals the lattice sum with weight dx; infinite exponents take
-    maxima over the samples.
+    Time is inside: trapezoid weights on the stored sample times, then the
+    lattice sum with weight dx over space; infinite exponents take maxima
+    over the samples.  values, when the caller already holds them, are the
+    samples of |D_x|^s u (trace.values() at s = 0).
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)
-    if order not in ("x_outer", "t_outer"):
-        raise ValueError(f"order must be x_outer or t_outer, got {order!r}")
-    if times.size < 2 and q != math.inf:
-        raise ValueError("time quadrature needs at least 2 samples")
+    if values is None:
+        coeffs = trace.coeffs if s == 0 \
+            else trace.coeffs * riesz_weights(trace.grid, s, half=True)[None, :]
+        values = coeffs_to_values(coeffs, trace.grid)
+        del coeffs  # trace-sized: do not hold the weighted copy beside the samples
     mags = np.abs(values)
-    tw = trapezoid_weights(times)
-    if order == "x_outer":
-        if q == math.inf:
-            inner = np.max(mags, axis=0)
-        else:
-            inner = np.einsum("m,mj->j", tw, mags ** q) ** (1.0 / q)
-        return weighted_power_sum(inner, grid.dx, p)
-    inner = weighted_power_sum(mags, grid.dx, p)
     if q == math.inf:
-        return float(np.max(inner))
-    return float(np.sum(tw * inner ** q)) ** (1.0 / q)
+        inner = np.max(mags, axis=0)
+    else:
+        inner = np.einsum("m,mj->j", trapezoid_weights(trace.times), mags ** q) ** (1.0 / q)
+    return weighted_power_sum(inner, trace.grid.dx, p)
 
 
-def mixed_norm(trace: TimeTrace, p: float, q: float, order: str = "x_outer") -> float:
-    """Mixed space-time norm of a trace; see mixed_norm_values."""
-    return mixed_norm_values(trace.values(), trace.grid, trace.times, p, q, order)
+def xnorm(trace: TimeTrace, s: float, r: float) -> float:
+    """Norm || |D_x|^s u ||_{L^p_x L^q_t} with (p, q) = exponent_map(s, r).
 
-
-def _riesz_trace(trace: TimeTrace, s: float) -> TimeTrace:
-    """|D_x|^s applied to every row of a trace; s = 0 returns the trace itself."""
-    if s == 0:
-        return trace
-    w = riesz_weights(trace.grid, s, half=True)
-    return TimeTrace(trace.grid, trace.times, trace.coeffs * w[None, :])
-
-
-def xnorm(trace: TimeTrace, s: float, r: float, check: bool = True,
-          values: Optional[np.ndarray] = None) -> float:
-    """Norm || |D_x|^s u ||_{L^p_x L^q_t} with (p, q) determined by (s, r).
-
-    Requires (s, r) acceptable unless check=False (exploratory use); the
-    exponent map is still applied verbatim in that case.  values, when the
-    caller already holds them, are the samples of |D_x|^s u
-    (trace.values() at s = 0).
+    Raises unless (s, r) is acceptable.
     """
-    cls = classify_pair(s, r)
-    if check and not cls.acceptable:
+    if not classify_pair(s, r).acceptable:
         raise ValueError(
             f"pair (s={s}, r={r}) is not acceptable: needs 1/r in [0, 3/4) and "
             "s in [-1/(2r), 2/r] for 1/r <= 1/2, "
             "s in (2/r - 5/4, 5/2 - 3/r) for 1/2 < 1/r < 3/4"
         )
-    p, q = exponent_map(s, r)
-    if values is None:
-        values = _riesz_trace(trace, s).values()
-    return mixed_norm_values(values, trace.grid, trace.times, p, q, "x_outer")
+    return mixed_norm(trace, *exponent_map(s, r), s)
 
 
-def snorm(trace: TimeTrace, r: float, check: bool = True,
-          values: Optional[np.ndarray] = None) -> float:
-    """Scattering-size norm: xnorm at smoothness zero (values: trace.values())."""
-    return xnorm(trace, 0.0, r, check=check, values=values)
+def snorm(trace: TimeTrace, r: float) -> float:
+    """Scattering-size norm: xnorm at smoothness zero."""
+    return xnorm(trace, 0.0, r)
 
 
-def ynorm(trace: TimeTrace, s: float, r: float, check: bool = True) -> float:
-    """Dual-side norm || |D_x|^s F ||_{L^ptilde_x L^qtilde_t}.
+def ynorm(trace: TimeTrace, s: float, r: float) -> float:
+    """Dual-side norm || |D_x|^s F ||_{L^ptilde_x L^qtilde_t}, at dual_exponent_map(s, r).
 
-    Requires (s, r) conjugate acceptable unless check=False.
+    Raises unless (s, r) is conjugate acceptable.
     """
-    cls = classify_pair(s, r)
-    if check and not cls.conjugate_acceptable:
+    if not classify_pair(s, r).conjugate_acceptable:
         raise ValueError(
             f"pair (s={s}, r={r}) is not conjugate acceptable: "
             f"(1 - s, r') = ({1.0 - s}, {holder_conjugate(r)}) must be acceptable"
         )
-    p, q = dual_exponent_map(s, r)
-    vals = _riesz_trace(trace, s).values()
-    return mixed_norm_values(vals, trace.grid, trace.times, p, q, "x_outer")
+    return mixed_norm(trace, *dual_exponent_map(s, r), s)

@@ -165,6 +165,15 @@ def test_lip_seminorm_known_values():
     assert lip_norm_estimate(quintic, 5.0) == pytest.approx(120.0, rel=1e-10)
 
 
+def test_lip_seminorm_is_exact_for_every_power():
+    # central differences of fourth and fifth order cancel catastrophically
+    # at a 1e-5 step: the power rule's derivatives are taken in closed form
+    sextic = NonlinearityG(alpha=6.0)
+    assert lip_norm_estimate(sextic, 6.0) == pytest.approx(720.0, rel=1e-10)
+    near_quintic = NonlinearityG(alpha=4.999999)
+    assert lip_norm_estimate(near_quintic, 4.999999) == pytest.approx(120.0, rel=1e-4)
+
+
 def test_lip_seminorm_flags_unbounded_quotients():
     rough = NonlinearityG(alpha=2.0, rule="custom", func=lambda v: np.abs(v) ** 0.5)
     coarse = lip_norm_estimate(rough, 1.0, samples=200)

@@ -16,6 +16,7 @@ from gkdvlab.solver import (
     NonlinearityG,
     NumericalBlowupError,
     SolverConfig,
+    _size_norms,
     aux_smoothness,
     critical_exponent,
     energy,
@@ -26,7 +27,7 @@ from gkdvlab.solver import (
     reference_solve,
     retarded_integral,
 )
-from gkdvlab.spacetime import TimeTrace, free_evolution
+from gkdvlab.spacetime import TimeTrace, free_evolution, snorm, xnorm
 from gkdvlab.spectral import (
     Grid1D,
     SpectralField,
@@ -153,6 +154,15 @@ def test_alpha_range_guard():
     # far outside even the exploratory window
     with pytest.raises(ValueError):
         picard_solve(u0, NonlinearityG(alpha=2.0, mu=1.0), cfg_x)
+
+
+def test_size_norms_are_snorm_plus_xnorm_bytewise():
+    f = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=2)
+    trace = free_evolution(0.1 * f, SolverConfig(grid=GRID, samples_per_unit=32).times())
+    rc = critical_exponent(5.0)
+    checked = snorm(trace, rc) + xnorm(trace, aux_smoothness(5.0), rc)
+    assert sum(_size_norms(trace, 5.0)).hex() == checked.hex()
+    assert sum(_size_norms(trace, 5.0, trace.values())).hex() == checked.hex()
 
 
 def test_free_smallness_monotone_in_amplitude():

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
 from gkdvlab.estimates import _require_duhamel_window
-from gkdvlab.norms import holder_conjugate
+from gkdvlab.norms import holder_conjugate, weighted_power_sum
 from gkdvlab.solver import retarded_integral
 from gkdvlab.spacetime import (
     TimeTrace,
@@ -20,7 +20,6 @@ from gkdvlab.spacetime import (
     exponent_map,
     free_evolution,
     mixed_norm,
-    mixed_norm_values,
     snorm,
     trapezoid_weights,
     xnorm,
@@ -29,8 +28,11 @@ from gkdvlab.spectral import (
     Grid1D,
     _fold,
     airy_propagate,
+    coeffs_to_values,
     gaussian_profile,
     random_band_limited,
+    riesz_weights,
+    values_to_coeffs,
 )
 
 from full_band import unfold
@@ -203,29 +205,17 @@ def test_free_evolution_matches_propagator_rows():
                                    atol=1e-12)
 
 
-def test_mixed_norm_orders_agree_when_p_equals_q():
-    f = gaussian_profile(GRID, 1.0)
-    trace = free_evolution(f, np.linspace(0.0, 1.0, 33))
-    for p in (2.0, 4.0):
-        a = mixed_norm(trace, p, p, "x_outer")
-        b = mixed_norm(trace, p, p, "t_outer")
-        assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_mixed_norm_against_simpson_oracle():
     # smooth synthetic data, dense trace: trapezoid vs scipy Simpson
     grid = Grid1D(8.0, 16)
     times = np.linspace(0.0, 1.0, 4097)
     x = grid.points
     vals = np.cos(times[:, None] + x[None, :]) * np.exp(-x[None, :] ** 2 / 4.0)
-    got = mixed_norm_values(vals, grid, times, 2.0, 4.0, "x_outer")
+    trace = TimeTrace(grid, times, values_to_coeffs(vals, grid))
+    got = mixed_norm(trace, 2.0, 4.0)
     inner = simpson(np.abs(vals) ** 4.0, x=times, axis=0) ** (1.0 / 4.0)
     expect = (np.sum(inner ** 2.0) * grid.dx) ** 0.5
     assert got == pytest.approx(expect, rel=1e-6)
-    got_t = mixed_norm_values(vals, grid, times, 2.0, 4.0, "t_outer")
-    outer = (np.sum(np.abs(vals) ** 2.0, axis=1) * grid.dx) ** (1.0 / 2.0)
-    expect_t = simpson(outer ** 4.0, x=times) ** 0.25
-    assert got_t == pytest.approx(expect_t, rel=1e-6)
 
 
 def test_mixed_norm_infinite_exponents():
@@ -233,7 +223,31 @@ def test_mixed_norm_infinite_exponents():
     trace = free_evolution(f, np.linspace(0.0, 1.0, 17))
     sup = mixed_norm(trace, math.inf, math.inf)
     assert sup == pytest.approx(np.max(np.abs(trace.values())), rel=1e-12)
-    assert mixed_norm(trace, math.inf, math.inf, "t_outer") == pytest.approx(sup)
+
+
+@pytest.mark.parametrize("s", [-0.25, 0.0, 1.0 / 6.0, 0.5])
+def test_mixed_norm_with_smoothness_matches_the_former_path_bytewise(s):
+    """mixed_norm(trace, p, q, s) against the former two-step path, inlined.
+
+    That path built the trace of |D_x|^s u, transformed it and took the
+    L^p_x L^q_t norm of its samples with time inside.
+    """
+    f = random_band_limited(GRID, decay=1.0, band=32, seed=8)
+    trace = free_evolution(f, np.linspace(0.0, 1.0, 33))
+    weighted = trace.coeffs if s == 0 \
+        else trace.coeffs * riesz_weights(GRID, s, half=True)[None, :]
+    vals = coeffs_to_values(weighted, GRID)
+    mags = np.abs(vals)
+    tw = trapezoid_weights(trace.times)
+    for p in (2.0, 4.0, math.inf):
+        for q in (2.0, 4.0, math.inf):
+            if q == math.inf:
+                inner = np.max(mags, axis=0)
+            else:
+                inner = np.einsum("m,mj->j", tw, mags ** q) ** (1.0 / q)
+            former = weighted_power_sum(inner, GRID.dx, p)
+            assert mixed_norm(trace, p, q, s).hex() == former.hex(), (p, q)
+            assert mixed_norm(trace, p, q, s, values=vals).hex() == former.hex(), (p, q)
 
 
 def test_trapezoid_weights_sum_to_span():
@@ -252,7 +266,7 @@ def test_xnorm_rejects_unacceptable_pair():
     # hatch can evaluate the quadrature
     with pytest.raises(ValueError):
         xnorm(trace, -0.2, 5.0 / 3.0)
-    assert xnorm(trace, -0.2, 5.0 / 3.0, check=False) > 0
+    assert mixed_norm(trace, *exponent_map(-0.2, 5.0 / 3.0), -0.2) > 0
 
 
 def test_snorm_is_xnorm_at_zero_smoothness():
