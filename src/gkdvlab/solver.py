@@ -40,6 +40,7 @@ from .spectral import (
     _plan,
     _real_ends,
     _real_samples,
+    _row_blocks,
     apply_pointwise_matrix,
 )
 
@@ -192,16 +193,20 @@ class SolveResult:
         return {} if self.diagnose is None else self.diagnose()
 
 
-def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    out = np.empty_like(rows)
-    out[0] = 0.0
-    steps = np.add(rows[1:], rows[:-1], out=out[1:])
-    np.multiply(0.5 * np.diff(times)[:, None], steps, out=steps)
-    np.cumsum(steps, axis=0, out=steps)
-    return out
+def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> None:
+    """Cumulative trapezoid sums of rows (axis 0) over times, in place."""
+    later, earlier = rows[1:], rows[:-1]
+    # last block first, so each block reads the rows before it unchanged;
+    # numpy copies the overlapping operand, a block rather than the trace
+    for block in reversed(_row_blocks(later)):
+        np.add(later[block], earlier[block], out=later[block])
+    np.multiply(0.5 * np.diff(times)[:, None], later, out=later)
+    np.cumsum(later, axis=0, out=later)
+    rows[0] = 0.0
 
 
-def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
+def retarded_integral(forcing: TimeTrace, t0: float,
+                      out: Optional[np.ndarray] = None) -> TimeTrace:
     """Mode-wise retarded integral of a forcing trace from the anchor t0.
 
     Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'
@@ -211,21 +216,23 @@ def retarded_integral(forcing: TimeTrace, t0: float) -> TimeTrace:
     grows with xi^3 dt.  The phases are the table of offsets t - t0 that
     free_evolution reads, so traces whose offsets are equal bit for bit
     give the same bytes wherever they sit in time.  t0 must be one of the
-    sample times.  The result's zero and unpaired modes are real.
+    sample times.  The result's zero and unpaired modes are real.  It is
+    formed in place in out, an array of the forcing's shape, if given (out
+    may be forcing.coeffs), else in a new array.
     """
     times = forcing.times
     j0 = int(np.argmin(np.abs(times - t0)))
     if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
     up = _airy_table(forcing.grid, times - t0, 1j)
-    # the phase stays the left operand: complex products are not bytewise
-    # commutative where numpy's multiply loop uses fused multiply-adds
-    integrand = np.conjugate(up)
-    np.multiply(integrand, forcing.coeffs, out=integrand)
-    result = _cumulative_trapezoid(integrand, times)
-    del integrand
+    result = np.empty_like(forcing.coeffs) if out is None else out
+    for rows in _row_blocks(result):
+        # the phase stays the left operand: complex products are not bytewise
+        # commutative where numpy's multiply loop uses fused multiply-adds
+        np.multiply(np.conjugate(up[rows]), forcing.coeffs[rows], out=result[rows])
+    _cumulative_trapezoid(result, times)
     if j0:
-        result -= result[j0]
+        result -= result[j0].copy()  # numpy would copy the trace for a view into it
     np.multiply(up, result, out=result)
     return TimeTrace(forcing.grid, times, _real_ends(result))
 
@@ -236,7 +243,8 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
 
     free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, built
     once per solve.  Returns free(t)
-    + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt'.
+    + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
+    formed in the flux's array: one trace-sized allocation per step.
     """
     if v.grid != free.grid:
         raise ValueError("iterate and datum live on different grids")
@@ -244,8 +252,7 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     # i xi of the unpaired mode makes it imaginary; the integral keeps it
     # until its result's modes are made real
     np.multiply(1j * _plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
-    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), t0).coeffs
-    del flux  # trace-sized arrays set peak memory: update the integral in place
+    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), t0, out=flux).coeffs
     np.multiply(G.mu, coeffs, out=coeffs)
     np.add(free.coeffs, coeffs, out=coeffs)
     return TimeTrace(v.grid, v.times, coeffs)
@@ -329,7 +336,8 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
                 raise NumericalBlowupError(
                     "iterate left the finite regime", time=float(times[0]), trace=v,
                 )
-            dist = float(np.max(lhat_rows(w.coeffs - v.coeffs, u0.grid.dxi, rc)))
+            dist = max(float(np.max(lhat_rows(w.coeffs[b] - v.coeffs[b], u0.grid.dxi, rc)))
+                       for b in _row_blocks(w.coeffs))
             dists.append(dist)
             if len(dists) >= 2 and dists[-2] > 0.0:
                 factors.append(dists[-1] / dists[-2])

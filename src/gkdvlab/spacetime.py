@@ -27,6 +27,8 @@ from .spectral import (
     _check_modes,
     _plan,
     _real_ends,
+    _real_samples,
+    _row_blocks,
     coeffs_to_values,
     riesz_weights,
 )
@@ -270,20 +272,27 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0,
     Time is inside: trapezoid weights on the stored sample times, then the
     lattice sum with weight dx over space; infinite exponents take maxima
     over the samples.  values, when the caller already holds them, are the
-    samples of |D_x|^s u (trace.values() at s = 0).
+    samples of |D_x|^s u (trace.values() at s = 0).  The rows go through in
+    _row_blocks, into one (M, N) array of |.|^q (a running maximum at q = inf).
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)
-    if values is None:
-        coeffs = trace.coeffs if s == 0 \
-            else trace.coeffs * riesz_weights(trace.grid, s, half=True)[None, :]
-        values = coeffs_to_values(coeffs, trace.grid)
-        del coeffs  # trace-sized: do not hold the weighted copy beside the samples
-    mags = np.abs(values)
-    if q == math.inf:
-        inner = np.max(mags, axis=0)
-    else:
-        inner = np.einsum("m,mj->j", trapezoid_weights(trace.times), mags ** q) ** (1.0 / q)
+    weights = None if s == 0 or values is not None \
+        else riesz_weights(trace.grid, s, half=True)
+    inner = powers = None
+    for rows in _row_blocks(trace.coeffs):
+        block = values[rows] if values is not None else _real_samples(
+            trace.coeffs[rows] if weights is None else trace.coeffs[rows] * weights, trace.grid, 1)
+        if q == math.inf:
+            peak = np.max(np.abs(block), axis=0)
+            inner = peak if inner is None else np.maximum(inner, peak, out=inner)
+            continue
+        if powers is None:  # after the first transform, whose temporaries are gone
+            powers = np.empty((trace.sample_count, trace.grid.size))
+        mags = np.abs(block, out=powers[rows])
+        mags **= q
+    if q != math.inf:
+        inner = np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
     return weighted_power_sum(inner, trace.grid.dx, p)
 
 

@@ -380,23 +380,45 @@ def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
 
 # -- Dealiased pointwise operations ------------------------------------------
 
+# Bytes of rows a row-blocked kernel takes at a time: its work arrays are
+# block-sized, not trace-sized, and every verify trace or stack is one block.
+_BLOCK_BYTES = 1280 * 1024
+
+
+def _row_blocks(a: np.ndarray) -> list:
+    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES or one row each; 1-d: one."""
+    if a.ndim < 2:
+        return [...]
+    step = max(1, _BLOCK_BYTES * a.shape[-2] // max(a.nbytes, 1))
+    return [(..., slice(i, i + step), slice(None)) for i in range(0, max(a.shape[-2], 1), step)]
+
+
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
     """Apply a real pointwise map on a padded grid to rows of real fields.
 
-    coeffs has shape (..., N/2 + 1), half-spectra, and so has the result.
-    Each row is spectrally interpolated onto a grid with pad*N points, func
-    is applied to the real samples (a contiguous array), and the rfft of the
+    coeffs has shape (..., M, N/2 + 1), half-spectra, or is one row.  Each
+    row is spectrally interpolated onto a grid with pad*N points, func is
+    applied to the real samples (a contiguous array), and the rfft of the
     result is truncated to bins 0 .. N/2 and scaled, with the zero and
-    unpaired -N/2 modes real.
+    unpaired -N/2 modes real.  The rows along axis -2 are independent: they
+    go through in _row_blocks, each written straight into the result, so
+    func keeps that axis but may combine the axes before it.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
     half = grid.size // 2
     plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
-    mapped = np.asarray(func(_real_samples(coeffs, grid, pad)))
-    if mapped.shape[-1] != m:
-        raise ValueError(f"pointwise map returned last axis {mapped.shape[-1]}, expected {m}")
-    spec = np.fft.rfft(mapped, axis=-1)
-    del mapped  # fine-grid arrays set peak memory: free them first
-    return _real_ends(spec[..., :half + 1] * plan.half_forward[:half + 1])
+    out = None
+    for rows in _row_blocks(coeffs):
+        block = coeffs[rows]
+        mapped = np.asarray(func(_real_samples(block, grid, pad)))
+        if mapped.shape[-1] != m or mapped.shape[-2:-1] != block.shape[-2:-1]:
+            raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last axis "
+                             f"{m} and the rows of {block.shape[:-1]}")
+        spec = np.fft.rfft(mapped, axis=-1)
+        del mapped  # fine-grid arrays set peak memory: free them first
+        if out is None:
+            out = np.empty(spec.shape[:-2] + coeffs.shape[-2:], dtype=complex)
+        np.multiply(spec[..., :half + 1], plan.half_forward[:half + 1], out=out[rows])
+    return _real_ends(out)

@@ -230,8 +230,12 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
                                                     grid))
             for _ in range(2))
     prod = _product_trace(u, v, pad=pad)
-    want = np.stack([apply_pointwise_matrix(np.stack((u.coeffs[m], v.coeffs[m])), grid,
-                                            _times, pad=pad) for m in range(rows)])
+    # each reference is a (2, 1, N/2 + 1) stack: the map combines the axis
+    # before the rows, never the rows themselves
+    want = np.concatenate([apply_pointwise_matrix(np.stack((u.coeffs[m:m + 1],
+                                                            v.coeffs[m:m + 1])),
+                                                  grid, _times, pad=pad)
+                           for m in range(rows)])
     assert prod.is_real
     assert prod.coeffs.dtype == want.dtype and prod.coeffs.shape == want.shape
     assert prod.coeffs.tobytes() == want.tobytes()

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdvlab import solver, spacetime
-from gkdvlab.norms import band_sum, holder_conjugate
+from gkdvlab import solver, spacetime, spectral
+from gkdvlab.norms import band_sum, holder_conjugate, lhat_rows
 from gkdvlab.solver import (
     FieldStack,
     NonlinearityG,
@@ -341,17 +342,37 @@ def test_free_evolution_matches_the_full_band_kernel_bytewise():
         assert _fold(want).tobytes() == got.coeffs.tobytes()
 
 
+def _blocks_of(monkeypatch, rows, grid):
+    """Make the row-blocked kernels take traces on grid rows rows at a time."""
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", rows * 16 * (grid.size // 2 + 1))
+
+
 @pytest.mark.parametrize("j0", [0, 5, 32])
-def test_retarded_integral_matches_the_former_formula(j0):
+def test_retarded_integral_matches_the_former_formula(j0, monkeypatch):
+    _check_retarded_against_the_former_formula(j0, None, False, monkeypatch)
+
+
+@pytest.mark.parametrize("block_rows, in_place", [(2, False), (None, True), (2, True)])
+@pytest.mark.parametrize("j0", [0, 5, 32])
+def test_retarded_integral_in_row_blocks_or_in_place_matches_the_former_formula(
+        j0, block_rows, in_place, monkeypatch):
+    _check_retarded_against_the_former_formula(j0, block_rows, in_place, monkeypatch)
+
+
+def _check_retarded_against_the_former_formula(j0, block_rows, in_place, monkeypatch):
     grid = Grid1D(32.0, 128)
     times = np.linspace(0.5, 1.5, 33)
     # the forcing's half-spectrum, unfolded: the mirrored full-band kernel
     # bit for bit, the former formula to round-off (1e-13 of the largest
-    # coefficient), with real end modes
+    # coefficient), with real end modes; in blocks of 2 of the 33 rows too,
+    # and formed in the forcing's own array
     forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)
-    got = retarded_integral(forcing, times[j0])
-    full = unfold(got.coeffs)
     rows = unfold(forcing.coeffs)
+    if block_rows:
+        _blocks_of(monkeypatch, block_rows, grid)
+    got = retarded_integral(forcing, times[j0], out=forcing.coeffs if in_place else None)
+    assert (got.coeffs is forcing.coeffs) == in_place
+    full = unfold(got.coeffs)
     assert full.tobytes() == _parent_retarded(rows, grid, times, times[j0]).tobytes()
     want = _former_retarded(rows, grid, times, times[j0])
     assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
@@ -359,7 +380,15 @@ def test_retarded_integral_matches_the_former_formula(j0):
     assert got.is_real and np.all(hermitian_defect(got.coeffs, half=True) == 0.0)
 
 
-def test_duhamel_map_matches_the_full_band_kernel_bytewise():
+def test_duhamel_map_matches_the_full_band_kernel_bytewise(monkeypatch):
+    _check_duhamel_against_the_full_band_kernel(None, monkeypatch)
+
+
+def test_duhamel_map_in_row_blocks_matches_the_full_band_kernel_bytewise(monkeypatch):
+    _check_duhamel_against_the_full_band_kernel(2, monkeypatch)
+
+
+def _check_duhamel_against_the_full_band_kernel(block_rows, monkeypatch):
     grid = Grid1D(32.0, 128)
     cfg = SolverConfig(grid=grid, t_start=0.25, t_end=0.75, samples_per_unit=32)
     times, t0 = cfg.times(), cfg.anchor_time()
@@ -368,11 +397,71 @@ def test_duhamel_map_matches_the_full_band_kernel_bytewise():
         u0 = 0.8 * random_band_limited(grid, 1.0, 32, seed=9)
         free = free_evolution(u0, times, t0=t0)
         v = free_evolution(gaussian_profile(grid, 0.6), times, t0=t0)
-        got = solver.duhamel_map(v, free, t0, G, cfg)
         want = _parent_duhamel(unfold(v.coeffs), unfold(free.coeffs), grid, times, t0,
                                G, cfg.pad)
+        with monkeypatch.context() as patch:
+            if block_rows:  # the 17 rows in blocks of 2
+                _blocks_of(patch, block_rows, grid)
+            got = solver.duhamel_map(v, free, t0, G, cfg)
         assert got.is_real
         _assert_equal_values(unfold(got.coeffs), want)
+
+
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+def test_picard_solve_in_row_blocks_matches_the_whole_trace_loop_bytewise(mu, monkeypatch):
+    """Update distances and iterates of picard_solve in blocks of 2 of its 33 rows.
+
+    The reference is the loop on whole traces: the full-band Duhamel map and
+    the distance max_m lhat(w - v) of the half-spectrum difference.
+    """
+    G = NonlinearityG(alpha=5.0, mu=mu)
+    u0 = 1.5 * random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=7)
+    cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
+    times, t0 = cfg.times(), cfg.anchor_time()
+    rc = critical_exponent(G.alpha)
+    free = _parent_free(unfold(u0.modes), GRID, times, t0)
+    v, dists = free, []
+    while not dists or dists[-1] > cfg.tolerance:
+        w = _parent_duhamel(v, free, GRID, times, t0, G, cfg.pad)
+        dists.append(float(np.max(lhat_rows(_fold(w - v), GRID.dxi, rc))))
+        v = w
+    _blocks_of(monkeypatch, 2, GRID)
+    res = picard_solve(u0, G, cfg)
+    assert res.converged and res.update_distances == dists and len(dists) >= 3
+    _assert_equal_values(unfold(res.trace.coeffs), v)
+
+
+def _own_peak(call):
+    """Bytes a call allocates above what is live when it starts, at its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_kernels_hold_their_result_and_a_few_blocks():
+    """The work arrays of the trace kernels are block-sized on a long trace.
+
+    257 rows at N = 4096 (8.4 MB of coefficients, 7 blocks): each kernel
+    holds its result, or the (M, N) array of powers of mixed_norm, plus at
+    most 4 pad blocks.  With whole-trace temporaries they peaked at 25 to 34 MB.
+    """
+    grid = Grid1D(1024.0, 4096)
+    cfg = SolverConfig(grid=grid, t_start=0.0, t_end=2.0)
+    times = cfg.times()
+    budget = 4 * cfg.pad * spectral._BLOCK_BYTES
+    with spacetime._shared_tables():  # as in a Picard solve: the phase table is built
+        v = free_evolution(gaussian_profile(grid, 0.05), times)
+        assert len(spectral._row_blocks(v.coeffs)) > 4
+        result = v.coeffs.nbytes
+        powers = times.size * grid.size * 8
+        assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
+                                                        pad=cfg.pad)) <= result + budget
+        assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
+        assert _own_peak(lambda: solver.duhamel_map(v, v, 0.0, G5, cfg)) <= result + budget
 
 
 # Update distances are sums over the modes.  A real trace's are taken over

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
+from gkdvlab import spectral
 from gkdvlab.estimates import _require_duhamel_window
 from gkdvlab.norms import holder_conjugate, weighted_power_sum
 from gkdvlab.solver import retarded_integral
@@ -230,8 +231,19 @@ def test_mixed_norm_with_smoothness_matches_the_former_path_bytewise(s):
     """mixed_norm(trace, p, q, s) against the former two-step path, inlined.
 
     That path built the trace of |D_x|^s u, transformed it and took the
-    L^p_x L^q_t norm of its samples with time inside.
+    L^p_x L^q_t norm of its samples with time inside, all rows at once.
     """
+    _check_mixed_norm_against_the_former_path(s)
+
+
+@pytest.mark.parametrize("s", [-0.25, 0.0, 1.0 / 6.0, 0.5])
+def test_mixed_norm_in_row_blocks_matches_the_former_path_bytewise(s, monkeypatch):
+    """The same with the 33 rows in blocks of 2, the last one short."""
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 2 * 16 * (GRID.size // 2 + 1))
+    _check_mixed_norm_against_the_former_path(s)
+
+
+def _check_mixed_norm_against_the_former_path(s):
     f = random_band_limited(GRID, decay=1.0, band=32, seed=8)
     trace = free_evolution(f, np.linspace(0.0, 1.0, 33))
     weighted = trace.coeffs if s == 0 \

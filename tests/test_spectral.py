@@ -378,6 +378,39 @@ def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, ro
     assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
 
 
+def _one_block_map(coeffs, grid, func, pad):
+    """The dealiased map of all rows at once, as written before row blocks."""
+    half = grid.size // 2
+    scale = spectral._plan(grid.half_length, pad * grid.size).half_forward[:half + 1]
+    spec = np.fft.rfft(np.asarray(func(spectral._real_samples(coeffs, grid, pad))), axis=-1)
+    return spectral._real_ends(spec[..., :half + 1] * scale)
+
+
+# (leading shape, rows per block, func): a trace of 7 rows in blocks of 2,
+# the last one short; a (2, 7, .) product stack whose map combines axis 0,
+# in blocks of 3; the 2-row stack of the RK4 reference, one row a block
+ROW_BLOCK_CASES = {
+    "trace": ((7,), 2, _quintic),
+    "product_stack": ((2, 7), 3, lambda w: w[0] * w[1]),
+    "rk4_stack": ((2,), 1, _quintic),
+}
+
+
+@pytest.mark.parametrize("pad", [2, 3])
+@pytest.mark.parametrize("case", sorted(ROW_BLOCK_CASES))
+def test_row_blocks_map_like_one_block_bytewise(case, pad, monkeypatch):
+    lead, block_rows, func = ROW_BLOCK_CASES[case]
+    grid = Grid1D(24.0, 96)
+    rng = np.random.default_rng(pad)
+    coeffs = values_to_coeffs(rng.standard_normal(lead + (grid.size,)), grid)
+    want = _one_block_map(coeffs, grid, func, pad)
+    assert len(spectral._row_blocks(coeffs)) == 1
+    _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, func, pad=pad), want)
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_rows * coeffs.nbytes // lead[-1])
+    assert len(spectral._row_blocks(coeffs)) == -(-lead[-1] // block_rows) > 1
+    _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, func, pad=pad), want)
+
+
 def _long_double_pointwise(coeffs, grid, func, pad, block=256):
     """The real dealiased map by direct sums over the full band in np.longdouble."""
     n, m = grid.size, pad * grid.size
@@ -440,6 +473,10 @@ def test_real_samples_read_the_hermitian_part(pad):
 def test_pointwise_map_rejects_a_wrong_output_length():
     with pytest.raises(ValueError, match="last axis"):
         apply_pointwise_matrix(_fold(GRID.frequencies) + 0j, GRID, lambda v: v[..., ::2])
+    # a map that combines the rows (axis -2) would be cut by the row blocks
+    with pytest.raises(ValueError, match="rows"):
+        apply_pointwise_matrix(np.stack([_fold(GRID.frequencies) + 0j] * 2), GRID,
+                               lambda v: v[0] * v[1])
 
 
 def test_hermitian_defect_per_row():
