@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -41,11 +41,8 @@ class ScatteringReport:
 
 
 def _dyadic_checkpoints(times: np.ndarray, levels: int) -> List[int]:
-    t_final = float(np.max(np.abs(times)))
+    t_final = float(times[-1])
     targets = [t_final / 2.0 ** j for j in range(levels, -1, -1)]
-    if times[0] < 0:
-        targets = [-t for t in targets]
-        targets.sort()
     idx = []
     for target in targets:
         j = int(np.argmin(np.abs(times - target)))
@@ -54,22 +51,20 @@ def _dyadic_checkpoints(times: np.ndarray, levels: int) -> List[int]:
     return idx
 
 
-def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
-                     levels: int = 3) -> ScatteringReport:
+def scattering_state(trace: TimeTrace, alpha: float, levels: int = 3) -> ScatteringReport:
     """Pull the trace back along the free flow and difference the checkpoints.
 
     The pullback w(t) removes the free evolution from u(t), so w settles to
-    a limit exactly when the flow scatters; residuals are critical-norm
-    distances between consecutive dyadic checkpoints |t| = T/2^levels .. T.
-    The pullbacks are half-spectra: the half-lattice phase table is odd in
-    xi bitwise, so they stand for the full-band pullbacks mode for mode.
+    a limit exactly when the flow scatters forward; residuals are
+    critical-norm distances between consecutive dyadic checkpoints
+    t = T/2^levels .. T of the last time T.  Backward scattering is the
+    forward scattering of the time reversal u(-t, -x), whose modes are the
+    conjugates.  The pullbacks are half-spectra: the half-lattice phase
+    table is odd in xi bitwise, so they stand for the full-band pullbacks
+    mode for mode.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    if direction == "forward" and trace.times[-1] <= 0:
+    if trace.times[-1] <= 0:
         raise ValueError("forward scattering needs positive times in the trace")
-    if direction == "backward" and trace.times[0] >= 0:
-        raise ValueError("backward scattering needs negative times in the trace")
     idx = _dyadic_checkpoints(trace.times, levels)
     if len(idx) < 3:
         raise ValueError(
@@ -79,13 +74,7 @@ def scattering_state(trace: TimeTrace, alpha: float, direction: str = "forward",
     grid = trace.grid
     pullbacks = trace.coeffs[idx] * _airy_table(grid, trace.times[idx], -1j)
     residuals = [lhat_rows(b - a, grid.dxi, rc) for a, b in zip(pullbacks, pullbacks[1:])]
-    if direction == "backward":
-        # checkpoints were visited from most negative to least; the limit
-        # object lives at the most negative time
-        residuals = residuals[::-1]
-        final = pullbacks[0]
-    else:
-        final = pullbacks[-1]
+    final = pullbacks[-1]
     mono = all(b < a for a, b in zip(residuals, residuals[1:]))
     return ScatteringReport(
         checkpoint_times=[float(trace.times[j]) for j in idx],
@@ -116,13 +105,13 @@ def scaling_transform(u0: SpectralField, lam: float, alpha: float) -> SpectralFi
     return SpectralField(grid, lam ** power * u0.modes)
 
 
-def spectral_tail_fraction(u: SpectralField, shell: float = 0.125) -> float:
-    """Mass fraction carried by the outer shell of the frequency band."""
+def spectral_tail_fraction(u: SpectralField) -> float:
+    """Mass fraction carried by the outer eighth of the frequency band."""
     c2 = np.abs(u.modes) ** 2
     total = float(band_sum(c2, half=True))
     if total == 0.0:
         return 0.0
-    cut = (1.0 - shell) * u.grid.max_frequency
+    cut = 0.875 * u.grid.max_frequency
     inner = np.abs(_plan(u.grid.half_length, u.grid.size).xi) < cut
     return float(band_sum(np.where(inner, 0.0, c2), half=True)) / total
 
@@ -151,19 +140,18 @@ class MonitorReport:
 
 
 def monitor(trace: TimeTrace, G: NonlinearityG,
-            checkpoint_times: Optional[Sequence[float]] = None,
             aux_lhat: Sequence[float] = (1.8, 2.5),
             aux_sobolev: Sequence[float] = (0.5, 1.0),
             pad: int = 2) -> MonitorReport:
     """Cumulative size norms, conservation drifts, and auxiliary norms.
 
-    Checkpoints default to a dyadic subdivision of the trace; cumulative
-    norms are evaluated on the sub-trace up to each checkpoint.
+    The checkpoints are a dyadic subdivision of the trace, t0 + span/16 ..
+    t0 + span; cumulative norms are evaluated on the sub-trace up to each
+    checkpoint.
     """
     times = trace.times
-    if checkpoint_times is None:
-        span = times[-1] - times[0]
-        checkpoint_times = [times[0] + span / 2.0 ** j for j in range(4, -1, -1)]
+    span = times[-1] - times[0]
+    checkpoint_times = [times[0] + span / 2.0 ** j for j in range(4, -1, -1)]
     f0 = trace.field(0)
     m0 = mass(f0)
     e0 = energy(f0, G, pad=pad)

@@ -1,17 +1,19 @@
 """Contraction solver and reference integrator for the generalized KdV flow.
 
 The equation is d_t u + d_x^3 u = mu * d_x(|u|^(alpha-1) u) for real u.  The
-integral formulation is iterated on whole-interval traces: the retarded
-integral factors the Airy phase out per Fourier mode and applies cumulative
-trapezoid weights to exp(-i (t - t0) xi^3) F(t), so its quadrature error
-grows with xi^3 dt and is largest at the top modes.  Its phases are the free
-flow's table of offsets t - t0 from the anchor, so a solve depends on where
-it sits in time only through those offsets, as the autonomous flow does,
-and a glued run shares one table among its segments.  An integrating-factor
-Runge-Kutta stepper of classical order four provides an independent
-cross-check.  Both take their phases from spacetime._airy_table and their
-flux multiplier i xi from the grid's cached half-lattice, and both are
-tested against the exact travelling wave of the focusing equation.
+integral formulation is iterated on whole-interval traces from their first
+sample t0: the retarded integral factors the Airy phase out per Fourier
+mode and applies cumulative trapezoid weights to exp(-i (t - t0) xi^3) F(t),
+so its quadrature error grows with xi^3 dt and is largest at the top modes.
+Its phases are the free flow's table of offsets t - t0, so a solve depends
+on where it sits in time only through those offsets, as the autonomous flow
+does, and a glued run shares one table among its segments.  The backward
+problem needs no solver of its own: u(t, x) -> u(-t, -x) maps it onto the
+forward one.  An integrating-factor Runge-Kutta stepper of classical order
+four provides an independent cross-check.  Both take their phases from
+spacetime._airy_table and their flux multiplier i xi from the grid's cached
+half-lattice, and both are tested against the exact travelling wave of the
+focusing equation.
 """
 
 from __future__ import annotations
@@ -97,31 +99,21 @@ class NumericalBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class NonlinearityG:
-    """Nonlinearity G entering the flux d_x G(u).
+    """The power nonlinearity G(z) = |z|^(alpha-1) z entering the flux d_x G(u).
 
-    rule "power" means G(z) = |z|^(alpha-1) z; rule "custom" evaluates the
-    supplied func (a real pointwise map).  mu is the coupling written in
-    front of the flux; its sign selects defocusing (positive) or focusing
-    (negative).
+    mu is the coupling written in front of the flux; its sign selects
+    defocusing (positive) or focusing (negative).
     """
 
     alpha: float
     mu: float = 1.0
-    rule: str = "power"
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not (self.alpha > 1.0):
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if self.rule not in ("power", "custom"):
-            raise ValueError(f"rule must be power or custom, got {self.rule!r}")
-        if self.rule == "custom" and self.func is None:
-            raise ValueError("custom rule needs func")
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """G evaluated pointwise on real samples."""
-        if self.rule != "power":
-            return self.func(values)
         out = np.abs(values)
         np.power(out, self.alpha - 1.0, out=out)
         out *= values  # |v|^(alpha-1) v in one array: no sign pass
@@ -136,14 +128,13 @@ class SolverConfig:
     """Discretization and iteration parameters for one solve.
 
     The solve interval is [t_start, t_end] sampled uniformly with
-    samples_per_unit intervals per unit time; anchor is the Duhamel base
-    point t0 and must be one of the sample times (defaults to t_start).
+    samples_per_unit intervals per unit time; the Duhamel integral starts
+    at t_start.
     """
 
     grid: Grid1D
     t_start: float = 0.0
     t_end: float = 1.0
-    anchor: Optional[float] = None
     samples_per_unit: int = 128
     pad: int = 2
     tolerance: float = 1e-10
@@ -162,9 +153,6 @@ class SolverConfig:
 
     def times(self) -> np.ndarray:
         return _sample_times(self.t_start, self.t_end, self.samples_per_unit)
-
-    def anchor_time(self) -> float:
-        return self.t_start if self.anchor is None else self.anchor
 
 
 @dataclass
@@ -205,9 +193,8 @@ def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> None:
     rows[0] = 0.0
 
 
-def retarded_integral(forcing: TimeTrace, t0: float,
-                      out: Optional[np.ndarray] = None) -> TimeTrace:
-    """Mode-wise retarded integral of a forcing trace from the anchor t0.
+def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> TimeTrace:
+    """Mode-wise retarded integral of a forcing trace from its first time t0.
 
     Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'
     as exp(i (t - t0) xi^3) times cumulative trapezoid sums of
@@ -215,34 +202,29 @@ def retarded_integral(forcing: TimeTrace, t0: float,
     product, so the kernel is not integrated exactly and the error per step
     grows with xi^3 dt.  The phases are the table of offsets t - t0 that
     free_evolution reads, so traces whose offsets are equal bit for bit
-    give the same bytes wherever they sit in time.  t0 must be one of the
-    sample times.  The result's zero and unpaired modes are real.  It is
-    formed in place in out, an array of the forcing's shape, if given (out
-    may be forcing.coeffs), else in a new array.
+    give the same bytes wherever they sit in time.  The result's zero and
+    unpaired modes are real.  It is formed in place in out, an array of the
+    forcing's shape, if given (out may be forcing.coeffs), else in a new
+    array.
     """
     times = forcing.times
-    j0 = int(np.argmin(np.abs(times - t0)))
-    if abs(times[j0] - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"anchor {t0} is not a sample time of the forcing trace")
-    up = _airy_table(forcing.grid, times - t0, 1j)
+    up = _airy_table(forcing.grid, times - times[0], 1j)
     result = np.empty_like(forcing.coeffs) if out is None else out
     for rows in _row_blocks(result):
         # the phase stays the left operand: complex products are not bytewise
         # commutative where numpy's multiply loop uses fused multiply-adds
         np.multiply(np.conjugate(up[rows]), forcing.coeffs[rows], out=result[rows])
     _cumulative_trapezoid(result, times)
-    if j0:
-        result -= result[j0].copy()  # numpy would copy the trace for a view into it
     np.multiply(up, result, out=result)
     return TimeTrace(forcing.grid, times, _real_ends(result))
 
 
-def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
+def duhamel_map(v: TimeTrace, free: TimeTrace, G: NonlinearityG,
                 cfg: SolverConfig) -> TimeTrace:
     """One integral-equation application: free term plus flux integral.
 
-    free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, built
-    once per solve.  Returns free(t)
+    free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, from
+    their first time t0, built once per solve.  Returns free(t)
     + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
     formed in the flux's array: one trace-sized allocation per step.
     """
@@ -252,7 +234,7 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, t0: float, G: NonlinearityG,
     # i xi of the unpaired mode makes it imaginary; the integral keeps it
     # until its result's modes are made real
     np.multiply(1j * _plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
-    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), t0, out=flux).coeffs
+    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), out=flux).coeffs
     np.multiply(G.mu, coeffs, out=coeffs)
     np.add(free.coeffs, coeffs, out=coeffs)
     return TimeTrace(v.grid, v.times, coeffs)
@@ -293,7 +275,7 @@ def _size_norms(trace: TimeTrace, alpha: float,
 
 def free_smallness(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> float:
     """The gate quantity: scattering norm plus auxiliary norm of the free flow."""
-    free = free_evolution(u0, cfg.times(), t0=cfg.anchor_time())
+    free = free_evolution(u0, cfg.times(), t0=cfg.t_start)
     return sum(_size_norms(free, G.alpha))
 
 
@@ -307,16 +289,15 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     healthy iterate.
 
     Grid and sample times are fixed, so the free trace is built once per
-    solve, and one phase table of offsets from the anchor serves it and
-    every retarded integral (shared in a _shared_tables scope, which joins
+    solve, and one phase table of offsets from t_start serves it and every
+    retarded integral (shared in a _shared_tables scope, which joins
     a glued run's).  The diagnostics are computed when first read.
     """
     _wellposed_guard(G, cfg)
     times = cfg.times()
-    t0 = cfg.anchor_time()
     rc = critical_exponent(G.alpha)
     with _shared_tables():
-        free = free_evolution(u0, times, t0=t0)
+        free = free_evolution(u0, times, t0=cfg.t_start)
         eps = sum(_size_norms(free, G.alpha))
         if eps > cfg.delta:
             return SolveResult(
@@ -331,7 +312,7 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
         reason = "max iterations reached"
         iterations = 0
         for iterations in range(1, cfg.max_iterations + 1):
-            w = duhamel_map(v, free, t0, G, cfg)
+            w = duhamel_map(v, free, G, cfg)
             if not np.all(np.isfinite(w.coeffs)):
                 raise NumericalBlowupError(
                     "iterate left the finite regime", time=float(times[0]), trace=v,
@@ -388,20 +369,24 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     }
 
 
-def boundary_mass_fraction(vals: np.ndarray, grid: Grid1D, fraction: float = 0.1):
-    """Share of the L^2 mass within the outer fraction of the domain, per row.
+def boundary_mass_fraction(vals: np.ndarray, grid: Grid1D):
+    """Share of the L^2 mass within the outer tenth of the domain, per row.
 
     vals are physical samples along the last axis; a 1-d input gives a
     float, and a row with no mass gives 0.  The periodic interval stands in
     for the whole line only while this stays tiny; runs report it and flag
     values above 1e-6 as tainted.
     """
-    edge = np.abs(grid.points) >= (1.0 - fraction) * grid.half_length
+    edge = np.abs(grid.points) >= 0.9 * grid.half_length
     num = np.sum(np.abs(vals[..., edge]) ** 2, axis=-1)
     den = np.sum(np.abs(vals) ** 2, axis=-1)
     with np.errstate(invalid="ignore"):
         frac = np.where(den > 0, num / den, 0.0)
     return float(frac) if frac.ndim == 0 else frac
+
+
+# Shortest segment a glued solve bisects down to before it gives up.
+_MIN_SEGMENT = 1.0 / 64.0
 
 
 @dataclass
@@ -415,16 +400,15 @@ class GluedResult:
 
 
 def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
-                segment_length: float = 2.0, min_segment: float = 1.0 / 64.0,
-                store_stride: int = 1) -> GluedResult:
+                segment_length: float = 2.0, store_stride: int = 1) -> GluedResult:
     """Solve on [t_start, t_end] by gluing contraction solves on subintervals.
 
     Each segment takes the previous final state as datum; a segment whose
     gate declines (or whose iteration stalls) is bisected down to
-    min_segment before giving up.  store_stride thins the stored samples of
+    _MIN_SEGMENT before giving up.  store_stride thins the stored samples of
     each segment (endpoints always kept).  The segments share one
     _shared_tables scope: segments of one length repeat the same offsets
-    from their anchors, so they read one phase table.  Each segment reports
+    from their starts, so they read one phase table.  Each segment reports
     only its mass drift and boundary mass fraction, computed as
     solve_diagnostics computes them.
     """
@@ -440,11 +424,11 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
         while t < t_final - 1e-12:
             length = min(segment_length, t_final - t)
             while True:
-                seg_cfg = replace(cfg, t_start=t, t_end=t + length, anchor=t)
+                seg_cfg = replace(cfg, t_start=t, t_end=t + length)
                 res = picard_solve(u, G, seg_cfg)
                 if res.converged:
                     break
-                if length / 2.0 < min_segment:
+                if length / 2.0 < _MIN_SEGMENT:
                     return GluedResult(
                         trace=res.trace, converged=False, segments=segments,
                         reason=f"segment [{t:.6g}, {t + length:.6g}] failed: {res.reason}",
@@ -583,8 +567,6 @@ def mass(u: SpectralField) -> float:
 
 def _energy_terms(u: SpectralField, G: NonlinearityG, pad: int = 2) -> Tuple[float, float]:
     """The kinetic term (1/2)||d_x u||^2 and the potential integral ||u||^{alpha+1}."""
-    if G.rule != "power":
-        raise ValueError("energy is defined for the power nonlinearity")
     xi = _plan(u.grid.half_length, u.grid.size).xi
     kinetic = 0.5 * float(band_sum((xi * np.abs(u.modes)) ** 2, half=True) * u.grid.dxi)
     vals = _real_samples(u.modes, u.grid, pad)
@@ -596,8 +578,7 @@ def energy(u: SpectralField, G: NonlinearityG, pad: int = 2) -> float:
     """Conserved energy: (1/2)||d_x u||^2 + (mu/(alpha+1)) ||u||^{alpha+1}.
 
     The potential term is integrated on a dealiasing grid, over the real
-    samples of u's k >= 0 half-spectrum.  Defined for the power rule; a
-    custom rule raises.
+    samples of u's k >= 0 half-spectrum.
     """
     kinetic, potential = _energy_terms(u, G, pad)
     return kinetic + (G.mu / (G.alpha + 1.0)) * potential

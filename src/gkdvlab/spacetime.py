@@ -192,7 +192,7 @@ class TimeTrace:
 _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=None)
 
 # Tables one scope holds at most.  A Picard solve needs one (its offsets
-# from the anchor) and an ensemble leg at most two; segments of a glued run
+# from its start) and an ensemble leg at most two; segments of a glued run
 # whose offsets differ in the last bit replace each other instead of piling up.
 _TABLES_PER_SCOPE = 2
 
@@ -203,7 +203,7 @@ def _shared_tables():
 
     Meant for work on one grid: an ensemble leg of estimates, one Picard
     solve, or a glued run whose segments repeat the same offsets from their
-    anchors.  A scope opened inside another joins it.  The memo holds at
+    starts.  A scope opened inside another joins it.  The memo holds at
     most _TABLES_PER_SCOPE tables, dropping the least recently used, and
     is dropped when the outermost scope closes, so no table outlives it.
     """

@@ -123,8 +123,8 @@ def _plan(half_length: float, size: int) -> _Plan:
 # k = 0 .. N/2-1 carry it.  Its half-spectrum appends the unpaired -N/2 mode
 # to them: the first N/2 + 1 entries of the coefficients in FFT bin order,
 # the layout of an rfft.  The full band, in ascending order, is only a
-# reference layout for tests, trace files of version 1 and the complex
-# one-sided bands of the counterexample.
+# reference layout for tests and the complex one-sided bands of the
+# counterexample.
 
 def _fold(a: np.ndarray) -> np.ndarray:
     """Half-spectrum (last axis) of a full-band array: k = 0 .. N/2-1, then -N/2."""
@@ -243,25 +243,20 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def hermitian_defect(coeffs: np.ndarray, half: bool = False):
-    """Max deviation from coeffs(-xi) = conj(coeffs(xi)), unpaired mode real; per row.
+def hermitian_defect(coeffs: np.ndarray):
+    """Per row of half-spectra: the largest imaginary part of the zero and unpaired modes.
 
-    With half the rows are half-spectra, which carry the symmetry except
-    at the zero and unpaired modes: the defect is their largest imaginary
-    part.
+    A half-spectrum carries the symmetry coeffs(-xi) = conj(coeffs(xi)) of
+    a real field except at those two modes, which must be real.
     """
     c = np.asarray(coeffs)
-    if half:
-        return np.maximum(np.abs(c[..., 0].imag), np.abs(c[..., -1].imag))
-    pairs = np.conj(c[..., :0:-1])
-    np.subtract(c[..., 1:], pairs, out=pairs)
-    return np.maximum(np.abs(c[..., 0].imag), np.max(np.abs(pairs), axis=-1, initial=0.0))
+    return np.maximum(np.abs(c[..., 0].imag), np.abs(c[..., -1].imag))
 
 
-def hermitian_breaks(coeffs: np.ndarray, half: bool = False):
+def hermitian_breaks(coeffs: np.ndarray):
     """Per row (last axis): defect above the tolerance 1e-8 (1 + max |coeff|) of a real row."""
     c = np.asarray(coeffs)
-    return hermitian_defect(c, half) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
+    return hermitian_defect(c) > 1e-8 * (1.0 + np.max(np.abs(c), axis=-1))
 
 
 def forward_transform(values: np.ndarray, grid: Grid1D) -> SpectralField:

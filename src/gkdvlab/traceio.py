@@ -2,16 +2,14 @@
 
 Container layout (little-endian throughout):
 
-    magic    6 bytes         b"GKTR\x02\x00" (version 2), b"GKTR\x01\x00" (version 1)
+    magic    6 bytes         b"GKTR\x02\x00" (version 2)
     header   struct '<dII'   half_length f64, size N u32, sample_count M u32
     times    M f64
     coeffs   M rows of c128, C order: N/2 + 1 half-spectrum modes per row
-             (k = 0 .. N/2-1, then -N/2) in version 2, the N modes in
-             ascending order in version 1
+             (k = 0 .. N/2-1, then -N/2)
 
-Traces are written as version 2.  Version-1 files, written before version
-2 existed, still read when they hold a real trace; version-1 files of
-complex data are refused.  A JSON sidecar (same stem, .json suffix) carries
+Only version 2 is read and written; files of the full-band version 1 are
+refused for their magic.  A JSON sidecar (same stem, .json suffix) carries
 everything that is not raw array data: realness flag, the container format,
 config echo, free-form diagnostics.  Both files are written atomically
 (temp file in the target directory, then os.replace) with mode
@@ -30,11 +28,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .spacetime import TimeTrace
-from .spectral import _LAYOUT, Grid1D, _fold, hermitian_breaks
+from .spectral import _LAYOUT, Grid1D, hermitian_breaks
 
 _HEADER = struct.Struct("<dII")
-_MAGIC = b"GKTR\x01\x00"  # version 1: full bands
-_MAGIC_HALF = b"GKTR\x02\x00"  # version 2: half-spectra
+_MAGIC = b"GKTR\x02\x00"  # version 2: half-spectra
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -100,7 +97,7 @@ def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None
     """Write a trace container, as version 2, and its sidecar."""
     path = Path(path)
     m, width = trace.coeffs.shape
-    head = _MAGIC_HALF + _HEADER.pack(trace.grid.half_length, trace.grid.size, m)
+    head = _MAGIC + _HEADER.pack(trace.grid.half_length, trace.grid.size, m)
     # one buffer, filled in place: no per-part copies of the rows
     payload = bytearray(len(head) + 8 * m + 16 * m * width)
     payload[:len(head)] = head
@@ -110,7 +107,7 @@ def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None
     _atomic_write_bytes(path, payload)
     side = dict(metadata or {})
     side["is_real"] = True
-    side["format"] = {"magic": _MAGIC_HALF.decode("latin1"), "header": "<dII",
+    side["format"] = {"magic": _MAGIC.decode("latin1"), "header": "<dII",
                       "times": "<f8", "coeffs": "<c16",
                       "modes": "half-spectrum, N/2 + 1 per row"}
     atomic_write_json(sidecar_path(path), side)
@@ -119,24 +116,21 @@ def write_trace(path, trace: TimeTrace, metadata: Optional[dict] = None) -> None
 def read_trace(path) -> Tuple[TimeTrace, dict]:
     """Read a trace container and its sidecar; returns (trace, metadata).
 
-    A sidecar declaring the trace complex raises ValueError, and so does a
-    row beyond the Hermitian tolerance of spectral.hermitian_breaks: in
-    version 2 a row whose zero or unpaired mode is complex, in version 1 a
-    full band that is not the mirror of its half-spectrum.  The rows of a
-    version-1 container are folded to their half-spectra.
+    A file that is not a version-2 container, a sidecar declaring the trace
+    complex, and a row beyond the Hermitian tolerance of
+    spectral.hermitian_breaks (a complex zero or unpaired mode) raise
+    ValueError.
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic not in (_MAGIC, _MAGIC_HALF):
-            raise ValueError(f"{path} is not a trace container (bad magic)")
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ValueError(f"{path} is not a version-2 trace container (bad magic)")
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
         half_length, size, m = _HEADER.unpack(head)
-        half = magic == _MAGIC_HALF
-        width = size // 2 + 1 if half else size
-        expected = len(magic) + _HEADER.size + 8 * m + 16 * m * width
+        width = size // 2 + 1
+        expected = len(_MAGIC) + _HEADER.size + 8 * m + 16 * m * width
         found = os.fstat(fh.fileno()).st_size
         if found != expected:
             raise ValueError(
@@ -154,11 +148,8 @@ def read_trace(path) -> Tuple[TimeTrace, dict]:
     if metadata.get("is_real") is False:
         raise ValueError(f"{path}: the sidecar declares a complex trace, but traces "
                          f"are read as {_LAYOUT}")
-    broken = int(np.count_nonzero(hermitian_breaks(coeffs, half)))
+    broken = int(np.count_nonzero(hermitian_breaks(coeffs)))
     if broken:
-        defect = "have a complex zero or unpaired mode" if half \
-            else "break Hermitian symmetry"
-        raise ValueError(f"{path}: {broken} of {m} rows {defect}, so they are not {_LAYOUT}")
-    if not half:
-        coeffs = _fold(coeffs)
+        raise ValueError(f"{path}: {broken} of {m} rows have a complex zero or unpaired "
+                         f"mode, so they are not {_LAYOUT}")
     return TimeTrace(Grid1D(half_length, int(size)), times, coeffs), metadata

@@ -134,25 +134,33 @@ def test_free_flow_pullback_residuals_vanish():
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_pullbacks_match_the_full_band_formula(direction):
     # the half-lattice pullbacks, unfolded, are the full-band pullbacks
-    # conj(c) exp(-i t (-xi)^3) value for value; final_state makes the
-    # unpaired -N/2 mode real, the full band keeps its phase
+    # c exp(-i t xi^3) value for value; final_state makes the unpaired -N/2
+    # mode real, the full band keeps its phase.  Backward, u on [-1, 0] is
+    # the time reversal u(-t, -x) = v(t, x) of the forward solve v from
+    # u0(-x), whose modes are the conjugates: the backward pullbacks of u at
+    # -1/8 .. -1 are the conjugates of the forward pullbacks of v at 1/8 .. 1
     f = random_band_limited(GRID, decay=1.0, band=GRID.size // 2 - 1, seed=8)
-    sign = 1.0 if direction == "forward" else -1.0
-    u0 = SpectralField(GRID, f.modes + 0.01)  # a nonzero unpaired mode
-    cfg = SolverConfig(grid=GRID, t_start=min(0.0, sign), t_end=max(0.0, sign),
-                       anchor=0.0, samples_per_unit=32)
-    trace = picard_solve(0.2 * u0, NonlinearityG(alpha=5.0, mu=1.0), cfg).trace
-    report = scattering_state(trace, 5.0, direction=direction, levels=3)
-    idx = [int(np.flatnonzero(trace.times == t)[0]) for t in report.checkpoint_times]
+    u0 = 0.2 * SpectralField(GRID, f.modes + 0.01)  # a nonzero unpaired mode
+    cfg = SolverConfig(grid=GRID, t_end=1.0, samples_per_unit=32)
+    G = NonlinearityG(alpha=5.0, mu=1.0)
+    if direction == "forward":
+        trace = picard_solve(u0, G, cfg).trace
+        times, coeffs, sign = trace.times, trace.coeffs, 1.0
+    else:
+        trace = picard_solve(SpectralField(GRID, np.conj(u0.modes)), G, cfg).trace
+        times, coeffs, sign = -trace.times[::-1], np.conj(trace.coeffs[::-1]), -1.0
+    report = scattering_state(trace, 5.0, levels=3)
+    assert report.checkpoint_times == [0.125, 0.25, 0.5, 1.0]
+    idx = [int(np.flatnonzero(times == sign * t)[0]) for t in report.checkpoint_times]
     xi = GRID.frequencies
-    full = unfold(trace.coeffs[idx]) * np.exp(-1j * np.outer(trace.times[idx], xi * xi * xi))
-    final = full[-1 if direction == "forward" else 0]
+    full = unfold(coeffs[idx]) * np.exp(-1j * np.outer(times[idx], xi * xi * xi))
+    final = full[-1]  # at t = 1 forward, t = -1 backward
     got = unfold(report.final_state.modes)
+    if direction == "backward":
+        got = np.conj(got)
     np.testing.assert_array_equal(got[1:], final[1:])
     assert got[0] == final[0].real and final[0].imag != 0.0
     norms = [weighted_power_sum(np.abs(b - a), GRID.dxi, 2.0) for a, b in zip(full, full[1:])]
-    if direction == "backward":
-        norms = norms[::-1]
     assert report.residuals == pytest.approx(norms, rel=1e-13)
     assert report.final_norm == pytest.approx(weighted_power_sum(np.abs(final), GRID.dxi, 2.0),
                                               rel=1e-13)
@@ -163,10 +171,17 @@ def test_scattering_checkpoint_snapping():
     trace = free_evolution(f, np.linspace(0.0, 64.0, 129))
     report = scattering_state(trace, 5.0, levels=4)
     assert report.checkpoint_times == [4.0, 8.0, 16.0, 32.0, 64.0]
-    with pytest.raises(ValueError):
-        scattering_state(trace, 5.0, direction="sideways")
-    with pytest.raises(ValueError):
-        scattering_state(trace, 5.0, direction="backward")
+    # scattering is forward: a trace that ends at t <= 0 has nothing to show
+    with pytest.raises(ValueError, match="positive times"):
+        scattering_state(free_evolution(f, np.linspace(-64.0, 0.0, 129)), 5.0, levels=4)
+
+
+def test_checkpoints_of_a_trace_through_zero_are_positive():
+    # the targets are T/2^levels .. T of the last time T: a trace that
+    # starts before 0 is not read as a backward run
+    trace = free_evolution(gaussian_profile(GRID, 0.1), np.linspace(-1.0, 1.0, 65))
+    report = scattering_state(trace, 5.0, levels=3)
+    assert report.checkpoint_times == [0.125, 0.25, 0.5, 1.0]
 
 
 def test_scattering_needs_enough_checkpoints():
@@ -220,11 +235,12 @@ def test_monitor_on_a_short_run():
 
 
 def test_monitor_explicit_checkpoints():
+    # the dyadic checkpoints t0 + span/16 .. t0 + span, each a sample time
     G = NonlinearityG(alpha=5.0, mu=0.0)
     f = random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=6)
-    trace = free_evolution(f, np.linspace(0.0, 1.0, 65))
-    report = monitor(trace, G, checkpoint_times=[0.5, 1.0])
-    assert [e.t for e in report.entries] == [0.5, 1.0]
+    trace = free_evolution(f, np.linspace(0.5, 1.5, 65))
+    report = monitor(trace, G)
+    assert [e.t for e in report.entries] == [0.5625, 0.625, 0.75, 1.0, 1.5]
     # the free flow conserves every lhat norm
     for e in report.entries:
         assert e.lhat["2.5"] == pytest.approx(lhat_norm(f, 2.5), rel=1e-12)

@@ -51,8 +51,7 @@ def test_reports_are_reproducible():
     spec = EstimateSpec("stein_tomas", seed=7, **FAST)
     first = verify(spec)
     second = verify(spec)
-    assert first.to_json() == second.to_json()  # wall time is excluded
-    assert first.wall_time != second.wall_time or first.wall_time >= 0.0
+    assert first.to_json() == second.to_json()
 
 
 def test_growing_the_ensemble_keeps_early_samples():
@@ -159,8 +158,10 @@ def test_every_estimate_id_dispatches():
 
 
 def test_lip_seminorm_known_values():
-    linear = NonlinearityG(alpha=2.0, rule="custom", func=lambda v: v)
-    assert lip_norm_estimate(linear, 1.0) == 1.0
+    # |z| z at order 2: |G| / z^2 = 1, |G'| / |z| = 2 and G' = 2|z| is
+    # 2-Lipschitz, attained by every pair of one sign
+    square = NonlinearityG(alpha=2.0)
+    assert lip_norm_estimate(square, 2.0) == 2.0
     quintic = NonlinearityG(alpha=5.0)
     assert lip_norm_estimate(quintic, 5.0) == pytest.approx(120.0, rel=1e-10)
 
@@ -175,9 +176,10 @@ def test_lip_seminorm_is_exact_for_every_power():
 
 
 def test_lip_seminorm_flags_unbounded_quotients():
-    rough = NonlinearityG(alpha=2.0, rule="custom", func=lambda v: np.abs(v) ** 0.5)
-    coarse = lip_norm_estimate(rough, 1.0, samples=200)
-    fine = lip_norm_estimate(rough, 1.0, samples=400)
+    # |z| z is not of order 5/2: G'' = 2 sign(z) over |z|^(1/2) blows up at 0
+    square = NonlinearityG(alpha=2.0)
+    coarse = lip_norm_estimate(square, 2.5, samples=200)
+    fine = lip_norm_estimate(square, 2.5, samples=400)
     assert fine > 10.0 * coarse  # diverges as the sample grid deepens
 
 
@@ -239,7 +241,7 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
     assert prod.is_real
     assert prod.coeffs.dtype == want.dtype and prod.coeffs.shape == want.shape
     assert prod.coeffs.tobytes() == want.tobytes()
-    assert np.all(hermitian_defect(prod.coeffs, half=True) == 0.0)
+    assert np.all(hermitian_defect(prod.coeffs) == 0.0)
     # the former single-field product to round-off: 1e-13 of the largest coefficient
     former = np.stack([_former_per_row_product(unfold(u.coeffs[m]), unfold(v.coeffs[m]),
                                                grid, pad) for m in range(rows)])

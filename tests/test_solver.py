@@ -257,14 +257,13 @@ def _parent_free(u0, grid, times, t0):
     return _parent_mirrored_product(_parent_table(grid, times - t0, 1j, True), _fold(u0))
 
 
-def _parent_retarded(rows, grid, times, t0):
+def _parent_retarded(rows, grid, times):
     """Full-band retarded integral of the full-band rows of a real forcing.
 
-    The phases are offsets from the anchor, exp(i (t - t0) xi^3), and their
-    conjugates.
+    The phases are offsets from the first time, exp(i (t - t0) xi^3), and
+    their conjugates.
     """
-    j0 = int(np.argmin(np.abs(times - t0)))
-    up = _parent_table(grid, times - t0, 1j, True)
+    up = _parent_table(grid, times - times[0], 1j, True)
     integrand = _fold(rows)
     np.multiply(np.conjugate(up), integrand, out=integrand)
     result = np.empty_like(integrand)
@@ -272,15 +271,13 @@ def _parent_retarded(rows, grid, times, t0):
     steps = np.add(integrand[1:], integrand[:-1], out=result[1:])
     np.multiply(0.5 * np.diff(times)[:, None], steps, out=steps)
     np.cumsum(steps, axis=0, out=steps)
-    if j0:
-        result -= result[j0]
     return _parent_mirrored_product(up, result)
 
 
-def _parent_duhamel(v, free, grid, times, t0, G, pad, retarded=_parent_retarded):
+def _parent_duhamel(v, free, grid, times, G, pad, retarded=_parent_retarded):
     flux = _full_band_map(v, grid, G.apply_values, pad)
     np.multiply(1j * grid.frequencies, flux, out=flux)
-    coeffs = retarded(flux, grid, times, t0)
+    coeffs = retarded(flux, grid, times)
     np.multiply(G.mu, coeffs, out=coeffs)
     np.add(free, coeffs, out=coeffs)
     return coeffs
@@ -291,16 +288,16 @@ def _assert_equal_values(got, want):
 
     The mirrored kernels add full bands, and -0 + 0 is +0: the k < 0 half of
     a sum is then not always the mirror of its k > 0 half where an entry is
-    zero (at the anchor row of a Duhamel map, say).  An unfolded sum is.
+    zero (at the first row of a Duhamel map, say).  An unfolded sum is.
     """
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
 # The full-band retarded integral as first written: the trapezoid rule on
-# every mode.  The half-spectrum integral reproduces it to round-off.
+# every mode, from the anchor times[j0].  The half-spectrum integral of the
+# rows from j0 on reproduces those rows to round-off.
 
-def _former_retarded(rows, grid, times, t0):
-    j0 = int(np.argmin(np.abs(times - t0)))
+def _former_retarded(rows, grid, times, j0=0):
     xi = grid.frequencies
     down = np.exp(-1j * np.outer(times, xi * xi * xi))
     integrand = down * rows
@@ -315,14 +312,14 @@ def _former_retarded(rows, grid, times, t0):
 
 def _former_picard(u0, G, cfg, retarded=_former_retarded):
     """(final full-band coeffs, update distances) of the full-band iteration loop."""
-    times, t0 = cfg.times(), cfg.anchor_time()
+    times = cfg.times()
     rp = holder_conjugate(critical_exponent(G.alpha))
     grid = u0.grid
-    free = _parent_free(unfold(u0.modes), grid, times, t0)
+    free = _parent_free(unfold(u0.modes), grid, times, cfg.t_start)
     v = free
     dists = []
     for _ in range(cfg.max_iterations):
-        w = _parent_duhamel(v, free, grid, times, t0, G, cfg.pad, retarded)
+        w = _parent_duhamel(v, free, grid, times, G, cfg.pad, retarded)
         per_row = (np.sum(np.abs(w - v) ** rp, axis=1) * grid.dxi) ** (1.0 / rp)
         dists.append(float(np.max(per_row)))
         v = w
@@ -361,23 +358,26 @@ def test_retarded_integral_in_row_blocks_or_in_place_matches_the_former_formula(
 
 def _check_retarded_against_the_former_formula(j0, block_rows, in_place, monkeypatch):
     grid = Grid1D(32.0, 128)
-    times = np.linspace(0.5, 1.5, 33)
-    # the forcing's half-spectrum, unfolded: the mirrored full-band kernel
-    # bit for bit, the former formula to round-off (1e-13 of the largest
-    # coefficient), with real end modes; in blocks of 2 of the 33 rows too,
-    # and formed in the forcing's own array
-    forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), times)
+    whole = np.linspace(0.5, 2.5, 65)
+    # the 33 rows from the former anchor whole[j0] on, integrated from their
+    # first time; the half-spectrum, unfolded: the mirrored full-band kernel
+    # bit for bit, the former formula anchored at j0 on the whole trace to
+    # round-off (1e-13 of the largest coefficient), with real end modes; in
+    # blocks of 2 of the 33 rows too, and formed in the forcing's own array
+    times = whole[j0:j0 + 33]
+    source = free_evolution(random_band_limited(grid, 1.0, 30, seed=j0), whole)
+    forcing = TimeTrace(grid, times, source.coeffs[j0:j0 + 33].copy())
     rows = unfold(forcing.coeffs)
     if block_rows:
         _blocks_of(monkeypatch, block_rows, grid)
-    got = retarded_integral(forcing, times[j0], out=forcing.coeffs if in_place else None)
+    got = retarded_integral(forcing, out=forcing.coeffs if in_place else None)
     assert (got.coeffs is forcing.coeffs) == in_place
     full = unfold(got.coeffs)
-    assert full.tobytes() == _parent_retarded(rows, grid, times, times[j0]).tobytes()
-    want = _former_retarded(rows, grid, times, times[j0])
+    assert full.tobytes() == _parent_retarded(rows, grid, times).tobytes()
+    want = _former_retarded(unfold(source.coeffs), grid, whole, j0)[j0:j0 + 33]
     assert np.max(np.abs(full - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.all(got.coeffs[j0] == 0.0)
-    assert got.is_real and np.all(hermitian_defect(got.coeffs, half=True) == 0.0)
+    assert np.all(got.coeffs[0] == 0.0)
+    assert got.is_real and np.all(hermitian_defect(got.coeffs) == 0.0)
 
 
 def test_duhamel_map_matches_the_full_band_kernel_bytewise(monkeypatch):
@@ -391,18 +391,18 @@ def test_duhamel_map_in_row_blocks_matches_the_full_band_kernel_bytewise(monkeyp
 def _check_duhamel_against_the_full_band_kernel(block_rows, monkeypatch):
     grid = Grid1D(32.0, 128)
     cfg = SolverConfig(grid=grid, t_start=0.25, t_end=0.75, samples_per_unit=32)
-    times, t0 = cfg.times(), cfg.anchor_time()
+    times, t0 = cfg.times(), cfg.t_start
     for mu in (1.0, -1.0):
         G = NonlinearityG(alpha=5.0, mu=mu)
         u0 = 0.8 * random_band_limited(grid, 1.0, 32, seed=9)
         free = free_evolution(u0, times, t0=t0)
         v = free_evolution(gaussian_profile(grid, 0.6), times, t0=t0)
-        want = _parent_duhamel(unfold(v.coeffs), unfold(free.coeffs), grid, times, t0,
+        want = _parent_duhamel(unfold(v.coeffs), unfold(free.coeffs), grid, times,
                                G, cfg.pad)
         with monkeypatch.context() as patch:
             if block_rows:  # the 17 rows in blocks of 2
                 _blocks_of(patch, block_rows, grid)
-            got = solver.duhamel_map(v, free, t0, G, cfg)
+            got = solver.duhamel_map(v, free, G, cfg)
         assert got.is_real
         _assert_equal_values(unfold(got.coeffs), want)
 
@@ -417,12 +417,12 @@ def test_picard_solve_in_row_blocks_matches_the_whole_trace_loop_bytewise(mu, mo
     G = NonlinearityG(alpha=5.0, mu=mu)
     u0 = 1.5 * random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=7)
     cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
-    times, t0 = cfg.times(), cfg.anchor_time()
+    times = cfg.times()
     rc = critical_exponent(G.alpha)
-    free = _parent_free(unfold(u0.modes), GRID, times, t0)
+    free = _parent_free(unfold(u0.modes), GRID, times, cfg.t_start)
     v, dists = free, []
     while not dists or dists[-1] > cfg.tolerance:
-        w = _parent_duhamel(v, free, GRID, times, t0, G, cfg.pad)
+        w = _parent_duhamel(v, free, GRID, times, G, cfg.pad)
         dists.append(float(np.max(lhat_rows(_fold(w - v), GRID.dxi, rc))))
         v = w
     _blocks_of(monkeypatch, 2, GRID)
@@ -461,7 +461,7 @@ def test_trace_kernels_hold_their_result_and_a_few_blocks():
         assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
                                                         pad=cfg.pad)) <= result + budget
         assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
-        assert _own_peak(lambda: solver.duhamel_map(v, v, 0.0, G5, cfg)) <= result + budget
+        assert _own_peak(lambda: solver.duhamel_map(v, v, G5, cfg)) <= result + budget
 
 
 # Update distances are sums over the modes.  A real trace's are taken over
@@ -496,7 +496,7 @@ def test_picard_and_glued_match_the_former_loop_bytewise(mu):
         rows = slice(8 * k, 8 * k + 9)
         datum = glued.trace.field(8 * k)
         seg_cfg = SolverConfig(grid=GRID, t_start=seg["t_start"], t_end=seg["t_end"],
-                               anchor=seg["t_start"], samples_per_unit=32)
+                               samples_per_unit=32)
         coeffs, dists = _former_picard(datum, G, seg_cfg, _parent_retarded)
         assert seg["iterations"] == len(dists)
         _assert_equal_values(unfold(glued.trace.coeffs[rows]), coeffs)
@@ -548,7 +548,7 @@ def test_no_phase_table_outlives_picard_solve(monkeypatch):
                        SolverConfig(grid=GRID, t_start=0.5, t_end=1.5, samples_per_unit=32))
     assert res.iterations >= 2
     # the free trace, then one retarded integral per iteration, all reading
-    # the one read-only table of offsets from the anchor
+    # the one read-only table of offsets from the start
     assert len(made) == 1 + res.iterations
     assert len({id(t) for t, _ in made}) == 1
     assert not made[0][0].flags.writeable
@@ -567,7 +567,7 @@ def test_equal_dyadic_segments_share_one_phase_table(monkeypatch):
 
 def test_a_glued_run_holds_at_most_two_phase_tables(monkeypatch):
     # segment starts 0.1, 0.4, 0.7, ... are not dyadic: their offsets from
-    # the anchor differ in the last bit, so segments need tables of their own
+    # the start differ in the last bit, so segments need tables of their own
     made = _record_tables(monkeypatch)
     cfg = SolverConfig(grid=GRID, t_start=0.1, t_end=2.5, samples_per_unit=32)
     glued = glued_solve(gaussian_profile(GRID, 0.05), G5, cfg, segment_length=0.3)
@@ -579,18 +579,19 @@ def test_a_glued_run_holds_at_most_two_phase_tables(monkeypatch):
 
 @pytest.mark.parametrize("shift", [2.0, 64.0])
 def test_free_and_retarded_traces_are_invariant_under_time_shifts(shift):
-    # dyadic times: shifted times minus the shifted anchor are the offsets
+    # dyadic times: shifted times minus the shifted start are the offsets
     # of the unshifted ones bit for bit
     grid = Grid1D(32.0, 128)
-    times = np.linspace(0.25, 1.25, 33)
     u0 = random_band_limited(grid, 1.0, 40, seed=6)
-    forcing = free_evolution(random_band_limited(grid, 1.0, 30, seed=8), times)
-    for t0 in (times[0], times[5]):
+    whole = np.linspace(0.25, 1.25, 33)
+    source = free_evolution(random_band_limited(grid, 1.0, 30, seed=8), whole)
+    for start in (0, 5):
+        times, t0 = whole[start:], whole[start]
         free = free_evolution(u0, times, t0=t0)
         moved = free_evolution(u0, times + shift, t0=t0 + shift)
         assert moved.coeffs.tobytes() == free.coeffs.tobytes()
-        ret = retarded_integral(forcing, t0)
-        moved = retarded_integral(TimeTrace(grid, times + shift, forcing.coeffs), t0 + shift)
+        ret = retarded_integral(TimeTrace(grid, times, source.coeffs[start:]))
+        moved = retarded_integral(TimeTrace(grid, times + shift, source.coeffs[start:]))
         assert moved.coeffs.tobytes() == ret.coeffs.tobytes()
 
 
@@ -600,8 +601,7 @@ def test_glued_segments_report_their_solve_diagnostics_bytewise():
     glued = glued_solve(u0, G5, cfg, segment_length=0.25, store_stride=1)
     assert glued.converged and len(glued.segments) == 4
     for k, seg in enumerate(glued.segments):
-        seg_cfg = replace(cfg, t_start=seg["t_start"], t_end=seg["t_end"],
-                          anchor=seg["t_start"])
+        seg_cfg = replace(cfg, t_start=seg["t_start"], t_end=seg["t_end"])
         res = picard_solve(glued.trace.field(8 * k), G5, seg_cfg)
         assert res.trace.coeffs.tobytes() == glued.trace.coeffs[8 * k:8 * k + 9].tobytes()
         assert res.iterations == seg["iterations"]
@@ -737,7 +737,7 @@ def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
         single = reference_solve(u0, G, cfg)
         assert trace.times.tobytes() == single.times.tobytes()
         assert trace.coeffs.tobytes() == single.coeffs.tobytes()
-        assert np.all(hermitian_defect(single.coeffs, half=True) == 0.0)
+        assert np.all(hermitian_defect(single.coeffs) == 0.0)
         # the mirror replaced the averaging projection: round-off apart, within
         # 1e-13 of the largest coefficient (about 1e-15 measured)
         former = _former_reference(u0, G, cfg)
@@ -794,11 +794,11 @@ def test_real_kernels_return_exactly_hermitian_traces():
         g_rows = apply_pointwise_matrix(free.coeffs, grid, G5.apply_values)
         forcing = TimeTrace(grid, times, (1j * _fold(grid.frequencies)) * g_rows)
         assert np.any(forcing.coeffs[:, -1].imag != 0.0)  # i xi of the unpaired mode
-        for trace in (free, retarded_integral(forcing, times[3])):
-            assert trace.is_real and np.all(hermitian_defect(trace.coeffs, half=True) == 0.0)
+        for trace in (free, retarded_integral(forcing)):
+            assert trace.is_real and np.all(hermitian_defect(trace.coeffs) == 0.0)
     cfg = SolverConfig(grid=grid, t_end=0.25, samples_per_unit=16, reference_dt=1 / 64)
     for trace in reference_solve(data, G5, cfg):
-        assert np.all(hermitian_defect(trace.coeffs, half=True) == 0.0)
+        assert np.all(hermitian_defect(trace.coeffs) == 0.0)
 
 
 def test_power_rule_is_the_signed_power():

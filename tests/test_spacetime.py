@@ -295,7 +295,7 @@ def test_shared_phase_tables_change_no_bytes():
     def evaluate():
         free = free_evolution(f, times, t0=0.25)
         forcing = TimeTrace(grid, times, free.coeffs * (1j * _fold(grid.frequencies)))
-        return free.coeffs.tobytes(), retarded_integral(forcing, 0.25).coeffs.tobytes()
+        return free.coeffs.tobytes(), retarded_integral(forcing).coeffs.tobytes()
 
     fresh = evaluate()
     with _shared_tables():

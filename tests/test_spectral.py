@@ -74,7 +74,7 @@ def test_transform_round_trip_real_field():
     vals = rng.standard_normal(GRID.size)
     f = forward_transform(vals, GRID)
     assert f.is_real
-    assert hermitian_defect(f.modes, half=True) == 0.0  # rfft: real end modes
+    assert hermitian_defect(f.modes) == 0.0  # rfft: real end modes
     np.testing.assert_allclose(f.values(), vals, atol=1e-12)
 
 
@@ -372,7 +372,7 @@ def test_stacked_pointwise_map_matches_per_row_calls_bytewise(half_size, pad, ro
     for m in range(rows):
         _assert_same_bytes(got[m], apply_pointwise_matrix(coeffs[m], grid, func, pad=pad))
     _assert_same_bytes(coeffs, before)
-    assert np.all(hermitian_defect(got, half=True) == 0.0)
+    assert np.all(hermitian_defect(got) == 0.0)
     former = _former_pointwise(unfold(coeffs), grid, func, pad)
     got = unfold(got)
     assert np.max(np.abs(got - former)) <= FORMER_TOL * np.max(np.abs(former))
@@ -480,13 +480,17 @@ def test_pointwise_map_rejects_a_wrong_output_length():
 
 
 def test_hermitian_defect_per_row():
-    full = unfold(random_band_limited(GRID, decay=1.0, band=40, seed=2).modes)
-    rows = np.stack([full, full * 1j, full])
+    # half-spectra: the defect is the largest imaginary part of the zero and
+    # unpaired modes, the only ones a real field's half-spectrum keeps real
+    half = values_to_coeffs(np.random.default_rng(2).standard_normal(GRID.size), GRID)
+    assert half[0] != 0.0 and half[-1] != 0.0
+    rows = np.stack([half, half * 1j, half, half.copy()])
+    rows[3, -1] += 0.25j
     defects = hermitian_defect(rows)
-    assert defects.shape == (3,)
-    assert defects[0] == defects[2] == hermitian_defect(full) < 1e-12
-    assert defects[1] > 1e-3
-    assert list(spectral.hermitian_breaks(rows)) == [False, True, False]
+    assert defects.shape == (4,)
+    assert defects[0] == defects[2] == hermitian_defect(half) == 0.0
+    assert defects[1] == max(abs(half[0]), abs(half[-1])) and defects[3] == 0.25
+    assert list(spectral.hermitian_breaks(rows)) == [False, True, False, True]
 
 
 @pytest.mark.parametrize("shape", [(8,), (130,), (3, 64), (2, 5, 36)])
@@ -504,6 +508,8 @@ def test_conjugate_mirror_is_exactly_hermitian(shape):
         assert np.all(half[..., j].imag == 0.0) and not np.any(np.signbit(half[..., j].imag))
     # unfolding mirrors the modes 0 < k < N/2 and folds back to the half
     full = unfold(half)
-    assert full.shape == shape and np.all(hermitian_defect(full) == 0.0)
+    mirrored = full[..., 1:]
+    assert full.shape == shape and np.all(full[..., 0].imag == 0.0)
+    assert np.all(mirrored == np.conj(mirrored[..., ::-1]))
     _assert_same_bytes(full, _reference_full_band(before))
     _assert_same_bytes(_fold(full), half)

@@ -103,25 +103,31 @@ def test_atomic_write_json(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def _version_1_file(path, trace, broken=False):
-    """The full-band layout of traces before half-spectrum files, byte by byte."""
-    full = unfold(trace.coeffs)
+def _container(path, trace, magic=b"GKTR\x02\x00", broken=False):
+    """A trace container byte by byte, without a sidecar.
+
+    Version 2 holds half-spectra (broken makes the unpaired mode of row 2
+    complex); version 1, written before half-spectrum files, held the full
+    bands.
+    """
+    rows = trace.coeffs.copy() if magic == b"GKTR\x02\x00" else unfold(trace.coeffs)
     if broken:
-        full[2, GRID.size // 2 + 3] += 0.5j  # its mirror mode is left alone
+        rows[2, -1] += 0.5j
     m = trace.sample_count
-    path.write_bytes(b"GKTR\x01\x00" + struct.pack("<dII", GRID.half_length, GRID.size, m)
-                     + trace.times.astype("<f8").tobytes() + full.astype("<c16").tobytes())
+    path.write_bytes(magic + struct.pack("<dII", GRID.half_length, GRID.size, m)
+                     + trace.times.astype("<f8").tobytes() + rows.astype("<c16").tobytes())
 
 
 @pytest.mark.parametrize("broken", [False, True])
 def test_missing_sidecar_infers_realness_from_the_data(tmp_path, broken):
     trace = _trace()
     path = tmp_path / "run.trace"
-    _version_1_file(path, trace, broken)
+    _container(path, trace, broken=broken)
     if broken:
         # complex data: not the N/2 + 1 half-spectrum of a real trace
-        with pytest.raises(ValueError, match=r"1 of 5 rows break Hermitian symmetry, so "
-                                             r"they are not .*N/2 \+ 1 modes in rfft layout"):
+        with pytest.raises(ValueError, match=r"1 of 5 rows have a complex zero or unpaired "
+                                             r"mode, so they are not .*N/2 \+ 1 modes in "
+                                             r"rfft layout"):
             read_trace(path)
         return
     back, meta = read_trace(path)
@@ -132,10 +138,10 @@ def test_missing_sidecar_infers_realness_from_the_data(tmp_path, broken):
 
 def test_sidecar_claiming_realness_of_complex_data_is_rejected(tmp_path):
     path = tmp_path / "run.trace"
-    _version_1_file(path, _trace(), broken=True)
+    _container(path, _trace(), broken=True)
     side = sidecar_path(path)
     side.write_text(json.dumps({"is_real": True}))
-    with pytest.raises(ValueError, match="1 of 5 rows break Hermitian symmetry"):
+    with pytest.raises(ValueError, match="1 of 5 rows have a complex zero or unpaired mode"):
         read_trace(path)
     side.write_text(json.dumps({"is_real": False}))
     with pytest.raises(ValueError, match="declares a complex trace"):
@@ -162,16 +168,13 @@ def test_real_trace_is_written_as_half_spectrum_rows(tmp_path):
 
 
 @pytest.mark.parametrize("sidecar", [None, True])
-def test_version_1_file_of_a_real_trace_still_reads(tmp_path, sidecar):
-    trace = _trace()
+def test_version_1_file_is_refused(tmp_path, sidecar):
     path = tmp_path / "old.trace"
-    _version_1_file(path, trace)
+    _container(path, _trace(), magic=b"GKTR\x01\x00")
     if sidecar is not None:
         sidecar_path(path).write_text(json.dumps({"is_real": sidecar}))
-    back, _ = read_trace(path)
-    assert back.is_real and back.grid == GRID
-    assert back.coeffs.tobytes() == trace.coeffs.tobytes()
-    np.testing.assert_array_equal(back.times, trace.times)
+    with pytest.raises(ValueError, match=r"not a version-2 trace container \(bad magic\)"):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("mode", [0, -1])
