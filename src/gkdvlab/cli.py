@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import monitor, nonpositive_energy_amplitude, scattering_state
 from .estimates import EstimateSpec, _estimate, verify
-from .norms import band_sum, lhat_norm, lhat_rows, lebesgue_norm, sobolev_norm
+from .norms import band_sum, lhat_norm, lhat_sup, lebesgue_norm, sobolev_norm
 from .solver import (
     FieldStack,
     NonlinearityG,
@@ -367,11 +367,9 @@ def _scatter_small(cfg: dict) -> int:
     u0, G, glued, doc = _glued(cfg, "scatter")
     if not glued.converged:
         return _finish(cfg, doc, False, f"scatter: glued solve failed: {glued.reason}")
-    grid = u0.grid
     rc = critical_exponent(cfg["alpha"])
     datum_norm = lhat_norm(u0, rc)
-    # row by row: the sup must equal lhat_norm of the row that attains it
-    sup_norm = max(lhat_rows(row, grid.dxi, rc) for row in glued.trace.coeffs)
+    sup_norm = lhat_sup(glued.trace.coeffs, u0.grid.dxi, rc)
     size_norm = snorm(glued.trace, rc)
     bound = 2.0 * datum_norm
     report = scattering_state(glued.trace, cfg["alpha"], levels=cfg["levels"])

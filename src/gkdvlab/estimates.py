@@ -20,7 +20,7 @@ from .norms import (
     holder_conjugate,
     lebesgue_norm,
     lhat_norm,
-    lhat_rows,
+    lhat_sup,
     weighted_norm,
     weighted_power_sum,
 )
@@ -48,6 +48,7 @@ from .spectral import (
     Grid1D,
     SpectralField,
     _plan,
+    _work_buffer,
     apply_pointwise_matrix,
     random_band_limited,
     riesz_weights,
@@ -161,14 +162,14 @@ def _ensemble(spec: EstimateSpec, one: Callable,
 
     Child seeds of a larger spawn begin with those of a smaller one, so the
     samples from start on are the ones a full ensemble of start +
-    spec.ensemble would draw there.  Phase tables are shared within the leg.
+    spec.ensemble would draw there.  A leg shares phase tables and a work buffer.
     """
     grid = spec.grid()
     times = spec.times()
     band = spec.resolved_band()
     seeds = np.random.SeedSequence(spec.seed).spawn(start + spec.ensemble)[start:]
     ratios, rows = [], []
-    with _shared_tables():
+    with _shared_tables(), _work_buffer():
         for i, child in enumerate(seeds, start):
             decay = spec.decays[i % len(spec.decays)]
             num, den = one(grid, times, band, decay, child)
@@ -305,10 +306,11 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
     omega = rng.uniform(1.0, 4.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = 1.0 + 0.5 * np.sin(omega * times + phase)
-    wave = free_evolution(g, times)
-    d_x = 1j * _plan(grid.half_length, grid.size).xi
-    rows = d_x[None, :] * (envelope[:, None] * wave.coeffs)
-    return TimeTrace(grid, times, spec.amplitude * rows)
+    rows = free_evolution(g, times).coeffs
+    np.multiply(envelope[:, None], rows, out=rows)
+    np.multiply(1j * _plan(grid.half_length, grid.size).xi, rows, out=rows)
+    np.multiply(spec.amplitude, rows, out=rows)
+    return TimeTrace(grid, times, rows)
 
 
 def _run_inhom_linf(spec, rp):
@@ -317,9 +319,7 @@ def _run_inhom_linf(spec, rp):
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
-        ret = retarded_integral(forcing)
-        # row by row: the sup must equal lhat_norm of the row that attains it
-        num = max(lhat_rows(row, grid.dxi, r) for row in ret.coeffs)
+        num = lhat_sup(retarded_integral(forcing).coeffs, grid.dxi, r)
         den = mixed_norm(forcing, pd, qd, -s2)
         return num, den
 

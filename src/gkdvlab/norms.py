@@ -66,6 +66,20 @@ def lhat_rows(coeffs: np.ndarray, dxi: float, r: float):
     return weighted_power_sum(np.abs(coeffs), dxi, holder_conjugate(r), half=True)
 
 
+def lhat_sup(coeffs: np.ndarray, dxi: float, r: float) -> float:
+    """The largest lhat_rows of rows of half-spectra: the bits of that row's norm alone.
+
+    The root is monotone, so the row power sums are formed in one call and
+    only the largest takes the scalar root that a row on its own takes.
+    """
+    rprime = holder_conjugate(r)
+    mags = np.abs(coeffs)
+    if rprime == math.inf:
+        return float(np.max(mags))
+    with np.errstate(over="ignore"):
+        return float((np.max(band_sum(mags ** rprime, half=True)) * dxi) ** (1.0 / rprime))
+
+
 def lhat_norm(f: SpectralField, r: float) -> float:
     """Fourier-Lebesgue norm: the L^{r'} lattice norm of the coefficients."""
     return lhat_rows(f.modes, f.grid.dxi, r)

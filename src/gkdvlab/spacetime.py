@@ -12,7 +12,6 @@ xnorm, snorm and ynorm are its wrappers that check the pair first.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from .spectral import (
     _real_ends,
     _real_samples,
     _row_blocks,
+    _scope,
+    _scratch,
     coeffs_to_values,
     riesz_weights,
 )
@@ -197,7 +198,6 @@ _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=
 _TABLES_PER_SCOPE = 2
 
 
-@contextmanager
 def _shared_tables():
     """Share Airy phase tables between the calls made inside this scope.
 
@@ -207,14 +207,7 @@ def _shared_tables():
     most _TABLES_PER_SCOPE tables, dropping the least recently used, and
     is dropped when the outermost scope closes, so no table outlives it.
     """
-    if _tables.get() is not None:
-        yield
-        return
-    token = _tables.set({})
-    try:
-        yield
-    finally:
-        _tables.reset(token)
+    return _scope(_tables, dict)
 
 
 def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
@@ -273,26 +266,28 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0,
     lattice sum with weight dx over space; infinite exponents take maxima
     over the samples.  values, when the caller already holds them, are the
     samples of |D_x|^s u (trace.values() at s = 0).  The rows go through in
-    _row_blocks, into one (M, N) array of |.|^q (a running maximum at q = inf).
+    _row_blocks, into one coarse spectrum and one (M, N) array of |.|^q (|.|
+    at q = inf), both from the work buffer in a _work_buffer scope.
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)
     weights = None if s == 0 or values is not None \
         else riesz_weights(trace.grid, s, half=True)
-    inner = powers = None
+    powers = _scratch((trace.sample_count, trace.grid.size), float)
     for rows in _row_blocks(trace.coeffs):
-        block = values[rows] if values is not None else _real_samples(
-            trace.coeffs[rows] if weights is None else trace.coeffs[rows] * weights, trace.grid, 1)
-        if q == math.inf:
-            peak = np.max(np.abs(block), axis=0)
-            inner = peak if inner is None else np.maximum(inner, peak, out=inner)
-            continue
-        if powers is None:  # after the first transform, whose temporaries are gone
-            powers = np.empty((trace.sample_count, trace.grid.size))
-        mags = np.abs(block, out=powers[rows])
-        mags **= q
-    if q != math.inf:
-        inner = np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
+        block = powers[rows]
+        if values is not None:
+            np.abs(values[rows], out=block)
+        else:
+            coeffs = trace.coeffs[rows]
+            spec = _scratch(coeffs.shape, complex, powers.nbytes)
+            if weights is not None:
+                coeffs = np.multiply(coeffs, weights, out=spec)
+            np.abs(_real_samples(coeffs, trace.grid, 1, block, spec), out=block)
+        if q != math.inf:
+            block **= q
+    inner = np.max(powers, axis=0) if q == math.inf \
+        else np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
     return weighted_power_sum(inner, trace.grid.dx, p)
 
 

@@ -15,6 +15,8 @@ and the transforms are rfft and irfft.  Any other layout raises ValueError.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,22 +151,21 @@ def _check_modes(modes: np.ndarray, grid: Grid1D) -> None:
                          f"expected {grid.size // 2 + 1} modes per row, {_LAYOUT}")
 
 
-def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int) -> np.ndarray:
+def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=None) -> np.ndarray:
     """Real samples of half-spectra (last axis) on the grid refined by pad.
 
     One irfft: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
     where that bin is the Nyquist bin, and as half its conjugate at
     pad >= 2, where the irfft's implied mirror puts the other half back in
     bin -N/2.  So the samples are the real part of the full band's inverse
-    transform, zero-padded by pad.
+    transform, zero-padded by pad, formed in out and spec if given.
     """
     half = grid.size // 2
     scale = _plan(grid.half_length, grid.size).half_inverse
-    spec = np.empty(coeffs.shape[:-1] + (half + 1,), dtype=complex)
-    np.multiply(coeffs[..., :half], scale[:half], out=spec[..., :half])
-    unpaired = coeffs[..., half] * scale[half]
-    spec[..., half] = unpaired if pad == 1 else 0.5 * np.conjugate(unpaired)
-    return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward")
+    spec = np.multiply(coeffs, scale, out=spec)
+    if pad > 1:
+        spec[..., half] = 0.5 * np.conjugate(spec[..., half])
+    return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward", out=out)
 
 
 def values_to_coeffs(values: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -380,6 +381,43 @@ def gaussian_profile(grid: Grid1D, amplitude: float = 1.0,
 _BLOCK_BYTES = 1280 * 1024
 
 
+@contextmanager
+def _scope(var: ContextVar, fresh):
+    """Set var to fresh() until this scope closes; a scope opened inside another joins it."""
+    if var.get() is not None:
+        yield
+        return
+    token = var.set(fresh())
+    try:
+        yield
+    finally:
+        var.reset(token)
+
+
+_work: ContextVar[list | None] = ContextVar("gkdvlab_work_buffer", default=None)
+
+
+def _work_buffer():
+    """Let the row kernels called in this scope (an ensemble leg) reuse one work buffer.
+
+    They take their throwaway arrays from it, grown to the largest request,
+    instead of fresh pages per sample.  No kernel returns a view of it, and
+    no pointwise map's func may call mixed_norm or apply_pointwise_matrix.
+    """
+    return _scope(_work, lambda: [np.empty(0, dtype=np.uint8)])
+
+
+def _scratch(shape: tuple, dtype, offset: int = 0) -> np.ndarray:
+    """An uninitialised array: bytes from offset on of the scope's work buffer, else a new one."""
+    work = _work.get()
+    if work is None:
+        return np.empty(shape, dtype)
+    end = offset + math.prod(shape) * np.dtype(dtype).itemsize
+    if work[0].size < end:
+        work[0] = np.empty(end, dtype=np.uint8)
+    return work[0][offset:end].view(dtype).reshape(shape)
+
+
 def _row_blocks(a: np.ndarray) -> list:
     """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES or one row each; 1-d: one."""
     if a.ndim < 2:
@@ -393,26 +431,31 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
 
     coeffs has shape (..., M, N/2 + 1), half-spectra, or is one row.  Each
     row is spectrally interpolated onto a grid with pad*N points, func is
-    applied to the real samples (a contiguous array), and the rfft of the
-    result is truncated to bins 0 .. N/2 and scaled, with the zero and
-    unpaired -N/2 modes real.  The rows along axis -2 are independent: they
-    go through in _row_blocks, each written straight into the result, so
-    func keeps that axis but may combine the axes before it.
+    applied to the real samples (an array whose last axis is contiguous;
+    its rows may be strided), and the rfft of the result is truncated to
+    bins 0 .. N/2 and scaled, with the zero and unpaired -N/2 modes real.
+    The rows along axis -2 are independent: they go through in _row_blocks,
+    each written straight into the result, so func keeps that axis but may
+    combine the axes before it.  Each block's samples, then the rfft of its
+    mapped samples, go into one fine complex block (from a _work_buffer).
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
     half = grid.size // 2
     plan = _plan(grid.half_length, pad * grid.size)
     m = plan.grid.size
+    fine = (m // 2 + 1,)
     out = None
     for rows in _row_blocks(coeffs):
         block = coeffs[rows]
-        mapped = np.asarray(func(_real_samples(block, grid, pad)))
+        samples = _scratch(block.shape[:-1] + fine, complex).view(float)[..., :m]
+        mapped = np.asarray(func(_real_samples(block, grid, pad, samples)))
+        del samples  # fine-grid arrays set peak memory: free each one first
         if mapped.shape[-1] != m or mapped.shape[-2:-1] != block.shape[-2:-1]:
             raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last axis "
                              f"{m} and the rows of {block.shape[:-1]}")
-        spec = np.fft.rfft(mapped, axis=-1)
-        del mapped  # fine-grid arrays set peak memory: free them first
+        spec = np.fft.rfft(mapped, axis=-1, out=_scratch(mapped.shape[:-1] + fine, complex))
+        del mapped
         if out is None:
             out = np.empty(spec.shape[:-2] + coeffs.shape[-2:], dtype=complex)
         np.multiply(spec[..., :half + 1], plan.half_forward[:half + 1], out=out[rows])

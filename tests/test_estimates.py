@@ -1,6 +1,7 @@
 """Ratio checks: determinism, seed nesting, homogeneity, hypothesis gates."""
 
 import gc
+import math
 import weakref
 from dataclasses import replace
 
@@ -8,23 +9,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdvlab import solver, spacetime
+from gkdvlab import solver, spacetime, spectral
 from gkdvlab.estimates import (
     _REGISTRY,
     ESTIMATE_IDS,
     EstimateSpec,
     _ensemble,
+    _forcing_trace,
     _product_trace,
     lip_norm_estimate,
     verify,
 )
 from gkdvlab.solver import NonlinearityG
-from gkdvlab.spacetime import TimeTrace
+from gkdvlab.spacetime import TimeTrace, free_evolution, mixed_norm
 from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
+    _work_buffer,
     apply_pointwise_matrix,
     hermitian_defect,
+    random_band_limited,
     values_to_coeffs,
 )
 
@@ -292,6 +296,52 @@ def test_no_phase_table_outlives_verify(monkeypatch):
     verify(EstimateSpec("inhom_xy", **FAST))
     assert made
     assert spacetime._tables.get() is None
+    assert spectral._work.get() is None
     gc.collect()
     assert all(ref() is None for ref, _ in made)
     assert not any(writeable for _, writeable in made)
+
+
+def _kernel_outputs(spec: EstimateSpec, grid: Grid1D) -> list:
+    """Every kernel that takes arrays from the work buffer, on one grid."""
+    times = spec.times()
+    G = NonlinearityG(alpha=5.0, mu=1.0)
+    u = free_evolution(random_band_limited(grid, decay=1.0, band=32, seed=3), times)
+    v = free_evolution(random_band_limited(grid, decay=0.6, band=32, seed=4), times)
+    forcing = _forcing_trace(spec, grid, times, 32, 1.0, np.random.SeedSequence(5))
+    return [
+        mixed_norm(u, 4.0, 6.0),
+        mixed_norm(u, 4.0, 6.0, 0.25),
+        mixed_norm(forcing, 1.6, 3.0, -0.25),
+        mixed_norm(u, 3.0, 5.0, values=u.values()),
+        mixed_norm(u, 4.0, math.inf, -0.25),
+        mixed_norm(u, math.inf, math.inf, 0.5),
+        apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=2),
+        apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3),
+        apply_pointwise_matrix(u.coeffs[7], grid, G.apply_values, pad=3),
+        _product_trace(u, v).coeffs,  # a (2, M, N/2 + 1) stack mapped to M rows
+        _product_trace(u, v, pad=3).coeffs,
+        forcing.coeffs,
+    ]
+
+
+def test_the_work_buffer_changes_no_bytes_and_leaks_no_view():
+    """Inside a leg's work-buffer scope every kernel gives the bytes it gives outside one.
+
+    The calls alternate the base grid and the 2N grid, as a run's legs do,
+    so the buffer is grown, reused and read at both sizes; no result is a
+    view of it, and it is gone when the scope closes.
+    """
+    spec = EstimateSpec("inhom_xy", **FAST)
+    grids = (spec.grid(), Grid1D(spec.half_length, 2 * spec.size))
+    fresh = [[np.asarray(x).tobytes() for x in _kernel_outputs(spec, grid)] for grid in grids]
+    with _work_buffer():
+        for _ in range(2):
+            for grid, expected in zip(grids, fresh):
+                got = _kernel_outputs(spec, grid)
+                assert [np.asarray(x).tobytes() for x in got] == expected
+                buffer = spectral._work.get()[0]
+                assert buffer.size > 0
+                assert not any(np.shares_memory(x, buffer) for x in got
+                               if isinstance(x, np.ndarray))
+    assert spectral._work.get() is None

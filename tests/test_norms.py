@@ -14,6 +14,7 @@ from gkdvlab.norms import (
     lebesgue_norm,
     lhat_norm,
     lhat_rows,
+    lhat_sup,
     sobolev_norm,
     weighted_norm,
     weighted_power_sum,
@@ -156,6 +157,9 @@ def test_row_norms_match_the_former_copies_bytewise(half_size, rows, r, seed):
         assert weighted_power_sum(mags, grid.dxi, rp, half).tobytes() == former.tobytes()
         if half:
             assert lhat_rows(rows_of, grid.dxi, r).tobytes() == former.tobytes()
+            # the sup over rows is the norm of the row that attains it, taken alone
+            assert lhat_sup(rows_of, grid.dxi, r) == \
+                max(lhat_rows(row, grid.dxi, r) for row in rows_of)
         # the per-row copies and lhat_norm: a row on its own takes Python's power
         for row in rows_of:
             mags = np.abs(row)
@@ -173,4 +177,5 @@ def test_row_norms_overflow_to_infinity_quietly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = lhat_rows(coeffs, GRID.dxi, 3.0)
+        assert lhat_sup(coeffs, GRID.dxi, 3.0) == math.inf
     assert got[0] == math.inf and math.isfinite(got[1])

@@ -1,6 +1,7 @@
 """Pair geometry, exponent algebra, and mixed space-time quadrature."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from gkdvlab.spacetime import (
 from gkdvlab.spectral import (
     Grid1D,
     _fold,
+    _work_buffer,
     airy_propagate,
     coeffs_to_values,
     gaussian_profile,
@@ -310,3 +312,24 @@ def test_shared_phase_tables_change_no_bytes():
             table[0, 0] = 0.0
     assert _airy_table(grid, times, -1j) is not table
     assert _airy_table(grid, times, -1j).flags.writeable
+
+
+def test_mixed_norm_in_a_work_buffer_scope_allocates_no_trace_sized_array():
+    """After one warm-up call, mixed_norm at s != 0 takes its (M, N) powers and
+    its weighted spectrum from the work buffer: a second call on a (129, 129)
+    trace allocates less than one (M, N) float array."""
+    grid = Grid1D(64.0, 256)
+    trace = free_evolution(random_band_limited(grid, decay=1.0, band=64, seed=2),
+                           np.linspace(0.0, 1.0, 129))
+    assert trace.coeffs.shape == (129, 129)
+    with _work_buffer():
+        first = mixed_norm(trace, 4.0, 6.0, 0.25)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            second = mixed_norm(trace, 4.0, 6.0, 0.25)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert second == first
+    assert peak < 8 * trace.sample_count * grid.size
