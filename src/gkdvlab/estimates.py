@@ -319,8 +319,8 @@ def _run_inhom_linf(spec, rp):
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
-        num = lhat_sup(retarded_integral(forcing).coeffs, grid.dxi, r)
         den = mixed_norm(forcing, pd, qd, -s2)
+        num = lhat_sup(retarded_integral(forcing, out=forcing.coeffs).coeffs, grid.dxi, r)
         return num, den
 
     return one, {}
@@ -333,9 +333,8 @@ def _run_inhom_xy(spec, rp):
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
-        ret = retarded_integral(forcing)
-        num = mixed_norm(ret, p1, q1, s1)
         den = mixed_norm(forcing, pd, qd, -s2)
+        num = mixed_norm(retarded_integral(forcing, out=forcing.coeffs), p1, q1, s1)
         return num, den
 
     return one, {}

@@ -219,16 +219,18 @@ def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> T
     return TimeTrace(forcing.grid, times, _real_ends(result))
 
 
-def duhamel_map(v: TimeTrace, free: TimeTrace, G: NonlinearityG,
+def duhamel_map(v: TimeTrace, u0: SpectralField, G: NonlinearityG,
                 cfg: SolverConfig) -> TimeTrace:
     """One integral-equation application: free term plus flux integral.
 
-    free is the trace t -> exp(-(t - t0) d_x^3) u0 on the times of v, from
-    their first time t0, built once per solve.  Returns free(t)
-    + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
-    formed in the flux's array: one trace-sized allocation per step.
+    On the times of v, from their first time t0, returns
+    exp(-(t - t0) d_x^3) u0 + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
+    formed in the flux's array: one trace-sized allocation per step.  The
+    free term is added one row block at a time from the phase table the
+    retarded integral reads, with the bytes of free_evolution's rows, so no
+    free trace is held.
     """
-    if v.grid != free.grid:
+    if v.grid != u0.grid:
         raise ValueError("iterate and datum live on different grids")
     flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad)
     # i xi of the unpaired mode makes it imaginary; the integral keeps it
@@ -236,7 +238,9 @@ def duhamel_map(v: TimeTrace, free: TimeTrace, G: NonlinearityG,
     np.multiply(1j * _plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
     coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), out=flux).coeffs
     np.multiply(G.mu, coeffs, out=coeffs)
-    np.add(free.coeffs, coeffs, out=coeffs)
+    up = _airy_table(v.grid, v.times - v.times[0], 1j)
+    for rows in _row_blocks(coeffs):
+        np.add(_real_ends(up[rows] * u0.modes), coeffs[rows], out=coeffs[rows])
     return TimeTrace(v.grid, v.times, coeffs)
 
 
@@ -288,31 +292,32 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     or overflow in an iterate raises NumericalBlowupError carrying the last
     healthy iterate.
 
-    Grid and sample times are fixed, so the free trace is built once per
-    solve, and one phase table of offsets from t_start serves it and every
-    retarded integral (shared in a _shared_tables scope, which joins
-    a glued run's).  The diagnostics are computed when first read.
+    Grid and sample times are fixed, so one phase table of offsets from
+    t_start serves the free trace, each map's free term and every retarded
+    integral (shared in a _shared_tables scope, which joins a glued run's).
+    The free trace, built once for the gate and the first iterate, goes
+    with that iterate: a step holds the table, the iterate and the flux.
+    The diagnostics are computed when first read.
     """
     _wellposed_guard(G, cfg)
     times = cfg.times()
     rc = critical_exponent(G.alpha)
     with _shared_tables():
-        free = free_evolution(u0, times, t0=cfg.t_start)
-        eps = sum(_size_norms(free, G.alpha))
+        v = free_evolution(u0, times, t0=cfg.t_start)
+        eps = sum(_size_norms(v, G.alpha))
         if eps > cfg.delta:
             return SolveResult(
-                trace=free, converged=False, iterations=0, epsilon=eps,
+                trace=v, converged=False, iterations=0, epsilon=eps,
                 delta=cfg.delta,
                 reason=f"smallness gate: epsilon {eps:.6g} exceeds delta {cfg.delta:.6g}",
             )
-        v = free
         dists: List[float] = []
         factors: List[float] = []
         converged = False
         reason = "max iterations reached"
         iterations = 0
         for iterations in range(1, cfg.max_iterations + 1):
-            w = duhamel_map(v, free, G, cfg)
+            w = duhamel_map(v, u0, G, cfg)
             if not np.all(np.isfinite(w.coeffs)):
                 raise NumericalBlowupError(
                     "iterate left the finite regime", time=float(times[0]), trace=v,
@@ -409,8 +414,9 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     each segment (endpoints always kept).  The segments share one
     _shared_tables scope: segments of one length repeat the same offsets
     from their starts, so they read one phase table.  Each segment reports
-    only its mass drift and boundary mass fraction, computed as
-    solve_diagnostics computes them.
+    only its mass drift and boundary mass fraction, with the bytes
+    solve_diagnostics gives them; the fraction is taken in row blocks, so
+    the segment's samples are never whole.
     """
     if not math.isfinite(cfg.t_end):
         raise ValueError(f"a glued solve needs a finite end time, got {cfg.t_end}")
@@ -436,7 +442,14 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                 length /= 2.0
                 del res  # a declined attempt's trace must not outlive it
             seg = res.trace
-            boundary = boundary_mass_fraction(seg.values(), seg.grid)
+            # in row blocks of two or more, whose edges numpy sums column by
+            # column (one row alone, pairwise): a trailing row joins the last
+            starts = [rows[-2].start for rows in _row_blocks(seg.coeffs)]
+            if len(starts) > 1 and starts[-1] == seg.sample_count - 1:
+                del starts[-1]
+            boundary = max(np.max(boundary_mass_fraction(
+                _real_samples(seg.coeffs[i:j], seg.grid, 1), seg.grid))
+                for i, j in zip(starts, starts[1:] + [None]))
             segments.append({
                 "t_start": float(t),
                 "t_end": float(t + length),
@@ -444,7 +457,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                 "epsilon": res.epsilon,
                 "contraction_factors": res.contraction_factors,
                 "mass_drift": _mass_drift(seg)[1],
-                "boundary_mass_fraction": float(np.max(boundary)),
+                "boundary_mass_fraction": float(boundary),
             })
             idx = _strided_indices(seg.sample_count, store_stride)
             if all_times:

@@ -220,7 +220,8 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     key = (grid.half_length, grid.size, unit, times.tobytes())
     table = None if memo is None else memo.pop(key, None)
     if table is None:
-        table = np.exp(unit * np.outer(times, _plan(grid.half_length, grid.size).xi3))
+        table = unit * np.outer(times, _plan(grid.half_length, grid.size).xi3)
+        np.exp(table, out=table)  # in place: one table-sized complex array
         table.flags.writeable = memo is None
     if memo is not None:
         memo[key] = table  # reinserted: the most recently used is last

@@ -34,6 +34,7 @@ from gkdvlab.spectral import (
     SpectralField,
     _fold,
     apply_pointwise_matrix,
+    coeffs_to_values,
     gaussian_profile,
     hermitian_defect,
     random_band_limited,
@@ -402,7 +403,7 @@ def _check_duhamel_against_the_full_band_kernel(block_rows, monkeypatch):
         with monkeypatch.context() as patch:
             if block_rows:  # the 17 rows in blocks of 2
                 _blocks_of(patch, block_rows, grid)
-            got = solver.duhamel_map(v, free, G, cfg)
+            got = solver.duhamel_map(v, u0, G, cfg)
         assert got.is_real
         _assert_equal_values(unfold(got.coeffs), want)
 
@@ -461,7 +462,24 @@ def test_trace_kernels_hold_their_result_and_a_few_blocks():
         assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
                                                         pad=cfg.pad)) <= result + budget
         assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
-        assert _own_peak(lambda: solver.duhamel_map(v, v, G5, cfg)) <= result + budget
+        assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
+
+
+def test_a_picard_step_holds_the_table_and_two_traces():
+    """A Picard solve drops its free trace once the first map returns.
+
+    257 rows at N = 4096, two iterations: the solve's own peak is its phase
+    table, the iterate and the flux, plus at most 4 pad blocks.  Holding the
+    free trace through every step, as a fourth trace, peaked above that.
+    """
+    grid = Grid1D(1024.0, 4096)
+    cfg = SolverConfig(grid=grid, t_start=0.0, t_end=2.0, tolerance=0.0, max_iterations=2)
+    u0 = gaussian_profile(grid, 0.05)
+    trace = cfg.times().size * (grid.size // 2 + 1) * 16
+    budget = 4 * cfg.pad * spectral._BLOCK_BYTES
+    res = []
+    assert _own_peak(lambda: res.append(picard_solve(u0, G5, cfg))) <= 3 * trace + budget
+    assert res[0].iterations == 2 and res[0].trace.coeffs.nbytes == trace
 
 
 # Update distances are sums over the modes.  A real trace's are taken over
@@ -547,9 +565,9 @@ def test_no_phase_table_outlives_picard_solve(monkeypatch):
     res = picard_solve(gaussian_profile(GRID, 0.05), G5,
                        SolverConfig(grid=GRID, t_start=0.5, t_end=1.5, samples_per_unit=32))
     assert res.iterations >= 2
-    # the free trace, then one retarded integral per iteration, all reading
-    # the one read-only table of offsets from the start
-    assert len(made) == 1 + res.iterations
+    # the free trace, then per iteration the retarded integral and the free
+    # term, all reading the one read-only table of offsets from the start
+    assert len(made) == 1 + 2 * res.iterations
     assert len({id(t) for t, _ in made}) == 1
     assert not made[0][0].flags.writeable
     _assert_none_outlive(made)
@@ -560,7 +578,7 @@ def test_equal_dyadic_segments_share_one_phase_table(monkeypatch):
     cfg = SolverConfig(grid=GRID, t_start=0.5, t_end=2.5, samples_per_unit=32)
     glued = glued_solve(gaussian_profile(GRID, 0.05), G5, cfg, segment_length=0.5)
     assert glued.converged and len(glued.segments) == 4
-    assert len(made) == sum(1 + seg["iterations"] for seg in glued.segments)
+    assert len(made) == sum(1 + 2 * seg["iterations"] for seg in glued.segments)
     assert len({id(t) for t, _ in made}) == 1
     _assert_none_outlive(made)
 
@@ -610,6 +628,23 @@ def test_glued_segments_report_their_solve_diagnostics_bytewise():
         assert res.diagnostics["boundary_mass_fraction"] == seg["boundary_mass_fraction"]
         assert res.diagnostics == solver.solve_diagnostics(res.trace, res.trace.field(0), G5,
                                                            seg_cfg, res.epsilon)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3, 4])
+def test_glued_boundary_fraction_in_row_blocks_matches_the_whole_segment_bytewise(
+        block_rows, monkeypatch):
+    # 9 rows per segment: blocks of 2 or 4 would leave row 8 alone, summed
+    # pairwise, so it joins the block before it
+    u0 = gaussian_profile(GRID, 0.4)
+    cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
+    _blocks_of(monkeypatch, block_rows, GRID)
+    glued = glued_solve(u0, G5, cfg, segment_length=0.25, store_stride=1)
+    assert glued.converged and len(glued.segments) == 4
+    for k, seg in enumerate(glued.segments):
+        rows = glued.trace.coeffs[8 * k:8 * k + 9]
+        assert len(spectral._row_blocks(rows)) > 1
+        whole = solver.boundary_mass_fraction(coeffs_to_values(rows, GRID), GRID)
+        assert seg["boundary_mass_fraction"] == float(np.max(whole))
 
 
 def test_a_repeated_glued_run_is_byte_identical():
