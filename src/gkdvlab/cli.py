@@ -407,7 +407,8 @@ def _scatter_energy(cfg: dict) -> int:
     power = cfg["alpha"] + 1.0
     lp0 = lebesgue_norm(big, power)
     try:
-        trace, ctl_trace = reference_solve(FieldStack((big, control)), G, scfg)
+        trace, ctl_trace = reference_solve(FieldStack((big, control)), G, scfg,
+                                           store_stride=cfg["store_stride"])
     except NumericalBlowupError as exc:
         if exc.datum != 0:
             raise  # the control run failed: exit 3 with no report

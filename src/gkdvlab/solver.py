@@ -84,7 +84,8 @@ class NumericalBlowupError(RuntimeError):
 
     Attributes:
         time: last time with a healthy iterate.
-        trace: trace of samples up to that time (may be None).
+        trace: trace of the stored samples up to that time (None when fewer
+            than two were stored; reference_solve stores every store_stride-th).
         datum: position of the failing datum in a stacked reference_solve
             (0 for a single datum).
     """
@@ -382,8 +383,13 @@ def boundary_mass_fraction(vals: np.ndarray, grid: Grid1D):
     for the whole line only while this stays tiny; runs report it and flag
     values above 1e-6 as tainted.
     """
-    edge = np.abs(grid.points) >= 0.9 * grid.half_length
-    num = np.sum(np.abs(vals[..., edge]) ** 2, axis=-1)
+    # the outer tenth is a leading and a trailing range of samples; summing
+    # each as a slice along the last axis gives a row the same bits however
+    # many rows come with it
+    inner = np.flatnonzero(np.abs(grid.points) < 0.9 * grid.half_length)
+    lo, hi = inner[0], inner[-1] + 1
+    num = (np.sum(np.abs(vals[..., :lo]) ** 2, axis=-1)
+           + np.sum(np.abs(vals[..., hi:]) ** 2, axis=-1))
     den = np.sum(np.abs(vals) ** 2, axis=-1)
     with np.errstate(invalid="ignore"):
         frac = np.where(den > 0, num / den, 0.0)
@@ -420,6 +426,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     """
     if not math.isfinite(cfg.t_end):
         raise ValueError(f"a glued solve needs a finite end time, got {cfg.t_end}")
+    _strided_indices(2, store_stride)  # a bad stride fails before any segment is solved
     t_final = cfg.t_end
     t = cfg.t_start
     u = u0
@@ -442,14 +449,9 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                 length /= 2.0
                 del res  # a declined attempt's trace must not outlive it
             seg = res.trace
-            # in row blocks of two or more, whose edges numpy sums column by
-            # column (one row alone, pairwise): a trailing row joins the last
-            starts = [rows[-2].start for rows in _row_blocks(seg.coeffs)]
-            if len(starts) > 1 and starts[-1] == seg.sample_count - 1:
-                del starts[-1]
             boundary = max(np.max(boundary_mass_fraction(
-                _real_samples(seg.coeffs[i:j], seg.grid, 1), seg.grid))
-                for i, j in zip(starts, starts[1:] + [None]))
+                _real_samples(seg.coeffs[rows], seg.grid, 1), seg.grid))
+                for rows in _row_blocks(seg.coeffs))
             segments.append({
                 "t_start": float(t),
                 "t_end": float(t + length),
@@ -473,8 +475,9 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
 
 
 def _strided_indices(n: int, stride: int) -> np.ndarray:
-    if stride <= 1:
-        return np.arange(n)
+    """Every stride-th of n sample indices and the last; stride must be >= 1."""
+    if stride < 1:
+        raise ValueError(f"store_stride must be >= 1, got {stride}")
     idx = np.arange(0, n, stride)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
@@ -502,7 +505,7 @@ class FieldStack(tuple):
 
 
 def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: NonlinearityG,
-                    cfg: SolverConfig) -> Union[TimeTrace, List[TimeTrace]]:
+                    cfg: SolverConfig, store_stride: int = 1) -> Union[TimeTrace, List[TimeTrace]]:
     """Integrating-factor Runge-Kutta (classical order 4) cross-check.
 
     The dispersive phase is integrated exactly per mode; the explicit stages
@@ -521,6 +524,10 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     whose outcome no longer matters, and the others go on.  The call then
     raises the NumericalBlowupError that the first listed failing datum
     raises on its own, with datum set to its position.
+
+    store_stride keeps every store_stride-th output sample and the last
+    (_strided_indices); the step still visits every output time, so each
+    kept row has the bytes of the stride-1 run's row.
     """
     single = isinstance(u0, SpectralField)
     data = FieldStack((u0,) if single else u0)
@@ -533,9 +540,11 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     def flux(c: np.ndarray) -> np.ndarray:
         return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
 
-    out = np.empty((len(data), times.size, grid.size // 2 + 1), dtype=complex)
+    idx = _strided_indices(times.size, store_stride)
+    out = np.empty((len(data), idx.size, grid.size // 2 + 1), dtype=complex)
     c = np.stack([u.modes for u in data])
     out[:, 0] = c
+    kept = 1  # rows of out written
     live = len(data)  # rows 0 .. live-1 of c are data 0 .. live-1
     failure = None
     h = None
@@ -556,20 +565,22 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         for i in range(live):
             if not np.all(np.isfinite(c[i])) \
                     or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
-                partial = TimeTrace(grid, times[: m + 1], out[i, : m + 1]) \
-                    if m >= 1 else None
+                partial = TimeTrace(grid, times[idx[:kept]], out[i, :kept]) \
+                    if kept >= 2 else None
                 failure = NumericalBlowupError(
                     f"norm left the trusted regime after t = {times[m]:.6g}",
                     time=float(times[m]), trace=partial, datum=i,
                 )
                 live, c = i, c[:i]
                 break
-        out[:live, m + 1] = c
+        if m + 1 == idx[kept]:
+            out[:live, kept] = c
+            kept += 1
         if not live:
             break
     if failure is not None:
         raise failure
-    traces = [TimeTrace(grid, times, rows) for rows in out]
+    traces = [TimeTrace(grid, times[idx], rows) for rows in out]
     return traces[0] if single else traces
 
 

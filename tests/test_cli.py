@@ -214,9 +214,9 @@ ENERGY = ["scatter", "--protocol", "energy-threshold", "--mu", "-1", "--t-end", 
 def test_energy_protocol_big_blowup_writes_report(tmp_path, monkeypatch):
     calls = []
 
-    def recording(u0, G, cfg, _solve=cli.reference_solve):
+    def recording(u0, G, cfg, _solve=cli.reference_solve, **kwargs):
         calls.append((u0, G, cfg))
-        return _solve(u0, G, cfg)
+        return _solve(u0, G, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "reference_solve", recording)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,6 +228,38 @@ def test_energy_protocol_big_blowup_writes_report(tmp_path, monkeypatch):
     doc = load_report(tmp_path)
     assert doc["passed"] is False
     assert doc["blowup_time"] == info.value.time
+
+
+def test_energy_protocol_store_stride_thins_the_trace_only(tmp_path):
+    # at 128 samples per unit over [0, 2]: 257 samples, every 4th and the last
+    # kept by default; the dyadic checkpoints T/16 .. T are all kept rows
+    reports = {}
+    for stride, argv, rows in ((1, ["--store-stride", "1"], 257), (4, [], 65)):
+        out = tmp_path / str(stride)
+        out.mkdir()
+        trace_path = out / "e.trace"
+        assert run(out, ENERGY + argv + ["--save-trace", str(trace_path)]) == 2
+        trace, meta = read_trace(trace_path)
+        assert trace.sample_count == rows and meta["config"]["store_stride"] == stride
+        text = (out / "out" / "report.json").read_text()
+        reports[stride] = text.replace(str(out), "<out>")
+    # the reports differ only in the echoed stride
+    assert reports[1].count('"store_stride": 1') == 1
+    assert reports[1].replace('"store_stride": 1', '"store_stride": 4') == reports[4]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--t-end", "0.25", "--size", "256", "--half-length", "64"],
+    ENERGY, ["persist", "--t-end", "0.25", "--size", "256", "--half-length", "64"],
+])
+@pytest.mark.parametrize("stride", ["0", "-64"])
+def test_store_stride_below_one_exits_one(tmp_path, capsys, argv, stride):
+    assert run(tmp_path, argv + ["--store-stride", stride]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [f"error: store_stride must be >= 1, got {stride}"]
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_energy_protocol_control_blowup_exits_three(tmp_path, capsys):

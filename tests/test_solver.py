@@ -196,6 +196,15 @@ def test_glued_trace_is_strictly_increasing_and_strided():
         assert seg["mass_drift"] < 1e-8
 
 
+@pytest.mark.parametrize("stride", [0, -64])
+def test_store_stride_below_one_is_refused(stride):
+    u0 = gaussian_profile(GRID, 0.05)
+    cfg = SolverConfig(grid=GRID, t_end=0.25)
+    for solve in (glued_solve, reference_solve):
+        with pytest.raises(ValueError, match=f"store_stride must be >= 1, got {stride}"):
+            solve(u0, G5, cfg, store_stride=stride)
+
+
 def test_glued_solve_refuses_an_infinite_end_time():
     # each segment would converge, so the segment loop would never end
     cfg = SolverConfig(grid=GRID, t_end=math.inf)
@@ -630,11 +639,10 @@ def test_glued_segments_report_their_solve_diagnostics_bytewise():
                                                            seg_cfg, res.epsilon)
 
 
-@pytest.mark.parametrize("block_rows", [2, 3, 4])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4])
 def test_glued_boundary_fraction_in_row_blocks_matches_the_whole_segment_bytewise(
         block_rows, monkeypatch):
-    # 9 rows per segment: blocks of 2 or 4 would leave row 8 alone, summed
-    # pairwise, so it joins the block before it
+    # 9 rows per segment: blocks of 1, 2 and 4 leave row 8 alone
     u0 = gaussian_profile(GRID, 0.4)
     cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
     _blocks_of(monkeypatch, block_rows, GRID)
@@ -780,10 +788,48 @@ def test_stacked_reference_solve_matches_single_calls_bytewise(half_size, rows,
             <= 1e-13 * np.max(np.abs(former))
 
 
-def _blowup(u0, G, cfg):
+@pytest.mark.parametrize("stride", [1, 3, 4])
+def test_strided_reference_solve_keeps_the_stride_1_rows_bytewise(stride):
+    grid = Grid1D(32.0, 128)
+    G = NonlinearityG(alpha=5.0, mu=-1.0)
+    # 11 samples: strides 3 and 4 keep the last one besides their multiples
+    cfg = SolverConfig(grid=grid, t_end=0.625, samples_per_unit=16, reference_dt=1 / 64)
+    data = [gaussian_profile(grid, 0.5), 0.4 * random_band_limited(grid, 1.0, 32, seed=3),
+            gaussian_profile(grid, 0.3, 2.0)]
+    idx = solver._strided_indices(cfg.times().size, stride)
+    assert list(idx) == {1: list(range(11)), 3: [0, 3, 6, 9, 10], 4: [0, 4, 8, 10]}[stride]
+    whole = reference_solve(data, G, cfg)
+    kept = reference_solve(data, G, cfg, store_stride=stride)
+    assert len(kept) == len(data)
+    for w, k in zip(whole, kept):
+        assert k.times.tobytes() == w.times[idx].tobytes()
+        assert k.coeffs.tobytes() == w.coeffs[idx].tobytes()
+
+
+def _blowup(u0, G, cfg, store_stride=1):
     with pytest.raises(NumericalBlowupError) as info:
-        reference_solve(u0, G, cfg)
+        reference_solve(u0, G, cfg, store_stride=store_stride)
     return info.value
+
+
+def test_a_strided_blowup_carries_the_kept_rows_before_the_failure():
+    grid = Grid1D(16.0, 64)
+    G = NonlinearityG(alpha=5.0, mu=-1.0)
+    cfg = SolverConfig(grid=grid, t_end=1.0, samples_per_unit=16, reference_dt=1 / 32)
+    small, late, early = (gaussian_profile(grid, a) for a in (0.5, 1.3, 1.4))
+    kept_rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in (late, early):
+            whole = _blowup(u, G, cfg)
+            got = _blowup([small, u], G, cfg, store_stride=4)
+            assert got.datum == 1 and str(got) == str(whole) and got.time == whole.time
+            rows = np.arange(0, whole.trace.sample_count, 4)
+            kept_rows.append(None if got.trace is None else got.trace.sample_count)
+            if got.trace is not None:
+                assert got.trace.times.tobytes() == whole.trace.times[rows].tobytes()
+                assert got.trace.coeffs.tobytes() == whole.trace.coeffs[rows].tobytes()
+    # late fails after t = 7/16 (rows 0 and 4 kept), early after 3/16 (row 0 only)
+    assert kept_rows == [2, None]
 
 
 def test_failing_rows_leave_the_stack_and_the_first_listed_failure_is_raised():
