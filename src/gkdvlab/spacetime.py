@@ -24,10 +24,10 @@ from .spectral import (
     Grid1D,
     SpectralField,
     _check_modes,
+    _map_rows,
     _plan,
     _real_ends,
     _real_samples,
-    _row_blocks,
     _scope,
     _scratch,
     coeffs_to_values,
@@ -266,27 +266,33 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0,
     Time is inside: trapezoid weights on the stored sample times, then the
     lattice sum with weight dx over space; infinite exponents take maxima
     over the samples.  values, when the caller already holds them, are the
-    samples of |D_x|^s u (trace.values() at s = 0).  The rows go through in
-    _row_blocks, into one coarse spectrum and one (M, N) array of |.|^q (|.|
-    at q = inf), both from the work buffer in a _work_buffer scope.
+    samples of |D_x|^s u (trace.values() at s = 0).  The rows go through
+    _map_rows into one (M, N) array of |.|^q (|.| at q = inf), through a
+    coarse spectrum per thread, both from the work buffer in a _work_buffer
+    scope: on more than one block and CPU, on two threads in half blocks.
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)
     weights = None if s == 0 or values is not None \
         else riesz_weights(trace.grid, s, half=True)
+    scale = _plan(trace.grid.half_length, trace.grid.size).half_inverse
     powers = _scratch((trace.sample_count, trace.grid.size), float)
-    for rows in _row_blocks(trace.coeffs):
+
+    def body(rows, work):
         block = powers[rows]
         if values is not None:
             np.abs(values[rows], out=block)
         else:
             coeffs = trace.coeffs[rows]
-            spec = _scratch(coeffs.shape, complex, powers.nbytes)
+            spec = np.ndarray(coeffs.shape, complex, work)
             if weights is not None:
                 coeffs = np.multiply(coeffs, weights, out=spec)
-            np.abs(_real_samples(coeffs, trace.grid, 1, block, spec), out=block)
+            np.abs(_real_samples(coeffs, trace.grid, 1, block, spec, scale), out=block)
         if q != math.inf:
             block **= q
+
+    _map_rows(trace.coeffs, lambda rows, _: 0 if values is not None else trace.coeffs[rows].nbytes,
+              body, powers.nbytes)
     inner = np.max(powers, axis=0) if q == math.inf \
         else np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
     return weighted_power_sum(inner, trace.grid.dx, p)

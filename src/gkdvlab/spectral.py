@@ -15,9 +15,12 @@ and the transforms are rfft and irfft.  Any other layout raises ValueError.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -151,17 +154,19 @@ def _check_modes(modes: np.ndarray, grid: Grid1D) -> None:
                          f"expected {grid.size // 2 + 1} modes per row, {_LAYOUT}")
 
 
-def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=None) -> np.ndarray:
+def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=None,
+                  scale=None) -> np.ndarray:
     """Real samples of half-spectra (last axis) on the grid refined by pad.
 
     One irfft: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
     where that bin is the Nyquist bin, and as half its conjugate at
     pad >= 2, where the irfft's implied mirror puts the other half back in
     bin -N/2.  So the samples are the real part of the full band's inverse
-    transform, zero-padded by pad, formed in out and spec if given.
+    transform, zero-padded by pad, formed in out and spec if given, scaled
+    by the plan's half_inverse or by scale.
     """
     half = grid.size // 2
-    scale = _plan(grid.half_length, grid.size).half_inverse
+    scale = _plan(grid.half_length, grid.size).half_inverse if scale is None else scale
     spec = np.multiply(coeffs, scale, out=spec)
     if pad > 1:
         spec[..., half] = 0.5 * np.conjugate(spec[..., half])
@@ -418,12 +423,79 @@ def _scratch(shape: tuple, dtype, offset: int = 0) -> np.ndarray:
     return work[0][offset:end].view(dtype).reshape(shape)
 
 
-def _row_blocks(a: np.ndarray) -> list:
-    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES or one row each; 1-d: one."""
-    if a.ndim < 2:
+def _row_blocks(a: np.ndarray, halved: bool = False) -> list:
+    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: the first
+    row alone, then half _BLOCK_BYTES) or one row each; 1-d or one block: [...]."""
+    if a.ndim < 2 or (a.nbytes <= _BLOCK_BYTES and not halved):
         return [...]
-    step = max(1, _BLOCK_BYTES * a.shape[-2] // max(a.nbytes, 1))
-    return [(..., slice(i, i + step), slice(None)) for i in range(0, max(a.shape[-2], 1), step)]
+    step = max(1, _BLOCK_BYTES // (1 + halved) * a.shape[-2] // max(a.nbytes, 1))
+    blocks = [(..., slice(i, i + step), slice(None))
+              for i in range(halved, max(a.shape[-2], 1), step)]
+    return [(..., slice(0, 1), slice(None))] + blocks if halved else blocks
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The helper thread maps row blocks for one call at a time: the call takes
+# _busy, leaves its run in _handoff and releases _wake; the helper frees _busy.
+_handoff: list = []
+_wake, _busy = threading.Semaphore(0), threading.Lock()
+_helper = None
+
+
+def _serve() -> None:
+    while True:
+        _wake.acquire()
+        _handoff.pop()()  # the call's run: its arrays go when it returns
+        _busy.release()
+
+
+def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
+    """Call body(rows, work) on each block of rows of a, work being its thread's
+    nbytes(largest block, threads) bytes from offset on of the work buffer.
+
+    With several _row_blocks blocks and CPUs, the first row goes alone, so
+    body can size its result, then this thread and the helper, in a copy of
+    this context (np.errstate too), take half blocks from one iterator.
+    Returns once both are done; re-raises the first exception either met.
+    """
+    global _helper
+    blocks = _row_blocks(a)
+    if len(blocks) == 1 or _cpus() < 2:
+        work = _scratch((nbytes(blocks[0], 1),), np.uint8, offset)
+        for rows in blocks:
+            body(rows, work)
+        return
+    blocks = _row_blocks(a, halved=True)
+    size = nbytes(blocks[1], 2)
+    works = [_scratch((size,), np.uint8, offset + k * size) for k in range(2)]
+    body(blocks[0], works[0])
+    rest, errors = iter(blocks[1:]), []
+
+    def run(work):
+        try:
+            for rows in rest:
+                body(rows, work)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helped = _busy.acquire(blocking=False)  # held: a nested or concurrent call maps alone
+    if helped:
+        if _helper is None or not _helper.is_alive():
+            _helper = threading.Thread(target=_serve, name="gkdvlab-rows", daemon=True)
+            _helper.start()
+        context = copy_context()
+        context.run(_work.set, None)  # the helper uses only the arrays it is handed
+        _handoff.append(partial(context.run, run, works[1]))
+        _wake.release()
+    run(works[0])
+    if helped:
+        with _busy:  # free once the helper is done
+            pass
+    if errors:
+        raise errors[0]
 
 
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
@@ -434,29 +506,42 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
     applied to the real samples (an array whose last axis is contiguous;
     its rows may be strided), and the rfft of the result is truncated to
     bins 0 .. N/2 and scaled, with the zero and unpaired -N/2 modes real.
-    The rows along axis -2 are independent: they go through in _row_blocks,
-    each written straight into the result, so func keeps that axis but may
-    combine the axes before it.  Each block's samples, then the rfft of its
-    mapped samples, go into one fine complex block (from a _work_buffer).
+    The rows along axis -2 are independent: they go through _map_rows, each
+    block written straight into the result, so func keeps that axis but may
+    combine the axes before it.  On more than one block and CPU they go on
+    two threads, in half blocks, so func may run on the helper thread and
+    must not touch shared state.  Each block's samples, then the rfft of its
+    mapped samples, go into its thread's fine complex block; the helper's
+    coarse spectra go after it, a lone thread's are fresh.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
     half = grid.size // 2
-    plan = _plan(grid.half_length, pad * grid.size)
-    m = plan.grid.size
+    m = pad * grid.size
     fine = (m // 2 + 1,)
+    inverse = _plan(grid.half_length, grid.size).half_inverse
+    forward = _plan(grid.half_length, m).half_forward[:half + 1]
     out = None
-    for rows in _row_blocks(coeffs):
+
+    def body(rows, work):
+        nonlocal out
         block = coeffs[rows]
-        samples = _scratch(block.shape[:-1] + fine, complex).view(float)[..., :m]
-        mapped = np.asarray(func(_real_samples(block, grid, pad, samples)))
-        del samples  # fine-grid arrays set peak memory: free each one first
+        samples = np.ndarray(block.shape[:-1] + fine, complex, work)
+        # a lone thread takes a fresh coarse spectrum, freed before func runs
+        spec = np.ndarray(block.shape, complex, work, samples.nbytes) \
+            if work.nbytes >= samples.nbytes + 16 * block.size else None
+        samples = samples.view(float)[..., :m]
+        mapped = np.asarray(func(_real_samples(block, grid, pad, samples, spec, inverse)))
         if mapped.shape[-1] != m or mapped.shape[-2:-1] != block.shape[-2:-1]:
             raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last axis "
                              f"{m} and the rows of {block.shape[:-1]}")
-        spec = np.fft.rfft(mapped, axis=-1, out=_scratch(mapped.shape[:-1] + fine, complex))
+        spec = np.fft.rfft(mapped, axis=-1,
+                           out=np.ndarray(mapped.shape[:-1] + fine, complex, work))
         del mapped
         if out is None:
             out = np.empty(spec.shape[:-2] + coeffs.shape[-2:], dtype=complex)
-        np.multiply(spec[..., :half + 1], plan.half_forward[:half + 1], out=out[rows])
+        np.multiply(spec[..., :half + 1], forward, out=out[rows])
+
+    _map_rows(coeffs, lambda rows, threads: math.prod(coeffs[rows].shape[:-1]) * 16
+              * (fine[0] + (half + 1) * (threads > 1)), body)
     return _real_ends(out)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gkdvlab
 from gkdvlab import cli, estimates, solver
 from gkdvlab.cli import main
 from gkdvlab.estimates import EstimateReport
@@ -425,3 +429,15 @@ def test_help_and_version_still_exit_zero(argv, capsys):
         main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out
+
+
+def test_importing_the_cli_leaves_concurrent_futures_out():
+    """The row kernels' helper thread is a plain threading.Thread:
+    concurrent.futures alone would add about 12 ms to every process's set-up."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gkdvlab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, gkdvlab.cli; "
+            "sys.exit(' '.join(m for m in sys.modules if m.startswith('concurrent')) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

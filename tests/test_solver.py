@@ -452,12 +452,13 @@ def _own_peak(call):
         tracemalloc.stop()
 
 
-def test_trace_kernels_hold_their_result_and_a_few_blocks():
+def test_trace_kernels_hold_their_result_and_a_few_blocks(monkeypatch):
     """The work arrays of the trace kernels are block-sized on a long trace.
 
     257 rows at N = 4096 (8.4 MB of coefficients, 7 blocks): each kernel
     holds its result, or the (M, N) array of powers of mixed_norm, plus at
-    most 4 pad blocks.  With whole-trace temporaries they peaked at 25 to 34 MB.
+    most 4 pad blocks, on one thread and with the helper thread on (half
+    blocks on each).  With whole-trace temporaries they peaked at 25 to 34 MB.
     """
     grid = Grid1D(1024.0, 4096)
     cfg = SolverConfig(grid=grid, t_start=0.0, t_end=2.0)
@@ -468,10 +469,12 @@ def test_trace_kernels_hold_their_result_and_a_few_blocks():
         assert len(spectral._row_blocks(v.coeffs)) > 4
         result = v.coeffs.nbytes
         powers = times.size * grid.size * 8
-        assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
-                                                        pad=cfg.pad)) <= result + budget
-        assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
-        assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
+        for cpus in (1, 2):
+            monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+            assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
+                                                            pad=cfg.pad)) <= result + budget
+            assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
+            assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
 
 
 def test_a_picard_step_holds_the_table_and_two_traces():
