@@ -47,6 +47,7 @@ from .spacetime import (
 from .spectral import (
     Grid1D,
     SpectralField,
+    _map_items,
     _plan,
     _work_buffer,
     apply_pointwise_matrix,
@@ -162,23 +163,25 @@ def _ensemble(spec: EstimateSpec, one: Callable,
 
     Child seeds of a larger spawn begin with those of a smaller one, so the
     samples from start on are the ones a full ensemble of start +
-    spec.ensemble would draw there.  A leg shares phase tables and a work buffer.
+    spec.ensemble would draw there.  The samples go through _map_items, by
+    index: a leg shares phase tables, and each thread has its own work buffer.
     """
     grid = spec.grid()
     times = spec.times()
     band = spec.resolved_band()
     seeds = np.random.SeedSequence(spec.seed).spawn(start + spec.ensemble)[start:]
-    ratios, rows = [], []
+    rows: List[Optional[dict]] = [None] * spec.ensemble
+
+    def sample(i, _thread):
+        decay = spec.decays[i % len(spec.decays)]
+        num, den = one(grid, times, band, decay, seeds[i - start])
+        if not den > 0:
+            raise ArithmeticError(f"degenerate right-hand side for sample {i}")
+        rows[i - start] = {"sample": i, "decay": decay, "ratio": float(num / den)}
+
     with _shared_tables(), _work_buffer():
-        for i, child in enumerate(seeds, start):
-            decay = spec.decays[i % len(spec.decays)]
-            num, den = one(grid, times, band, decay, child)
-            if not den > 0:
-                raise ArithmeticError(f"degenerate right-hand side for sample {i}")
-            ratio = float(num / den)
-            ratios.append(ratio)
-            rows.append({"sample": i, "decay": decay, "ratio": ratio})
-    return ratios, rows
+        _map_items(range(start, start + spec.ensemble), sample, _work_buffer)
+    return [row["ratio"] for row in rows], rows
 
 
 def _datum(grid, band, decay, seed, amplitude) -> SpectralField:
@@ -401,27 +404,26 @@ def _check_leibniz(params: dict) -> dict:
     return rp
 
 
-def _product_trace(u: TimeTrace, v: TimeTrace, pad: int = 2) -> TimeTrace:
-    """Dealiased product of two real traces: one stacked map over all rows."""
-    rows = apply_pointwise_matrix(np.stack((u.coeffs, v.coeffs)), u.grid,
-                                  lambda w: w[0] * w[1], pad=pad)
-    return TimeTrace(u.grid, u.times, rows)
+def _product_trace(pair: np.ndarray, grid: Grid1D, times, pad: int = 2) -> TimeTrace:
+    """Dealiased product of the real traces stacked in pair, (2, M, N/2 + 1): one
+    map over all rows, formed in place of the first."""
+    rows = apply_pointwise_matrix(pair, grid, lambda w: w[0] * w[1], pad=pad, out=pair[0])
+    return TimeTrace(grid, times, rows)
 
 
 def _run_leibniz(spec, rp):
     s = rp["s"]
 
     def one(grid, times, band, decay, child):
-        kids = child.spawn(2)
-        f = _datum(grid, band, decay, kids[0], spec.amplitude)
-        g = _datum(grid, band, decay, kids[1], spec.amplitude)
-        u, v = free_evolution(f, times), free_evolution(g, times)
-        prod = _product_trace(u, v)
-        num = mixed_norm(prod, rp["p"], rp["q"], s)
+        # the free traces, built straight into the product's input, then overwritten by it
+        pair = np.empty((2, times.size, grid.size // 2 + 1), dtype=complex)
+        u, v = (free_evolution(_datum(grid, band, decay, kid, spec.amplitude), times, out=rows)
+                for kid, rows in zip(child.spawn(2), pair))
         den = (
             mixed_norm(u, rp["p1"], rp["q1"], s) * mixed_norm(v, rp["p2"], rp["q2"])
             + mixed_norm(u, rp["p3"], rp["q3"]) * mixed_norm(v, rp["p4"], rp["q4"], s)
         )
+        num = mixed_norm(_product_trace(pair, grid, times), rp["p"], rp["q"], s)
         return num, den
 
     return one, {}
@@ -496,8 +498,8 @@ def _sample_trace(spec, grid, times, band, decay, seed) -> TimeTrace:
     return free_evolution(_datum(grid, band, decay, seed, spec.amplitude), times)
 
 
-def _apply_power(trace: TimeTrace, G: NonlinearityG) -> np.ndarray:
-    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3)
+def _apply_power(trace: TimeTrace, G: NonlinearityG, out=None) -> np.ndarray:
+    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3, out=out)
 
 
 def _run_nonlinear_i(spec, rp):
@@ -524,15 +526,17 @@ def _run_nonlinear_ii(spec, rp):
         kids = child.spawn(2)
         u = _sample_trace(spec, grid, times, band, decay, kids[0])
         v = _sample_trace(spec, grid, times, band, decay, kids[1])
-        diff = TimeTrace(grid, times, _apply_power(u, G) - _apply_power(v, G))
-        num = ynorm(diff, s, r)
-        uv = TimeTrace(grid, times, u.coeffs - v.coeffs)
         sx = snorm(u, rc) + snorm(v, rc)
+        uv = TimeTrace(grid, times, u.coeffs - v.coeffs)
         den = (
             (xnorm(u, s, r) + xnorm(v, s, r)) * sx ** (alpha - 2.0) * snorm(uv, rc)
             + sx ** (alpha - 1.0) * xnorm(uv, s, r)
         )
-        return num, den
+        del uv
+        # each power map overwrites its input: two traces in flight, not five
+        diff = _apply_power(u, G, out=u.coeffs)
+        diff -= _apply_power(v, G, out=v.coeffs)
+        return ynorm(TimeTrace(grid, times, diff), s, r), den
 
     return one, {"boundary_pair": rp["boundary"]}
 

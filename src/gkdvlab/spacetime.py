@@ -12,6 +12,7 @@ xnorm, snorm and ynorm are its wrappers that check the pair first.
 from __future__ import annotations
 
 import math
+import threading
 from contextvars import ContextVar
 from fractions import Fraction
 from dataclasses import dataclass
@@ -188,9 +189,10 @@ class TimeTrace:
 
 
 # Memo of the open _shared_tables scope, least recently used table first;
-# None outside every scope.  A context variable, so concurrent threads never
-# see each other's memo.
+# None outside every scope.  A context variable, so concurrent callers never
+# see each other's memo; the threads of an ensemble leg share one, locked.
 _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=None)
+_tables_lock = threading.Lock()
 
 # Tables one scope holds at most.  A Picard solve needs one (its offsets
 # from its start) and an ensemble leg at most two; segments of a glued run
@@ -218,25 +220,27 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     """
     memo = _tables.get()
     key = (grid.half_length, grid.size, unit, times.tobytes())
-    table = None if memo is None else memo.pop(key, None)
-    if table is None:
-        table = unit * np.outer(times, _plan(grid.half_length, grid.size).xi3)
-        np.exp(table, out=table)  # in place: one table-sized complex array
-        table.flags.writeable = memo is None
-    if memo is not None:
-        memo[key] = table  # reinserted: the most recently used is last
-        if len(memo) > _TABLES_PER_SCOPE:
-            del memo[next(iter(memo))]
+    with _tables_lock:  # the threads of a leg get one table, built once
+        table = None if memo is None else memo.pop(key, None)
+        if table is None:
+            table = unit * np.outer(times, _plan(grid.half_length, grid.size).xi3)
+            np.exp(table, out=table)  # in place: one table-sized complex array
+            table.flags.writeable = memo is None
+        if memo is not None:
+            memo[key] = table  # reinserted: the most recently used is last
+            if len(memo) > _TABLES_PER_SCOPE:
+                del memo[next(iter(memo))]
     return table
 
 
-def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0) -> TimeTrace:
+def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0,
+                   out: Optional[np.ndarray] = None) -> TimeTrace:
     """Trace of the free Airy flow of u0: coefficients times exp(i(t-t0)xi^3).
 
-    The rows' zero and unpaired modes are real.
+    The rows, formed in out if given, have real zero and unpaired modes.
     """
     times = np.asarray(times, dtype=float)
-    coeffs = _airy_table(u0.grid, times - t0, 1j) * u0.modes[None, :]
+    coeffs = np.multiply(_airy_table(u0.grid, times - t0, 1j), u0.modes[None, :], out=out)
     return TimeTrace(u0.grid, times, _real_ends(coeffs))
 
 
@@ -269,7 +273,7 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0,
     samples of |D_x|^s u (trace.values() at s = 0).  The rows go through
     _map_rows into one (M, N) array of |.|^q (|.| at q = inf), through a
     coarse spectrum per thread, both from the work buffer in a _work_buffer
-    scope: on more than one block and CPU, on two threads in half blocks.
+    scope: on more than one block and CPU, or inside an ensemble sample, in half blocks.
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)

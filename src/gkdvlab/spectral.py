@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from functools import partial
@@ -116,8 +116,8 @@ def _plan(half_length: float, size: int) -> _Plan:
     plan = _plans.get(key)
     if plan is None:
         plan = _Plan(half_length, size)
-        if len(_plans) >= _PLAN_LIMIT:
-            del _plans[next(iter(_plans))]
+        if len(_plans) >= _PLAN_LIMIT:  # pop: the threads of a leg may race here
+            _plans.pop(next(iter(_plans)), None)
         _plans[key] = plan
     return plan
 
@@ -403,7 +403,7 @@ _work: ContextVar[list | None] = ContextVar("gkdvlab_work_buffer", default=None)
 
 
 def _work_buffer():
-    """Let the row kernels called in this scope (an ensemble leg) reuse one work buffer.
+    """Let the row kernels called in this scope reuse one work buffer (one per thread of a leg).
 
     They take their throwaway arrays from it, grown to the largest request,
     instead of fresh pages per sample.  No kernel returns a view of it, and
@@ -419,18 +419,19 @@ def _scratch(shape: tuple, dtype, offset: int = 0) -> np.ndarray:
         return np.empty(shape, dtype)
     end = offset + math.prod(shape) * np.dtype(dtype).itemsize
     if work[0].size < end:
+        work[0] = None  # the old bytes go first, unless a view still holds them
         work[0] = np.empty(end, dtype=np.uint8)
     return work[0][offset:end].view(dtype).reshape(shape)
 
 
 def _row_blocks(a: np.ndarray, halved: bool = False) -> list:
-    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: the first
-    row alone, then half _BLOCK_BYTES) or one row each; 1-d or one block: [...]."""
+    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: the first row alone,
+    then half that, at most half the rows) or one row each; 1-d or one block: [...]."""
     if a.ndim < 2 or (a.nbytes <= _BLOCK_BYTES and not halved):
         return [...]
-    step = max(1, _BLOCK_BYTES // (1 + halved) * a.shape[-2] // max(a.nbytes, 1))
-    blocks = [(..., slice(i, i + step), slice(None))
-              for i in range(halved, max(a.shape[-2], 1), step)]
+    rows = a.shape[-2]
+    step = max(1, min(_BLOCK_BYTES // (1 + halved) * rows // max(a.nbytes, 1), rows >> halved))
+    blocks = [(..., slice(i, i + step), slice(None)) for i in range(halved, max(rows, 1), step)]
     return [(..., slice(0, 1), slice(None))] + blocks if halved else blocks
 
 
@@ -438,10 +439,10 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The helper thread maps row blocks for one call at a time: the call takes
-# _busy, leaves its run in _handoff and releases _wake; the helper frees _busy.
+# The helper thread maps items for one call at a time: the call takes _busy,
+# leaves its run in _handoff and releases _wake; the helper releases _done.
 _handoff: list = []
-_wake, _busy = threading.Semaphore(0), threading.Lock()
+_wake, _done, _busy = threading.Semaphore(0), threading.Semaphore(0), threading.Lock()
 _helper = None
 
 
@@ -449,7 +450,46 @@ def _serve() -> None:
     while True:
         _wake.acquire()
         _handoff.pop()()  # the call's run: its arrays go when it returns
+        _done.release()
+
+
+def _map_items(items, func, scope=nullcontext) -> None:
+    """Call func(item, thread) on each item: on this thread (0) and, in a copy of
+    this context (np.errstate too) with the work buffer unset, the helper (1).
+
+    Both take items in order from one iterator, each inside its own scope().
+    After an exception neither takes another; once both are done, the one of
+    the lowest item is re-raised (every item before it has run, as on one
+    thread).  On one CPU, or with the helper taken, this thread maps alone.
+    """
+    global _helper
+    pending, errors = enumerate(items), {}
+
+    def run(thread):
+        i = -1
+        try:
+            with scope():
+                while not errors and (job := next(pending, None)) is not None:
+                    i, item = job
+                    func(item, thread)
+        except BaseException as exc:
+            errors[i] = exc
+
+    helped = _cpus() > 1 and _busy.acquire(blocking=False)
+    if helped:
+        if _helper is None or not _helper.is_alive():
+            _helper = threading.Thread(target=_serve, name="gkdvlab-rows", daemon=True)
+            _helper.start()
+        context = copy_context()
+        context.run(_work.set, None)  # the helper uses only the arrays it is handed
+        _handoff.append(partial(context.run, run, 1))
+        _wake.release()
+    run(0)
+    if helped:
+        _done.acquire()
         _busy.release()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
@@ -457,48 +497,29 @@ def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
     nbytes(largest block, threads) bytes from offset on of the work buffer.
 
     With several _row_blocks blocks and CPUs, the first row goes alone, so
-    body can size its result, then this thread and the helper, in a copy of
-    this context (np.errstate too), take half blocks from one iterator.
-    Returns once both are done; re-raises the first exception either met.
+    body can size its result, then _map_items maps half blocks.  A map that
+    finds the helper taken (inside an ensemble sample) maps alone: two calls'
+    work is in flight, so it takes half blocks, halving even one block.
     """
-    global _helper
+    alone = _busy.locked()
     blocks = _row_blocks(a)
-    if len(blocks) == 1 or _cpus() < 2:
-        work = _scratch((nbytes(blocks[0], 1),), np.uint8, offset)
-        for rows in blocks:
-            body(rows, work)
-        return
-    blocks = _row_blocks(a, halved=True)
-    size = nbytes(blocks[1], 2)
-    works = [_scratch((size,), np.uint8, offset + k * size) for k in range(2)]
-    body(blocks[0], works[0])
-    rest, errors = iter(blocks[1:]), []
-
-    def run(work):
-        try:
-            for rows in rest:
-                body(rows, work)
-        except BaseException as exc:
-            errors.append(exc)
-
-    helped = _busy.acquire(blocking=False)  # held: a nested or concurrent call maps alone
-    if helped:
-        if _helper is None or not _helper.is_alive():
-            _helper = threading.Thread(target=_serve, name="gkdvlab-rows", daemon=True)
-            _helper.start()
-        context = copy_context()
-        context.run(_work.set, None)  # the helper uses only the arrays it is handed
-        _handoff.append(partial(context.run, run, works[1]))
-        _wake.release()
-    run(works[0])
-    if helped:
-        with _busy:  # free once the helper is done
-            pass
-    if errors:
-        raise errors[0]
+    if alone or len(blocks) > 1 and _cpus() > 1:
+        halves = _row_blocks(a, halved=True)
+        if not alone:
+            size = nbytes(halves[1], 2)
+            works = [_scratch((size,), np.uint8, offset + k * size) for k in range(2)]
+            body(halves[0], works[0])
+            _map_items(halves[1:], lambda rows, thread: body(rows, works[thread]))
+            return
+        if len(halves) > 1:  # alone, the first row joins the first half block
+            blocks = [(..., slice(0, halves[1][-2].stop), slice(None))] + halves[2:]
+    work = _scratch((nbytes(blocks[0], 1),), np.uint8, offset)
+    for rows in blocks:
+        body(rows, work)
 
 
-def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2) -> np.ndarray:
+def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Apply a real pointwise map on a padded grid to rows of real fields.
 
     coeffs has shape (..., M, N/2 + 1), half-spectra, or is one row.  Each
@@ -508,11 +529,13 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
     bins 0 .. N/2 and scaled, with the zero and unpaired -N/2 modes real.
     The rows along axis -2 are independent: they go through _map_rows, each
     block written straight into the result, so func keeps that axis but may
-    combine the axes before it.  On more than one block and CPU they go on
-    two threads, in half blocks, so func may run on the helper thread and
-    must not touch shared state.  Each block's samples, then the rfft of its
-    mapped samples, go into its thread's fine complex block; the helper's
-    coarse spectra go after it, a lone thread's are fresh.
+    combine the axes before it.  They go in half blocks on two threads when
+    there are several blocks and CPUs, and alone inside an ensemble sample,
+    so func must not touch shared state.  Each block's samples, then the
+    rfft of its mapped samples, go into its thread's fine complex block; the
+    helper's coarse spectra go after it, a lone thread's are fresh.  The
+    result is formed in out if given, which may be coeffs or a row-aligned
+    part of it: a block's rows are read before they are written.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
@@ -521,7 +544,6 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2)
     fine = (m // 2 + 1,)
     inverse = _plan(grid.half_length, grid.size).half_inverse
     forward = _plan(grid.half_length, m).half_forward[:half + 1]
-    out = None
 
     def body(rows, work):
         nonlocal out

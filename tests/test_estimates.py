@@ -235,7 +235,7 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
     u, v = (TimeTrace(grid, times, values_to_coeffs(rng.standard_normal((rows, grid.size)),
                                                     grid))
             for _ in range(2))
-    prod = _product_trace(u, v, pad=pad)
+    prod = _product_trace(np.stack((u.coeffs, v.coeffs)), grid, times, pad=pad)
     # each reference is a (2, 1, N/2 + 1) stack: the map combines the axis
     # before the rows, never the rows themselves
     want = np.concatenate([apply_pointwise_matrix(np.stack((u.coeffs[m:m + 1],
@@ -309,6 +309,7 @@ def _kernel_outputs(spec: EstimateSpec, grid: Grid1D) -> list:
     u = free_evolution(random_band_limited(grid, decay=1.0, band=32, seed=3), times)
     v = free_evolution(random_band_limited(grid, decay=0.6, band=32, seed=4), times)
     forcing = _forcing_trace(spec, grid, times, 32, 1.0, np.random.SeedSequence(5))
+    pair = np.stack((u.coeffs, v.coeffs))
     return [
         mixed_norm(u, 4.0, 6.0),
         mixed_norm(u, 4.0, 6.0, 0.25),
@@ -319,8 +320,8 @@ def _kernel_outputs(spec: EstimateSpec, grid: Grid1D) -> list:
         apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=2),
         apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3),
         apply_pointwise_matrix(u.coeffs[7], grid, G.apply_values, pad=3),
-        _product_trace(u, v).coeffs,  # a (2, M, N/2 + 1) stack mapped to M rows
-        _product_trace(u, v, pad=3).coeffs,
+        _product_trace(pair.copy(), grid, times).coeffs,  # a (2, M, N/2 + 1) stack to M rows
+        _product_trace(pair.copy(), grid, times, pad=3).coeffs,
         forcing.coeffs,
     ]
 
