@@ -24,6 +24,7 @@ from .diagnostics import monitor, nonpositive_energy_amplitude, scattering_state
 from .estimates import EstimateSpec, _estimate, verify
 from .norms import band_sum, lhat_norm, lhat_sup, lebesgue_norm, sobolev_norm
 from .solver import (
+    DELTA_DEFAULT,
     FieldStack,
     NonlinearityG,
     NumericalBlowupError,
@@ -485,6 +486,13 @@ def _cmd_calibrate(cfg: dict) -> int:
         interval=(cfg["t_start"], cfg["t_end"]), seed=cfg["seed"],
         random_per_amplitude=cfg["random_per_amplitude"],
     )
+    print("  mu  amplitude datum         epsilon     factor  converged")
+    for row in result["rows"]:
+        print(f"{row['mu']:>+4g} {row['amplitude']:>10.4f} {row['datum']:<10} "
+              f"{row['epsilon']:>10.4f} {row['factor']:>10.3g} {str(row['converged']):>10}")
+    print(f"shipped DELTA_DEFAULT: {DELTA_DEFAULT:g}")
+    if result["delta"] != DELTA_DEFAULT:
+        print("note: the shipped default is this command's delta at its defaults")
     doc = _report_skeleton("calibrate-delta", cfg)
     doc["result"] = result
     return _finish(cfg, doc, True,

@@ -146,17 +146,6 @@ class EstimateReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _as_extended(value, default: float) -> float:
-    """Parse an exponent that may arrive as 'inf' from a config file."""
-    return default if value is None else float(value)
-
-
-def _scaled(f: SpectralField, amplitude: float) -> SpectralField:
-    if amplitude == 1.0:
-        return f
-    return amplitude * f
-
-
 def _ensemble(spec: EstimateSpec, one: Callable,
               start: int = 0) -> Tuple[List[float], List[dict]]:
     """Ratios of samples start .. start + spec.ensemble - 1 of the seed's ensemble.
@@ -185,7 +174,7 @@ def _ensemble(spec: EstimateSpec, one: Callable,
 
 
 def _datum(grid, band, decay, seed, amplitude) -> SpectralField:
-    return _scaled(random_band_limited(grid, decay=decay, band=band, seed=seed), amplitude)
+    return amplitude * random_band_limited(grid, decay=decay, band=band, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ def _run_kenig_ruiz(spec, rp):
 
 
 def _check_kato(params: dict) -> dict:
-    q = _as_extended(params.get("q"), 2.0)
+    q = float(params.get("q", 2.0))
     if not (2.0 <= q):
         raise ValueError(f"the local-smoothing bound needs q in [2, inf], got q = {q:g}")
     return {"q": q}
@@ -494,10 +483,6 @@ def _check_nonlinear(params: dict) -> dict:
     return {"alpha": alpha, "s": s, "r": r, "boundary": cls.boundary}
 
 
-def _sample_trace(spec, grid, times, band, decay, seed) -> TimeTrace:
-    return free_evolution(_datum(grid, band, decay, seed, spec.amplitude), times)
-
-
 def _apply_power(trace: TimeTrace, G: NonlinearityG, out=None) -> np.ndarray:
     return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3, out=out)
 
@@ -508,7 +493,7 @@ def _run_nonlinear_i(spec, rp):
     G = NonlinearityG(alpha=alpha, mu=1.0)
 
     def one(grid, times, band, decay, child):
-        u = _sample_trace(spec, grid, times, band, decay, child)
+        u = free_evolution(_datum(grid, band, decay, child, spec.amplitude), times)
         gu = TimeTrace(grid, times, _apply_power(u, G))
         num = ynorm(gu, s, r)
         den = snorm(u, rc) ** (alpha - 1.0) * xnorm(u, s, r)
@@ -523,9 +508,8 @@ def _run_nonlinear_ii(spec, rp):
     G = NonlinearityG(alpha=alpha, mu=1.0)
 
     def one(grid, times, band, decay, child):
-        kids = child.spawn(2)
-        u = _sample_trace(spec, grid, times, band, decay, kids[0])
-        v = _sample_trace(spec, grid, times, band, decay, kids[1])
+        u, v = (free_evolution(_datum(grid, band, decay, kid, spec.amplitude), times)
+                for kid in child.spawn(2))
         sx = snorm(u, rc) + snorm(v, rc)
         uv = TimeTrace(grid, times, u.coeffs - v.coeffs)
         den = (
@@ -552,7 +536,7 @@ def _check_inclusion(params: dict) -> dict:
     case = str(params.get("case", "hausdorff_young"))
     if case not in _INCLUSION_CASES:
         raise ValueError(f"inclusion case must be one of {_INCLUSION_CASES}, got {case!r}")
-    r = _as_extended(params.get("r"), 4.0)
+    r = float(params.get("r", 4.0))
     if case == "weighted":
         if not (1.0 < r < math.inf):
             raise ValueError(f"the weighted embedding needs 1 < r < inf, got r = {r:g}")

@@ -53,7 +53,7 @@ BLOWUP_FACTOR = 1e6
 
 # Largest free-evolution smallness for which the iteration is observed to
 # contract with factor <= 1/2 (alpha = 5, both signs of the coupling); the
-# sweep in scripts/calibrate_delta.py measured contraction up to eps = 1.387
+# sweep of `gkdvlab calibrate-delta` measured contraction up to eps = 1.387
 # (factor 0.31) and divergence at eps = 1.90, and rounds the edge down to
 # two significant digits.
 DELTA_DEFAULT = 1.3
@@ -264,17 +264,16 @@ def _wellposed_guard(G: NonlinearityG, cfg: SolverConfig) -> None:
     )
 
 
-def _size_norms(trace: TimeTrace, alpha: float,
-                values: Optional[np.ndarray] = None) -> Tuple[float, float]:
+def _size_norms(trace: TimeTrace, alpha: float) -> Tuple[float, float]:
     """The contraction's scattering norm and auxiliary norm of a trace.
 
     snorm and xnorm at the critical exponent, with no pair check: an
     exploratory alpha leaves the acceptable region, and the exponent map
-    still applies there.  values, when given, are trace.values().
+    still applies there.
     """
     rc = critical_exponent(alpha)
     sl = aux_smoothness(alpha)
-    return (mixed_norm(trace, *exponent_map(0.0, rc), values=values),
+    return (mixed_norm(trace, *exponent_map(0.0, rc)),
             mixed_norm(trace, *exponent_map(sl, rc), sl))
 
 
@@ -358,9 +357,8 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
     sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
-    vals = trace.values()  # one transform for the boundary mass and snorm
-    boundary = float(np.max(boundary_mass_fraction(vals, trace.grid)))
-    size = sum(_size_norms(trace, G.alpha, vals))
+    boundary = float(np.max(boundary_mass_fraction(trace.values(), trace.grid)))
+    size = sum(_size_norms(trace, G.alpha))
     return {
         "mass_initial": m0,
         "mass_drift": mass_drift,

@@ -425,14 +425,13 @@ def _scratch(shape: tuple, dtype, offset: int = 0) -> np.ndarray:
 
 
 def _row_blocks(a: np.ndarray, halved: bool = False) -> list:
-    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: the first row alone,
-    then half that, at most half the rows) or one row each; 1-d or one block: [...]."""
+    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: half that, at
+    most half the rows rounded up) or one row each; 1-d or one whole block: [...]."""
     if a.ndim < 2 or (a.nbytes <= _BLOCK_BYTES and not halved):
         return [...]
     rows = a.shape[-2]
-    step = max(1, min(_BLOCK_BYTES // (1 + halved) * rows // max(a.nbytes, 1), rows >> halved))
-    blocks = [(..., slice(i, i + step), slice(None)) for i in range(halved, max(rows, 1), step)]
-    return [(..., slice(0, 1), slice(None))] + blocks if halved else blocks
+    step = max(1, min(_BLOCK_BYTES // (1 + halved) * rows // max(a.nbytes, 1), -(-rows >> halved)))
+    return [(..., slice(i, i + step), slice(None)) for i in range(0, max(rows, 1), step)]
 
 
 def _cpus() -> int:
@@ -496,24 +495,21 @@ def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
     """Call body(rows, work) on each block of rows of a, work being its thread's
     nbytes(largest block, threads) bytes from offset on of the work buffer.
 
-    With several _row_blocks blocks and CPUs, the first row goes alone, so
-    body can size its result, then _map_items maps half blocks.  A map that
-    finds the helper taken (inside an ensemble sample) maps alone: two calls'
-    work is in flight, so it takes half blocks, halving even one block.
+    With several _row_blocks blocks and CPUs, and the helper free, _map_items
+    maps half blocks on two threads.  Otherwise this thread maps alone: in
+    half blocks if it finds the helper taken (inside an ensemble sample, where
+    two calls' work is in flight), halving even one block, else in blocks.
     """
     alone = _busy.locked()
     blocks = _row_blocks(a)
-    if alone or len(blocks) > 1 and _cpus() > 1:
-        halves = _row_blocks(a, halved=True)
-        if not alone:
-            size = nbytes(halves[1], 2)
-            works = [_scratch((size,), np.uint8, offset + k * size) for k in range(2)]
-            body(halves[0], works[0])
-            _map_items(halves[1:], lambda rows, thread: body(rows, works[thread]))
-            return
-        if len(halves) > 1:  # alone, the first row joins the first half block
-            blocks = [(..., slice(0, halves[1][-2].stop), slice(None))] + halves[2:]
-    work = _scratch((nbytes(blocks[0], 1),), np.uint8, offset)
+    threads = 2 if not alone and len(blocks) > 1 and _cpus() > 1 else 1
+    if alone or threads > 1:
+        blocks = _row_blocks(a, halved=True)
+    size = nbytes(blocks[0], threads)
+    work = _scratch((threads * size,), np.uint8, offset)  # one array: fewer page faults than two
+    if threads > 1:
+        _map_items(blocks, lambda rows, k: body(rows, work[k * size:(k + 1) * size]))
+        return
     for rows in blocks:
         body(rows, work)
 
@@ -527,15 +523,14 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     applied to the real samples (an array whose last axis is contiguous;
     its rows may be strided), and the rfft of the result is truncated to
     bins 0 .. N/2 and scaled, with the zero and unpaired -N/2 modes real.
-    The rows along axis -2 are independent: they go through _map_rows, each
-    block written straight into the result, so func keeps that axis but may
-    combine the axes before it.  They go in half blocks on two threads when
-    there are several blocks and CPUs, and alone inside an ensemble sample,
-    so func must not touch shared state.  Each block's samples, then the
-    rfft of its mapped samples, go into its thread's fine complex block; the
-    helper's coarse spectra go after it, a lone thread's are fresh.  The
-    result is formed in out if given, which may be coeffs or a row-aligned
-    part of it: a block's rows are read before they are written.
+    The result is formed in out, of coeffs' shape if not given; out may be
+    coeffs or a row-aligned part of it: a block's rows are read before they
+    are written.  func keeps the rows along axis -2 and may combine the
+    axes before it only as far as out's shape does.  The rows go through
+    _map_rows, on the helper thread too, so func must not touch shared
+    state.  Each block's samples, then the rfft of its mapped samples, go
+    into its thread's fine complex block; on two threads each thread's
+    coarse spectrum goes after it, a lone thread's is fresh.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
@@ -544,25 +539,23 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     fine = (m // 2 + 1,)
     inverse = _plan(grid.half_length, grid.size).half_inverse
     forward = _plan(grid.half_length, m).half_forward[:half + 1]
+    out = np.empty(coeffs.shape, dtype=complex) if out is None else out
 
     def body(rows, work):
-        nonlocal out
-        block = coeffs[rows]
+        block, target = coeffs[rows], out[rows]
         samples = np.ndarray(block.shape[:-1] + fine, complex, work)
         # a lone thread takes a fresh coarse spectrum, freed before func runs
         spec = np.ndarray(block.shape, complex, work, samples.nbytes) \
             if work.nbytes >= samples.nbytes + 16 * block.size else None
         samples = samples.view(float)[..., :m]
         mapped = np.asarray(func(_real_samples(block, grid, pad, samples, spec, inverse)))
-        if mapped.shape[-1] != m or mapped.shape[-2:-1] != block.shape[-2:-1]:
-            raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last axis "
-                             f"{m} and the rows of {block.shape[:-1]}")
+        if mapped.shape[-1] != m or mapped.shape[:-1] != target.shape[:-1]:
+            raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last "
+                             f"axis {m} and the rows of out, {target.shape[:-1]}")
         spec = np.fft.rfft(mapped, axis=-1,
                            out=np.ndarray(mapped.shape[:-1] + fine, complex, work))
         del mapped
-        if out is None:
-            out = np.empty(spec.shape[:-2] + coeffs.shape[-2:], dtype=complex)
-        np.multiply(spec[..., :half + 1], forward, out=out[rows])
+        np.multiply(spec[..., :half + 1], forward, out=target)
 
     _map_rows(coeffs, lambda rows, threads: math.prod(coeffs[rows].shape[:-1]) * 16
               * (fine[0] + (half + 1) * (threads > 1)), body)

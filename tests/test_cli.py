@@ -153,13 +153,25 @@ def test_unresolved_log_tail_band_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def test_calibrate_delta_command(tmp_path):
+def test_calibrate_delta_command(tmp_path, capsys):
     rc = run(tmp_path, ["calibrate-delta", "--amplitudes", "0.05,0.1",
                         "--size", "64", "--half-length", "16"])
     assert rc == 0
     result = load_report(tmp_path)["result"]
     assert set(result) >= {"delta", "edge", "rows"}
     assert len(result["rows"]) == 12  # 2 amplitudes x 2 signs x 3 data
+    # the probe table, one line per row of the report, then the shipped default
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["mu", "amplitude", "datum", "epsilon", "factor", "converged"]
+    for line, row in zip(lines[1:13], result["rows"]):
+        mu, amplitude, datum, epsilon, factor, converged = line.split()
+        assert (float(mu), datum, converged) == (row["mu"], row["datum"], str(row["converged"]))
+        assert float(amplitude) == pytest.approx(row["amplitude"], abs=5e-5)
+        assert float(epsilon) == pytest.approx(row["epsilon"], abs=5e-5)
+        assert float(factor) == pytest.approx(row["factor"], rel=5e-3)
+    assert lines[13] == f"shipped DELTA_DEFAULT: {solver.DELTA_DEFAULT:g}"
+    assert result["delta"] != solver.DELTA_DEFAULT and lines[14].startswith("note: ")
+    assert lines[15].startswith(f"calibrate-delta: delta={result['delta']:g} ")
 
 
 def test_persist_short_horizon(tmp_path):

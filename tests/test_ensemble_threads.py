@@ -180,9 +180,9 @@ def test_a_multi_block_map_inside_a_sample_maps_alone(monkeypatch):
     long = free_evolution(random_band_limited(grid, 1.0, 128, 9), np.linspace(0.0, 2.0, 257))
     short = long.restricted(1.0).coeffs
     assert len(spectral._row_blocks(long.coeffs)) > 1 and len(spectral._row_blocks(short)) == 1
-    # half blocks, the first row joining the first: one block fewer than two threads take
+    # half blocks, as two threads take them
     traces = [(c, apply_pointwise_matrix(c, grid, G5.apply_values).tobytes(),
-               len(spectral._row_blocks(c, halved=True)) - 1) for c in (long.coeffs, short)]
+               len(spectral._row_blocks(c, halved=True))) for c in (long.coeffs, short)]
     assert traces[0][2] > len(spectral._row_blocks(long.coeffs)) and traces[1][2] == 2
     runs = []
 

@@ -236,11 +236,12 @@ def test_stacked_product_matches_per_row_products_bytewise(half_size, rows, pad,
                                                     grid))
             for _ in range(2))
     prod = _product_trace(np.stack((u.coeffs, v.coeffs)), grid, times, pad=pad)
-    # each reference is a (2, 1, N/2 + 1) stack: the map combines the axis
-    # before the rows, never the rows themselves
+    # each reference is a (2, 1, N/2 + 1) stack into one row: the map
+    # combines the axis before the rows, never the rows themselves
     want = np.concatenate([apply_pointwise_matrix(np.stack((u.coeffs[m:m + 1],
                                                             v.coeffs[m:m + 1])),
-                                                  grid, _times, pad=pad)
+                                                  grid, _times, pad=pad,
+                                                  out=np.empty((1, half_size + 1), complex))
                            for m in range(rows)])
     assert prod.is_real
     assert prod.coeffs.dtype == want.dtype and prod.coeffs.shape == want.shape
@@ -314,7 +315,7 @@ def _kernel_outputs(spec: EstimateSpec, grid: Grid1D) -> list:
         mixed_norm(u, 4.0, 6.0),
         mixed_norm(u, 4.0, 6.0, 0.25),
         mixed_norm(forcing, 1.6, 3.0, -0.25),
-        mixed_norm(u, 3.0, 5.0, values=u.values()),
+        mixed_norm(u, 3.0, 5.0),
         mixed_norm(u, 4.0, math.inf, -0.25),
         mixed_norm(u, math.inf, math.inf, 0.5),
         apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=2),

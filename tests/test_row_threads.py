@@ -71,27 +71,36 @@ def test_pointwise_map_on_two_threads_matches_one_bytewise(size, pad, stack, mon
     trace = _trace(size)
     coeffs = np.stack((trace.coeffs, trace.coeffs[::-1])) if stack else trace.coeffs
     func = (lambda w: w[0] * w[1]) if stack else G5.apply_values
+
+    def mapped(f):  # the product of a stack has the rows of one trace
+        return apply_pointwise_matrix(coeffs, trace.grid, f, pad=pad,
+                                      out=np.empty(trace.coeffs.shape, dtype=complex))
+
     halves = len(spectral._row_blocks(coeffs, halved=True))
-    assert len(spectral._row_blocks(coeffs)) > 1
+    assert 1 < len(spectral._row_blocks(coeffs)) < halves
     _cpus(monkeypatch, 1)
-    want = apply_pointwise_matrix(coeffs, trace.grid, func, pad=pad)
+    want = mapped(func)
     _cpus(monkeypatch, 2)
     seen = []
-    got = apply_pointwise_matrix(coeffs, trace.grid, _recording(func, seen), pad=pad)
+    got = mapped(_recording(func, seen))
     _same_bytes(got, want)
     assert len(seen) == halves and 0 < seen.count(False) < halves
-    _same_bytes(apply_pointwise_matrix(coeffs, trace.grid, func, pad=pad), want)
+    _same_bytes(mapped(func), want)
 
 
 def test_halved_blocks_cover_the_rows_once():
-    """The first row alone, then half blocks: at N = 1024 an odd number of blocks."""
-    for size, count in ((1024, 5), (4096, 15)):
+    """Half blocks from row 0 on, each row once; one block splits into two halves."""
+    for size, count in ((1024, 4), (4096, 14)):
         coeffs = _trace(size).coeffs
         rows = [range(257)[r[-2]] for r in spectral._row_blocks(coeffs, halved=True)]
-        assert len(rows) == count and rows[0] == range(1)
+        assert len(rows) == count and rows[0].start == 0
         assert [i for block in rows for i in block] == list(range(257))
         whole = range(257)[spectral._row_blocks(coeffs)[0][-2]]
-        assert 2 * len(rows[1]) <= len(whole)
+        assert 2 * len(rows[0]) <= len(whole)
+    short = _trace(1024).coeffs[:129]
+    assert len(spectral._row_blocks(short)) == 1
+    assert [range(129)[r[-2]] for r in spectral._row_blocks(short, halved=True)] == \
+        [range(0, 65), range(65, 129)]
 
 
 NORMS = {
@@ -100,7 +109,6 @@ NORMS = {
     "negative s": dict(p=1.6, q=3.0, s=-0.25),
     "q=inf": dict(p=4.0, q=math.inf, s=-0.25),
     "p=q=inf": dict(p=math.inf, q=math.inf),
-    "values": dict(p=3.0, q=5.0),
 }
 
 
@@ -108,18 +116,13 @@ NORMS = {
 @pytest.mark.parametrize("case", sorted(NORMS))
 def test_mixed_norm_on_two_threads_matches_one_bytewise(size, case, monkeypatch):
     trace = _trace(size)
-    kw = dict(NORMS[case])
-    if case == "values":
-        kw["values"] = trace.values()
+    kw = NORMS[case]
     assert len(spectral._row_blocks(trace.coeffs)) > 1
     _cpus(monkeypatch, 1)
     want = mixed_norm(trace, **kw)
     _cpus(monkeypatch, 2)
     _Recording.seen = []
-    if case == "values":
-        kw["values"] = kw["values"].view(_Recording)
-    else:
-        trace.coeffs = trace.coeffs.view(_Recording)
+    trace.coeffs = trace.coeffs.view(_Recording)
     got = mixed_norm(trace, **kw)
     assert got.hex() == want.hex()
     assert 0 < _Recording.seen.count(False) < len(_Recording.seen)
@@ -162,7 +165,7 @@ def test_errstate_holds_on_both_threads(on_helper, monkeypatch):
         on_caller = threading.current_thread() is threading.main_thread()
         if on_caller:
             time.sleep(0.01)
-        if on_caller != on_helper and v.shape[-2] > 1:  # the first row goes alone
+        if on_caller != on_helper:
             overflowed.append(on_caller)
             return v * 1e308 * 1e308
         return np.array(v)

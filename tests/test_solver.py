@@ -164,7 +164,6 @@ def test_size_norms_are_snorm_plus_xnorm_bytewise():
     rc = critical_exponent(5.0)
     checked = snorm(trace, rc) + xnorm(trace, aux_smoothness(5.0), rc)
     assert sum(_size_norms(trace, 5.0)).hex() == checked.hex()
-    assert sum(_size_norms(trace, 5.0, trace.values())).hex() == checked.hex()
 
 
 def test_free_smallness_monotone_in_amplitude():

@@ -261,7 +261,6 @@ def _check_mixed_norm_against_the_former_path(s):
                 inner = np.einsum("m,mj->j", tw, mags ** q) ** (1.0 / q)
             former = weighted_power_sum(inner, GRID.dx, p)
             assert mixed_norm(trace, p, q, s).hex() == former.hex(), (p, q)
-            assert mixed_norm(trace, p, q, s, values=vals).hex() == former.hex(), (p, q)
 
 
 def test_trapezoid_weights_sum_to_span():

@@ -404,11 +404,16 @@ def test_row_blocks_map_like_one_block_bytewise(case, pad, monkeypatch):
     rng = np.random.default_rng(pad)
     coeffs = values_to_coeffs(rng.standard_normal(lead + (grid.size,)), grid)
     want = _one_block_map(coeffs, grid, func, pad)
+
+    def mapped():  # a product stack's map has the rows of one trace
+        return apply_pointwise_matrix(coeffs, grid, func, pad=pad,
+                                      out=np.empty(want.shape, dtype=complex))
+
     assert len(spectral._row_blocks(coeffs)) == 1
-    _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, func, pad=pad), want)
+    _assert_same_bytes(mapped(), want)
     monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_rows * coeffs.nbytes // lead[-1])
     assert len(spectral._row_blocks(coeffs)) == -(-lead[-1] // block_rows) > 1
-    _assert_same_bytes(apply_pointwise_matrix(coeffs, grid, func, pad=pad), want)
+    _assert_same_bytes(mapped(), want)
 
 
 def _long_double_pointwise(coeffs, grid, func, pad, block=256):
@@ -476,6 +481,10 @@ def test_pointwise_map_rejects_a_wrong_output_length():
     # a map that combines the rows (axis -2) would be cut by the row blocks
     with pytest.raises(ValueError, match="rows"):
         apply_pointwise_matrix(np.stack([_fold(GRID.frequencies) + 0j] * 2), GRID,
+                               lambda v: v[0] * v[1])
+    # one that combines the axes before the rows needs an out of the result's shape
+    with pytest.raises(ValueError, match=r"rows of out, \(2, 3\)"):
+        apply_pointwise_matrix(np.zeros((2, 3, GRID.size // 2 + 1), complex), GRID,
                                lambda v: v[0] * v[1])
 
 
