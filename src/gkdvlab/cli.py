@@ -554,7 +554,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return _EXIT_ERROR
-    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

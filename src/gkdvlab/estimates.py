@@ -169,7 +169,7 @@ def _ensemble(spec: EstimateSpec, one: Callable,
         rows[i - start] = {"sample": i, "decay": decay, "ratio": float(num / den)}
 
     with _shared_tables(), _work_buffer():
-        _map_items(range(start, start + spec.ensemble), sample, _work_buffer)
+        _map_items(range(start, start + spec.ensemble), sample)
     return [row["ratio"] for row in rows], rows
 
 

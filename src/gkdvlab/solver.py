@@ -151,6 +151,8 @@ class SolverConfig:
             raise ValueError(f"dealias padding must be >= 2, got {self.pad}")
         if self.samples_per_unit < 2:
             raise ValueError("samples_per_unit must be >= 2")
+        if not self.reference_dt > 0:
+            raise ValueError(f"reference_dt must be > 0, got {self.reference_dt}")
 
     def times(self) -> np.ndarray:
         return _sample_times(self.t_start, self.t_end, self.samples_per_unit)

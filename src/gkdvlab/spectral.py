@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -438,54 +437,39 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# The helper thread maps items for one call at a time: the call takes _busy,
-# leaves its run in _handoff and releases _wake; the helper releases _done.
-_handoff: list = []
-_wake, _done, _busy = threading.Semaphore(0), threading.Semaphore(0), threading.Lock()
-_helper = None
+_busy = threading.Lock()  # held while a call maps on two threads
 
 
-def _serve() -> None:
-    while True:
-        _wake.acquire()
-        _handoff.pop()()  # the call's run: its arrays go when it returns
-        _done.release()
+def _map_items(items, func) -> None:
+    """Call func(item, thread) on each item: on this thread (0) and on a helper
+    thread (1) started for this call and joined before it returns, in a copy of
+    this context (np.errstate too) with a fresh work buffer if this one has one.
 
-
-def _map_items(items, func, scope=nullcontext) -> None:
-    """Call func(item, thread) on each item: on this thread (0) and, in a copy of
-    this context (np.errstate too) with the work buffer unset, the helper (1).
-
-    Both take items in order from one iterator, each inside its own scope().
-    After an exception neither takes another; once both are done, the one of
-    the lowest item is re-raised (every item before it has run, as on one
-    thread).  On one CPU, or with the helper taken, this thread maps alone.
+    Both take items in order from one iterator.  After an exception neither
+    takes another; once both are done, the one of the lowest item is re-raised
+    (every item before it has run, as on one thread).  On one CPU, or with the
+    helper taken (_busy), this thread maps alone.
     """
-    global _helper
     pending, errors = enumerate(items), {}
 
     def run(thread):
         i = -1
         try:
-            with scope():
-                while not errors and (job := next(pending, None)) is not None:
-                    i, item = job
-                    func(item, thread)
+            while not errors and (job := next(pending, None)) is not None:
+                i, item = job
+                func(item, thread)
         except BaseException as exc:
             errors[i] = exc
 
     helped = _cpus() > 1 and _busy.acquire(blocking=False)
     if helped:
-        if _helper is None or not _helper.is_alive():
-            _helper = threading.Thread(target=_serve, name="gkdvlab-rows", daemon=True)
-            _helper.start()
-        context = copy_context()
-        context.run(_work.set, None)  # the helper uses only the arrays it is handed
-        _handoff.append(partial(context.run, run, 1))
-        _wake.release()
+        ctx = copy_context()
+        ctx.run(_work.set, None if _work.get() is None else [np.empty(0, dtype=np.uint8)])
+        helper = threading.Thread(target=ctx.run, args=(run, 1), name="gkdvlab-rows", daemon=True)
+        helper.start()
     run(0)
     if helped:
-        _done.acquire()
+        helper.join()
         _busy.release()
     if errors:
         raise errors[min(errors)]
@@ -496,9 +480,10 @@ def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
     nbytes(largest block, threads) bytes from offset on of the work buffer.
 
     With several _row_blocks blocks and CPUs, and the helper free, _map_items
-    maps half blocks on two threads.  Otherwise this thread maps alone: in
-    half blocks if it finds the helper taken (inside an ensemble sample, where
-    two calls' work is in flight), halving even one block, else in blocks.
+    maps half blocks on this thread and a helper thread started for the call
+    and joined before it returns.  Otherwise this thread maps alone: in half
+    blocks if it finds the helper taken (inside an ensemble sample, where two
+    calls' work is in flight), halving even one block, else in blocks.
     """
     alone = _busy.locked()
     blocks = _row_blocks(a)
@@ -527,10 +512,11 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     coeffs or a row-aligned part of it: a block's rows are read before they
     are written.  func keeps the rows along axis -2 and may combine the
     axes before it only as far as out's shape does.  The rows go through
-    _map_rows, on the helper thread too, so func must not touch shared
-    state.  Each block's samples, then the rfft of its mapped samples, go
-    into its thread's fine complex block; on two threads each thread's
-    coarse spectrum goes after it, a lone thread's is fresh.
+    _map_rows, also on a helper thread started for the call and joined
+    before it returns, so func must not touch shared state.  Each block's
+    samples, then the rfft of its mapped samples, go into its thread's fine
+    complex block; on two threads each thread's coarse spectrum goes after
+    it, a lone thread's is fresh.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)

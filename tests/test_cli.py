@@ -278,6 +278,27 @@ def test_store_stride_below_one_exits_one(tmp_path, capsys, argv, stride):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("step", ["-1", "0", "nan"])
+def test_reference_step_not_above_zero_exits_one(tmp_path, capsys, step):
+    assert run(tmp_path, ["solve", "--reference", "--reference-dt", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: reference_dt must be > 0, got {float(step)}"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_out_of_memory_exits_one_with_one_line(tmp_path, monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 128. GiB for an array")
+
+    monkeypatch.setattr(cli, "picard_solve", too_large)
+    assert run(tmp_path, ["solve"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: Unable to allocate 128. GiB for an array"]
+
+
 def test_energy_protocol_control_blowup_exits_three(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         rc = run(tmp_path, ENERGY + ["--control-amp", "3"])

@@ -1,7 +1,8 @@
 """Ensemble samples on two threads: the same reports as on one, and the same failures.
 
-estimates._ensemble maps a leg's samples on the calling thread and the one
-helper thread through spectral._map_items.  spectral._cpus is the seam that
+estimates._ensemble maps a leg's samples on the calling thread and a
+helper thread, started for the leg and joined before it ends, through
+spectral._map_items.  spectral._cpus is the seam that
 turns the helper on or off here.  A sample that fails makes the run fail
 with the error of the lowest failing sample, as a run on one thread does.
 """
@@ -88,6 +89,21 @@ def test_the_helper_takes_samples_and_one_cpu_never_wakes_it(tmp_path, monkeypat
     assert 0 < seen.count(False) < len(seen)
     assert (tmp_path / "two/out/samples.csv").read_bytes() \
         == (tmp_path / "one/out/samples.csv").read_bytes()
+
+
+def test_no_helper_thread_outlives_verify(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def wrap(one, i, args):
+        seen.append(threading.current_thread() is threading.main_thread())
+        _slow_caller()
+        return one(*args)
+
+    _patched(monkeypatch, "stein_tomas", wrap)
+    _cpus(monkeypatch, 2)
+    assert _verify(tmp_path, "two", ["--id", "stein_tomas", *SMALL], capsys, monkeypatch)[0] == 0
+    assert False in seen
+    assert not [t for t in threading.enumerate() if t.name == "gkdvlab-rows"]
 
 
 def test_the_lowest_failing_sample_is_reported(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """The row kernels on two threads: the same bytes as on one, and the same failures.
 
 apply_pointwise_matrix and mixed_norm map their row blocks on the calling
-thread and a helper thread when a trace spans several blocks and the
-process may use more than one CPU.  spectral._cpus is the seam that turns
+thread and a helper thread, started for the call and joined before it
+returns, when a trace spans several blocks and the process may use more
+than one CPU.  spectral._cpus is the seam that turns
 the helper on or off here.
 """
 
@@ -190,6 +191,15 @@ def test_one_block_or_one_cpu_maps_on_the_caller(monkeypatch):
     trace = _trace(1024)
     apply_pointwise_matrix(trace.coeffs, grid, _recording(G5.apply_values, seen))
     assert seen == [True] * (1 + len(spectral._row_blocks(trace.coeffs)))
+
+
+def test_no_helper_thread_outlives_a_map(monkeypatch):
+    _cpus(monkeypatch, 2)
+    trace = _trace(1024)
+    seen = []
+    apply_pointwise_matrix(trace.coeffs, trace.grid, _recording(G5.apply_values, seen))
+    assert False in seen
+    assert not [t for t in threading.enumerate() if t.name == "gkdvlab-rows"]
 
 
 def test_a_map_inside_a_map_runs_on_its_own_thread(monkeypatch):
