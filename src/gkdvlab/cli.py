@@ -34,6 +34,7 @@ from .solver import (
     glued_solve,
     picard_solve,
     reference_solve,
+    reference_step,
 )
 from .spacetime import TimeTrace, snorm
 from .spectral import Grid1D, SpectralField, gaussian_profile, random_band_limited
@@ -80,7 +81,7 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
         "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
         "band": (None, int), "seed": (0, int), "half_length": (64.0, float),
         "size": (256, int), "t_start": (0.0, float), "t_end": (1.0, float),
-        "samples_per_unit": (128, int), "tolerance": (1e-10, float),
+        "samples_per_unit": (32, int), "tolerance": (1e-10, float),
         "max_iterations": (25, int), "delta": (None, float), "pad": (2, int),
         "exploratory": (False, bool), "reference": (False, bool),
         "reference_dt": (1.0 / 256.0, float), "mass_drift_bound": (1e-8, float),
@@ -92,9 +93,9 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
         "datum": ("gaussian", str), "amp": (0.05, float), "width": (1.0, float),
         "decay": (1.0, float), "band": (None, int), "seed": (0, int),
         "half_length": (256.0, float), "size": (1024, int), "t_end": (64.0, float),
-        "samples_per_unit": (128, int), "segment_length": (2.0, float),
+        "samples_per_unit": (32, int), "segment_length": (2.0, float),
         "store_stride": (4, int), "levels": (4, int), "delta": (None, float),
-        "pad": (2, int), "reference_dt": (0.005, float), "control_amp": (0.05, float),
+        "pad": (2, int), "reference_dt": (1.0 / 256.0, float), "control_amp": (0.05, float),
         "energy_margin": (1.0, float), "save_trace": (None, str), "out": (".", str),
     },
     "counterexample": {
@@ -115,7 +116,7 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
         # box large enough that no resolvable group speed crosses 0.9L
         # by t_end; smaller boxes trip the boundary-mass taint flag
         "half_length": (1024.0, float), "size": (4096, int), "t_end": (16.0, float),
-        "samples_per_unit": (128, int), "segment_length": (2.0, float),
+        "samples_per_unit": (32, int), "segment_length": (2.0, float),
         "store_stride": (4, int), "aux_lhat": ([1.8, 2.5], _float_list),
         "aux_sobolev": ([0.5, 1.0], _float_list), "growth_bound": (3.0, float),
         "delta": (None, float), "pad": (2, int), "save_trace": (None, str),
@@ -327,6 +328,7 @@ def _cmd_solve(cfg: dict) -> int:
         passed = (result.diagnostics["mass_drift"] <= cfg["mass_drift_bound"]
                   and result.diagnostics["energy_drift"] <= cfg["energy_drift_bound"])
         if cfg["reference"]:
+            doc["reference_step"] = reference_step(scfg)
             ref = reference_solve(u0, G, scfg)
             gap = float(np.max(np.sqrt(
                 band_sum(np.abs(result.trace.coeffs - ref.coeffs) ** 2, half=True) * grid.dxi)))
@@ -405,6 +407,7 @@ def _scatter_energy(cfg: dict) -> int:
     doc = _report_skeleton("scatter", cfg)
     doc["threshold_amplitude"] = threshold
     doc["run_amplitude"] = amp
+    doc["reference_step"] = reference_step(scfg)
     power = cfg["alpha"] + 1.0
     lp0 = lebesgue_norm(big, power)
     try:

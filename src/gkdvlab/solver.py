@@ -3,11 +3,12 @@
 The equation is d_t u + d_x^3 u = mu * d_x(|u|^(alpha-1) u) for real u.  The
 integral formulation is iterated on whole-interval traces from their first
 sample t0: the retarded integral factors the Airy phase out per Fourier
-mode and applies cumulative trapezoid weights to exp(-i (t - t0) xi^3) F(t),
-so its quadrature error grows with xi^3 dt and is largest at the top modes.
-Its phases are the free flow's table of offsets t - t0, so a solve depends
-on where it sits in time only through those offsets, as the autonomous flow
-does, and a glued run shares one table among its segments.  The backward
+mode and integrates it exactly against the flux's linear interpolant in
+time (exponential quadrature with phi_2 weights, one row per grid and
+step), so its error is second order in dt at every mode and does not grow
+with xi^3 dt.  Its phases are the free flow's table of offsets t - t0, so a
+solve depends on where it sits in time only through those offsets, as the
+autonomous flow does, and a glued run shares one table among its segments.  The backward
 problem needs no solver of its own: u(t, x) -> u(-t, -x) maps it onto the
 forward one.  An integrating-factor Runge-Kutta stepper of classical order
 four provides an independent cross-check.  Both take their phases from
@@ -30,6 +31,7 @@ from .norms import band_sum, lhat_norm, lhat_rows
 from .spacetime import (
     TimeTrace,
     _airy_table,
+    _phi2_weights,
     _sample_times,
     _shared_tables,
     exponent_map,
@@ -184,40 +186,40 @@ class SolveResult:
         return {} if self.diagnose is None else self.diagnose()
 
 
-def _cumulative_trapezoid(rows: np.ndarray, times: np.ndarray) -> None:
-    """Cumulative trapezoid sums of rows (axis 0) over times, in place."""
-    later, earlier = rows[1:], rows[:-1]
-    # last block first, so each block reads the rows before it unchanged;
-    # numpy copies the overlapping operand, a block rather than the trace
-    for block in reversed(_row_blocks(later)):
-        np.add(later[block], earlier[block], out=later[block])
-    np.multiply(0.5 * np.diff(times)[:, None], later, out=later)
-    np.cumsum(later, axis=0, out=later)
-    rows[0] = 0.0
-
-
 def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> TimeTrace:
     """Mode-wise retarded integral of a forcing trace from its first time t0.
 
     Returns the trace t -> integral_{t0}^{t} exp(i (t - t') xi^3) F(t') dt'
-    as exp(i (t - t0) xi^3) times cumulative trapezoid sums of
-    exp(-i (t' - t0) xi^3) F(t'): the rule acts on that oscillatory
-    product, so the kernel is not integrated exactly and the error per step
-    grows with xi^3 dt.  The phases are the table of offsets t - t0 that
-    free_evolution reads, so traces whose offsets are equal bit for bit
-    give the same bytes wherever they sit in time.  The result's zero and
-    unpaired modes are real.  It is formed in place in out, an array of the
-    forcing's shape, if given (out may be forcing.coeffs), else in a new
-    array.
+    for F linear between the samples, which must be uniformly spaced, exactly:
+    with g_k = exp(-i (t_k - t0) xi^3) F_k and w = _phi2_weights of the step,
+    step k adds w g_k + conj(w) g_{k+1} to a cumulative sum that
+    exp(i (t - t0) xi^3) turns back, so the error, second order in h, does
+    not grow with xi^3 h.  The phases are the table of offsets t - t0 that
+    free_evolution reads, so traces whose offsets are equal bit for bit give
+    the same bytes wherever they sit in time.  The result's zero and unpaired
+    modes are real.  It is formed in place in out, an array of the forcing's
+    shape, if given (out may be forcing.coeffs), else in a new array.
     """
     times = forcing.times
+    h = (times[-1] - times[0]) / (times.size - 1)
+    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * h:
+        raise ValueError("the retarded integral needs uniformly spaced times")
     up = _airy_table(forcing.grid, times - times[0], 1j)
+    w = _phi2_weights(forcing.grid, h)
     result = np.empty_like(forcing.coeffs) if out is None else out
     for rows in _row_blocks(result):
         # the phase stays the left operand: complex products are not bytewise
         # commutative where numpy's multiply loop uses fused multiply-adds
         np.multiply(np.conjugate(up[rows]), forcing.coeffs[rows], out=result[rows])
-    _cumulative_trapezoid(result, times)
+    later, earlier = result[1:], result[:-1]
+    # last block first, and w g_k before conj(w) g_{k+1} overwrites the block,
+    # so each block reads the rows before it unchanged; first is block-sized
+    for block in reversed(_row_blocks(later)):
+        first = w * earlier[block]
+        np.add(np.multiply(np.conjugate(w), later[block], out=later[block]), first,
+               out=later[block])
+    np.cumsum(later, axis=0, out=later)
+    result[0] = 0.0
     np.multiply(up, result, out=result)
     return TimeTrace(forcing.grid, times, _real_ends(result))
 
@@ -502,6 +504,12 @@ class FieldStack(tuple):
     @property
     def grid(self) -> Grid1D:
         return self[0].grid
+
+
+def reference_step(cfg: SolverConfig) -> float:
+    """The substep reference_solve runs on cfg's first output interval."""
+    span = np.diff(cfg.times()[:2])[0]
+    return float(span / max(1, math.ceil(span / cfg.reference_dt)))
 
 
 def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: NonlinearityG,

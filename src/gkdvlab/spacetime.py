@@ -194,22 +194,38 @@ class TimeTrace:
 _tables: ContextVar[Optional[dict]] = ContextVar("gkdvlab_airy_tables", default=None)
 _tables_lock = threading.Lock()
 
-# Tables one scope holds at most.  A Picard solve needs one (its offsets
-# from its start) and an ensemble leg at most two; segments of a glued run
+# Tables one scope holds at most, and weight rows too.  A Picard solve needs
+# one of each and an ensemble leg at most two tables; segments of a glued run
 # whose offsets differ in the last bit replace each other instead of piling up.
 _TABLES_PER_SCOPE = 2
 
 
 def _shared_tables():
-    """Share Airy phase tables between the calls made inside this scope.
+    """Share Airy phase tables and weight rows between the calls made inside this scope.
 
     Meant for work on one grid: an ensemble leg of estimates, one Picard
     solve, or a glued run whose segments repeat the same offsets from their
     starts.  A scope opened inside another joins it.  The memo holds at
-    most _TABLES_PER_SCOPE tables, dropping the least recently used, and
+    most _TABLES_PER_SCOPE of each, dropping the least recently used, and
     is dropped when the outermost scope closes, so no table outlives it.
     """
     return _scope(_tables, dict)
+
+
+def _memoised(key: tuple, build) -> np.ndarray:
+    """build(), read-only and shared under key inside _shared_tables."""
+    memo = _tables.get()
+    with _tables_lock:  # the threads of a leg get one array, built once
+        value = None if memo is None else memo.pop(key, None)
+        if value is None:
+            value = build()
+            value.flags.writeable = memo is None
+        if memo is not None:
+            memo[key] = value  # reinserted: the most recently used is last
+            kin = [k for k, v in memo.items() if v.ndim == value.ndim]  # tables or rows
+            if len(kin) > _TABLES_PER_SCOPE:
+                del memo[kin[0]]
+    return value
 
 
 def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
@@ -218,19 +234,26 @@ def _airy_table(grid: Grid1D, times: np.ndarray, unit: complex) -> np.ndarray:
     xi runs over the half-lattice of a real field (k = 0 .. N/2-1, then the
     unpaired -N/2 mode), and xi^3 is the plan's odd product xi*xi*xi.
     """
-    memo = _tables.get()
-    key = (grid.half_length, grid.size, unit, times.tobytes())
-    with _tables_lock:  # the threads of a leg get one table, built once
-        table = None if memo is None else memo.pop(key, None)
-        if table is None:
-            table = unit * np.outer(times, _plan(grid.half_length, grid.size).xi3)
-            np.exp(table, out=table)  # in place: one table-sized complex array
-            table.flags.writeable = memo is None
-        if memo is not None:
-            memo[key] = table  # reinserted: the most recently used is last
-            if len(memo) > _TABLES_PER_SCOPE:
-                del memo[next(iter(memo))]
-    return table
+    def build():
+        table = unit * np.outer(times, _plan(grid.half_length, grid.size).xi3)
+        return np.exp(table, out=table)  # in place: one table-sized complex array
+
+    return _memoised((grid.half_length, grid.size, unit, times.tobytes()), build)
+
+
+def _phi2_weights(grid: Grid1D, h: float) -> np.ndarray:
+    """h phi_2(z), z = -i h xi^3, phi_2(z) = (e^z - 1 - z)/z^2: the retarded integral's weight
+    row of a step, shared like _airy_table; 12 terms of the Taylor series where |z| < 0.2."""
+    def build():
+        z = -1j * h * _plan(grid.half_length, grid.size).xi3
+        small, series, term = np.abs(z) < 0.2, 0.5, 0.5
+        for k in range(3, 14):
+            term = term * z / k
+            series = series + term
+        z = np.where(small, 1.0, z)  # no 0/0 at the zero mode
+        return h * np.where(small, series, (np.exp(z) - 1.0 - z) / (z * z))
+
+    return _memoised((grid.half_length, grid.size, "phi2", h), build)
 
 
 def free_evolution(u0: SpectralField, times: np.ndarray, t0: float = 0.0,
@@ -250,12 +273,8 @@ def _sample_times(a: float, b: float, per_unit: int) -> np.ndarray:
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    dt = np.diff(times)
-    w = np.empty(times.size)
-    w[0] = dt[0] / 2.0
-    w[-1] = dt[-1] / 2.0
-    w[1:-1] = (dt[:-1] + dt[1:]) / 2.0
-    return w
+    half = np.diff(times) / 2.0  # halving is exact, so sums of halves are halved sums
+    return np.append(half, 0.0) + np.insert(half, 0, 0.0)
 
 
 def _validate_exponent(name: str, e: float) -> None:

@@ -254,7 +254,8 @@ def test_energy_protocol_store_stride_thins_the_trace_only(tmp_path):
         out = tmp_path / str(stride)
         out.mkdir()
         trace_path = out / "e.trace"
-        assert run(out, ENERGY + argv + ["--save-trace", str(trace_path)]) == 2
+        argv = ENERGY + ["--samples-per-unit", "128"] + argv
+        assert run(out, argv + ["--save-trace", str(trace_path)]) == 2
         trace, meta = read_trace(trace_path)
         assert trace.sample_count == rows and meta["config"]["store_stride"] == stride
         text = (out / "out" / "report.json").read_text()
@@ -262,6 +263,32 @@ def test_energy_protocol_store_stride_thins_the_trace_only(tmp_path):
     # the reports differ only in the echoed stride
     assert reports[1].count('"store_stride": 1') == 1
     assert reports[1].replace('"store_stride": 1', '"store_stride": 4') == reports[4]
+
+
+def test_energy_protocol_result_is_the_same_at_32_and_128_samples_per_unit(tmp_path):
+    # the default reference_dt, 1/256, divides both output steps, so both runs
+    # take the same RK4 substeps, and every checkpoint is a kept row of both
+    results = []
+    for per_unit in ("32", "128"):
+        out = tmp_path / per_unit
+        out.mkdir()
+        assert run(out, ENERGY + ["--samples-per-unit", per_unit]) == 2
+        doc = load_report(out)
+        assert doc["reference_step"] == 1.0 / 256.0
+        results.append(json.dumps(doc["result"]))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("command, step", [
+    (["solve", "--reference"], 1.0 / 256.0),
+    (["solve", "--reference", "--reference-dt", "0.005"], 1.0 / 224.0),
+    (ENERGY + ["--reference-dt", "0.005"], 1.0 / 224.0),
+    (ENERGY + ["--samples-per-unit", "128", "--reference-dt", "0.005"], 1.0 / 256.0),
+])
+def test_reports_echo_the_reference_step_run(tmp_path, command, step):
+    # reference_dt is snapped to divide each output step of 1/32 (or 1/128)
+    assert run(tmp_path, command) in (0, 2)
+    assert load_report(tmp_path)["reference_step"] == step
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,7 @@ from gkdvlab import spacetime, spectral
 from gkdvlab.cli import main
 from gkdvlab.estimates import ESTIMATE_IDS, EstimateSpec, _REGISTRY, _ensemble
 from gkdvlab.solver import NonlinearityG
-from gkdvlab.spacetime import _airy_table, _shared_tables, free_evolution
+from gkdvlab.spacetime import _airy_table, _phi2_weights, _shared_tables, free_evolution
 from gkdvlab.spectral import Grid1D, apply_pointwise_matrix, random_band_limited
 
 SMALL = ["--size", "64", "--half-length", "16", "--ensemble", "6", "--seed", "3"]
@@ -257,10 +257,13 @@ def test_two_threads_in_one_scope_build_a_table_once(monkeypatch):
 
 def test_the_shared_memo_stays_bounded_under_four_threads():
     """Four threads in one scope, more than the CPUs, cycle through more tables
-    than it holds, switching often: the least recently used goes without a race."""
+    and weight rows than it holds, switching often: the least recently used of
+    each kind goes without a race."""
     grid = Grid1D(64.0, 256)  # tables large enough that numpy lets the others run
     keys = [np.linspace(0.0, 1.0 + k / 8, 65) for k in range(5)]
     want = [_airy_table(grid, times, 1j).tobytes() for times in keys]
+    steps = [1 / 64, 1 / 32, 1 / 16]
+    rows = [_phi2_weights(grid, h).tobytes() for h in steps]
     errors = []
 
     def work():
@@ -268,6 +271,8 @@ def test_the_shared_memo_stays_bounded_under_four_threads():
             for _ in range(100):
                 for times, table in zip(keys, want):
                     assert _airy_table(grid, times, 1j).tobytes() == table
+                for h, row in zip(steps, rows):
+                    assert _phi2_weights(grid, h).tobytes() == row
         except BaseException as exc:  # reported below
             errors.append(exc)
 
@@ -282,7 +287,9 @@ def test_the_shared_memo_stays_bounded_under_four_threads():
             for w in workers:
                 w.join(timeout=120)
                 assert not w.is_alive()
-            assert len(spacetime._tables.get()) <= spacetime._TABLES_PER_SCOPE
+            kinds = [entry.ndim for entry in spacetime._tables.get().values()]
+            assert kinds.count(2) <= spacetime._TABLES_PER_SCOPE
+            assert kinds.count(1) <= spacetime._TABLES_PER_SCOPE
     finally:
         sys.setswitchinterval(interval)
     assert not errors, errors

@@ -36,14 +36,13 @@ CONFIGS = {
         "result.epsilon", "result.delta", "result.iterations", "result.update_distances",
         "result.diagnostics.mass_drift", "result.diagnostics.energy_drift",
         "result.diagnostics.size_norm", "result.diagnostics.boundary_mass_fraction",
-        "result.reference_distance")),
-    # N = 1024 at 128 samples per unit: each segment spans two row blocks
+        "result.reference_distance", "reference_step")),
     "scatter_small_data": (["scatter", "--size", "1024", "--half-length", "256",
                             "--t-end", "8"], (
         *_SEGMENT_VALUES, "result.snorm", "result.sup_norm", "result.residuals")),
     "scatter_energy_threshold": (["scatter", "--protocol", "energy-threshold", "--mu", "-1",
                                   "--t-end", "2", "--size", "128", "--half-length", "32"], (
-        "threshold_amplitude", "result.power_norm_kept", "result.residuals",
+        "threshold_amplitude", "reference_step", "result.power_norm_kept", "result.residuals",
         "result.control_residuals")),
     "persist": (["persist", "--size", "512", "--half-length", "128", "--t-end", "2",
                  "--samples-per-unit", "32", "--segment-length", "1"], (
@@ -91,19 +90,19 @@ PINS = {
         "stability.threshold": 0.1,
     }),
     "verify_inhom_linf": (0, True, {
-        "report.max_ratio": 0.42199883544922295,
+        "report.max_ratio": 0.3807064648833859,
         "report.refinement.max_ratio": [
-            0.42199883544922295, 0.42263729180559434, 0.42199883544922295, 0.47445255892558674,
+            0.3807064648833859, 0.38080826872007817, 0.38523444899355336, 0.4365319669861919,
         ],
-        "stability.drift": 0.0015129339295255203,
+        "stability.drift": 0.011893635984233777,
         "stability.threshold": 0.15,
     }),
     "verify_inhom_xy": (0, True, {
-        "report.max_ratio": 0.17383664239115765,
+        "report.max_ratio": 0.16308943702222356,
         "report.refinement.max_ratio": [
-            0.17383664239115765, 0.17349088103851987, 0.17383664239115765, 0.21851372489617452,
+            0.16308943702222356, 0.1628173492875967, 0.16308943702222356, 0.1923988152304831,
         ],
-        "stability.drift": 0.0019890015584848155,
+        "stability.drift": 0.0016683345015765013,
         "stability.threshold": 0.15,
     }),
     "verify_interpolation": (0, True, {
@@ -157,33 +156,35 @@ PINS = {
         "stability.threshold": 0.05,
     }),
     "solve_reference": (0, True, {
-        "result.epsilon": 0.07917342077761699,
+        "result.epsilon": 0.0791736242982318,
         "result.delta": 1.3,
         "result.iterations": 2,
-        "result.update_distances": [1.2515763953516796e-07, 3.2510534900802153e-13],
-        "result.diagnostics.mass_drift": 9.787129154818709e-16,
-        "result.diagnostics.energy_drift": 2.6332520832972705e-10,
-        "result.diagnostics.size_norm": 0.07917339432848361,
-        "result.diagnostics.boundary_mass_fraction": 5.181353551508996e-10,
-        "result.reference_distance": 1.27991007286614e-10,
+        "result.update_distances": [1.2510623919366924e-07, 3.2405697945478877e-13],
+        "result.diagnostics.mass_drift": 1.0855034135714275e-09,
+        "result.diagnostics.energy_drift": 2.933827602807665e-09,
+        "result.diagnostics.size_norm": 0.07917359793394217,
+        "result.diagnostics.boundary_mass_fraction": 5.181364277508761e-10,
+        "result.reference_distance": 2.671456023892176e-10,
+        "reference_step": 0.00390625,
     }),
     "scatter_small_data": (0, True, {
         "segments.epsilon": [
-            0.08282812563555764, 0.06124308610477873, 0.05378053506711221, 0.049269939581843156,
+            0.08282922942135154, 0.06124336552699136, 0.05378060403627166, 0.049269972231280615,
         ],
         "segments.mass_drift": [
-            7.829703323854967e-16, 3.914851661927482e-16, 3.91485166192748e-16,
-            3.914851661927481e-16,
+            1.1108133210509546e-09, 5.789869858976187e-12, 9.548323192779444e-13,
+            3.1514555843296895e-13,
         ],
-        "result.snorm": 0.05087470324020127,
-        "result.sup_norm": 0.06656676819001951,
+        "result.snorm": 0.050934598869585374,
+        "result.sup_norm": 0.0665667682272261,
         "result.residuals": [
-            4.507890030911004e-08, 3.935343939264339e-08, 3.00022513132092e-08,
-            2.0755057237079137e-08,
+            4.508694360911401e-08, 3.935657648785597e-08, 3.000309948714587e-08,
+            2.0755238142502043e-08,
         ],
     }),
     "scatter_energy_threshold": (2, False, {
         "threshold_amplitude": 1.2695884757363396,
+        "reference_step": 0.00390625,
         "result.power_norm_kept": 1.1429881320229593,
         "result.residuals": [
             0.6496417217565387, 1.064137085450309, 1.5574051110217677, 2.0299638002209903,
@@ -194,9 +195,9 @@ PINS = {
         ],
     }),
     "persist": (0, True, {
-        "segments.epsilon": [0.07923219816910561, 0.06333764661520969],
-        "segments.mass_drift": [1.0374356904107833e-14, 3.9148516619274434e-16],
-        "result.max_growth": 1.0000010395198746,
+        "segments.epsilon": [0.07923219816910561, 0.06333764662210761],
+        "segments.mass_drift": [1.0855034135714275e-09, 2.5310298937219152e-11],
+        "result.max_growth": 1.0000010429839663,
         "result.growth_bound": 3.0,
     }),
     "counterexample": (0, True, {
@@ -212,9 +213,9 @@ PINS = {
             0.07853988564706935, 0.04817121089716429, 0.7853988564706935, 0.6396467695008181,
         ],
         "result.rows.factor": [
-            2.599357553390711e-06, 2.5859238214887594e-07, 0.030447755594322327,
-            0.0064932842456169515, 2.5993541052207134e-06, 2.585562649784674e-07,
-            0.0301123883933752, 0.006554125387868782,
+            2.5990923743681704e-06, 2.5879012479138344e-07, 0.030431967803265608,
+            0.006507464177382629, 2.599113643323885e-06, 2.5888610311645894e-07,
+            0.030104848955927885, 0.0065680091082377205,
         ],
     }),
 }

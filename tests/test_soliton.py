@@ -5,10 +5,14 @@ solution u(t, x) = Q_c(x - c t) with
 Q_c(x) = ((alpha+1) c / 2 * sech^2((alpha-1) sqrt(c) x / 2))^(1/(alpha-1)).
 It decays like exp(-sqrt(c) |x|), so the box [-64, 64) holds it to round-off.
 
-Each tolerance is twice the error measured when the oracle was added, so a
+Each tolerance is twice the error measured when it was last set, so a
 change to a solver that loses accuracy fails here.  The errors are set by
-the schemes (the trapezoid retarded quadrature of the Picard solver, the
-integrating-factor RK4 reference) and by the grid at c = 1.
+the schemes and by the grid at c = 1.  The Picard solver's retarded integral
+is exact for forcings linear between samples, so its error is second order
+in the sample step: at c = 1/4 it falls from 1.75e-5 at 32 samples per unit
+(the glued commands' default) to 1.07e-6 at 128.  The trapezoid rule it
+replaced erred by 3.1e-4 at 128 samples per unit and did not solve c = 1.
+The reference is the integrating-factor RK4 scheme.
 """
 
 import math
@@ -57,12 +61,28 @@ def test_reference_solve_follows_the_soliton(c, size, t_end, step, tol):
     assert sup_error(reference_solve(soliton(grid, c), G, cfg), c) < tol
 
 
-def test_glued_solve_follows_the_soliton():
-    grid = Grid1D(64.0, 512)
-    res = glued_solve(soliton(grid, 0.25), G, SolverConfig(grid=grid, t_end=4.0))
+def glued_error(c, size, t_end, per_unit, segments):
+    """sup_error of the glued solve of Q_c, which must converge in that many segments."""
+    grid = Grid1D(64.0, size)
+    cfg = SolverConfig(grid=grid, t_end=t_end, samples_per_unit=per_unit)
+    res = glued_solve(soliton(grid, c), G, cfg)
     assert res.converged
-    assert len(res.segments) == 17
-    assert sup_error(res.trace, 0.25) < 6.19e-4  # measured 3.1e-4
+    assert len(res.segments) == segments
+    return sup_error(res.trace, c)
+
+
+def test_glued_solve_follows_the_soliton():
+    assert glued_error(0.25, 512, 4.0, 128, 17) < 2.15e-6  # measured 1.07e-6
+
+
+@pytest.mark.parametrize("c, size, t_end, per_unit, segments, tol", [
+    (0.25, 512, 4.0, 32, 17, 3.5e-5),    # measured 1.75e-5
+    (1.0, 1024, 1.0, 128, 38, 2.89e-4),  # measured 1.44e-4
+    (1.0, 1024, 1.0, 32, 38, 9.71e-4),   # measured 4.85e-4
+])
+def test_glued_solve_follows_the_soliton_at_other_steps(c, size, t_end, per_unit,
+                                                        segments, tol):
+    assert glued_error(c, size, t_end, per_unit, segments) < tol
 
 
 def test_critical_norm_of_the_soliton_is_constant_in_c():

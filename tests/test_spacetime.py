@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
-from gkdvlab import spectral
+from gkdvlab import spacetime, spectral
 from gkdvlab.estimates import _require_duhamel_window
 from gkdvlab.norms import holder_conjugate, weighted_power_sum
 from gkdvlab.solver import retarded_integral
 from gkdvlab.spacetime import (
     TimeTrace,
     _airy_table,
+    _phi2_weights,
     _shared_tables,
     classify_pair,
     dual_exponent_map,
@@ -286,6 +287,33 @@ def test_snorm_is_xnorm_at_zero_smoothness():
     f = gaussian_profile(GRID, 1.0)
     trace = free_evolution(f, np.linspace(0.0, 1.0, 9))
     assert snorm(trace, 2.0) == xnorm(trace, 0.0, 2.0)
+
+
+def test_weight_rows_are_shared_beside_the_tables_and_bounded():
+    """Inside a scope a step's weight row is built once and read-only; the memo
+    keeps at most two rows, dropping the least recently used, and the rows
+    never push a phase table out."""
+    grid = Grid1D(32.0, 128)
+    times = np.linspace(0.0, 1.0, 33)
+    with _shared_tables():
+        table = _airy_table(grid, times, 1j)
+        rows = [_phi2_weights(grid, h) for h in (1 / 32, 1 / 16, 1 / 8)]
+        assert rows[0].shape == (grid.size // 2 + 1,) and not rows[2].flags.writeable
+        assert _phi2_weights(grid, 1 / 8) is rows[2]
+        assert _phi2_weights(grid, 1 / 32) is not rows[0]  # dropped for 1/8
+        memo = spacetime._tables.get()
+        assert sum(entry.ndim == 1 for entry in memo.values()) == 2
+        assert _airy_table(grid, times, 1j) is table
+    assert _phi2_weights(grid, 1 / 8).flags.writeable
+    assert _phi2_weights(grid, 1 / 8).tobytes() == rows[2].tobytes()
+
+
+def test_retarded_integral_refuses_uneven_times():
+    grid = Grid1D(32.0, 128)
+    times = np.array([0.0, 0.25, 1.0])
+    forcing = TimeTrace(grid, times, np.ones((3, grid.size // 2 + 1), dtype=complex))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        retarded_integral(forcing)
 
 
 def test_shared_phase_tables_change_no_bytes():
