@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,6 +41,7 @@ from .spacetime import (
 from .spectral import (
     Grid1D,
     SpectralField,
+    _dealiased_map,
     _plan,
     _real_ends,
     _real_samples,
@@ -57,7 +58,9 @@ BLOWUP_FACTOR = 1e6
 # contract with factor <= 1/2 (alpha = 5, both signs of the coupling); the
 # sweep of `gkdvlab calibrate-delta` measured contraction up to eps = 1.387
 # (factor 0.31) and divergence at eps = 1.90, and rounds the edge down to
-# two significant digits.
+# two significant digits.  The edge reads 1.386787 at the sweep's 128
+# samples per unit and 1.386791 at the 32 that solve, scatter and persist
+# gate at; both round down to this value.
 DELTA_DEFAULT = 1.3
 
 
@@ -115,9 +118,9 @@ class NonlinearityG:
         if not (self.alpha > 1.0):
             raise ValueError(f"alpha must exceed 1, got {self.alpha}")
 
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """G evaluated pointwise on real samples."""
-        out = np.abs(values)
+    def apply_values(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """G evaluated pointwise on real samples, formed in out if given."""
+        out = np.abs(values, out=out)
         np.power(out, self.alpha - 1.0, out=out)
         out *= values  # |v|^(alpha-1) v in one array: no sign pass
         return out
@@ -525,7 +528,8 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
 
     u0 is one field, or a sequence of fields on one grid; a sequence is
     integrated as the rows of one (k, N/2 + 1) stack, so each stage makes one
-    dealiased map for all data, and one trace per datum is returned.  Rows
+    dealiased map for all data (spectral._dealiased_map, on the calling
+    thread, into arrays the call owns), and one trace per datum is returned.  Rows
     never mix: each equals its single-datum call byte for byte.  A datum
     whose norm leaves the trusted regime (BLOWUP_FACTOR times its own
     initial size) leaves the stack together with the data listed after it,
@@ -544,14 +548,15 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     rc = critical_exponent(G.alpha)
     limits = [BLOWUP_FACTOR * max(lhat_norm(u, rc), 1e-300) for u in data]
     flux_multiplier = G.mu * 1j * _plan(grid.half_length, grid.size).xi
-
-    def flux(c: np.ndarray) -> np.ndarray:
-        return flux_multiplier * apply_pointwise_matrix(c, grid, G.apply_values, pad=cfg.pad)
-
     idx = _strided_indices(times.size, store_stride)
     out = np.empty((len(data), idx.size, grid.size // 2 + 1), dtype=complex)
     c = np.stack([u.modes for u in data])
     out[:, 0] = c
+    # the call's arrays, cut to the live data: four stages, a stage's input
+    # and its scaled spectrum; the samples and their power; the fine spectrum
+    stages = np.empty((6,) + c.shape, dtype=complex)
+    real = np.empty((2, len(data), cfg.pad * grid.size))
+    fine = np.empty(len(data) * (cfg.pad * grid.size // 2 + 1), dtype=complex)
     kept = 1  # rows of out written
     live = len(data)  # rows 0 .. live-1 of c are data 0 .. live-1
     failure = None
@@ -564,22 +569,36 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
             e_half = _airy_table(grid, np.array([h / 2.0]), 1j)[0]
             e_full = e_half * e_half
             back_half, back_full = np.conj(e_half), np.conj(e_full)
+            steps = ((None, h / 2.0, e_half), (back_half, h / 2.0, e_half),
+                     (back_half, h, e_full), (back_full, None, None))
         for _ in range(nsub):
-            k1 = flux(c)
-            k2 = back_half * flux(e_half * (c + (h / 2.0) * k1))
-            k3 = back_half * flux(e_half * (c + (h / 2.0) * k2))
-            k4 = back_full * flux(e_full * (c + h * k3))
-            c = _real_ends(e_full * (c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+            # per (back, step, e) of steps, k = back * flux(x), then the next x =
+            # e * (c + step * k), in place, with the formula's left operands
+            power, x = partial(G.apply_values, out=real[1]), c
+            for k, (back, step, e) in zip(stages, steps):
+                _dealiased_map(x, grid, power, cfg.pad, real[0], stages[5], fine, k)
+                np.multiply(flux_multiplier, k, out=k)
+                if back is not None:
+                    np.multiply(back, k, out=k)
+                if step is not None:
+                    x = stages[4]
+                    np.multiply(e, np.add(c, np.multiply(step, k, out=x), out=x), out=x)
+            k1, k2, k3, k4 = stages[:4]  # c = e_full (c + (h/6)(k1 + 2 k2 + 2 k3 + k4))
+            np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+            np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+            np.add(k1, k4, out=k1)
+            np.add(c, np.multiply(h / 6.0, k1, out=k1), out=k1)
+            _real_ends(np.multiply(e_full, k1, out=c))
         for i in range(live):
             if not np.all(np.isfinite(c[i])) \
                     or lhat_rows(c[i], grid.dxi, rc) > limits[i]:
-                partial = TimeTrace(grid, times[idx[:kept]], out[i, :kept]) \
+                head = TimeTrace(grid, times[idx[:kept]], out[i, :kept]) \
                     if kept >= 2 else None
                 failure = NumericalBlowupError(
                     f"norm left the trusted regime after t = {times[m]:.6g}",
-                    time=float(times[m]), trace=partial, datum=i,
+                    time=float(times[m]), trace=head, datum=i,
                 )
-                live, c = i, c[:i]
+                live, c, stages, real = i, c[:i], stages[:, :i], real[:, :i]
                 break
         if m + 1 == idx[kept]:
             out[:live, kept] = c

@@ -499,6 +499,26 @@ def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
         body(rows, work)
 
 
+def _dealiased_map(block, grid, func, pad, samples, spec, fine, target) -> None:
+    """The dealiased map of a block of half-spectra rows, into arrays the caller owns.
+
+    The block, scaled into spec (fresh if None), is irfft'd into samples
+    (real, pad*N per row, last axis contiguous); func maps them, the rfft
+    of its result goes into the bytes of fine, and its bins 0 .. N/2,
+    scaled, into target, with real ends.
+    """
+    half, m = grid.size // 2, pad * grid.size
+    mapped = np.asarray(func(_real_samples(block, grid, pad, samples, spec)))
+    if mapped.shape[-1] != m or mapped.shape[:-1] != target.shape[:-1]:
+        raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last "
+                         f"axis {m} and the rows of out, {target.shape[:-1]}")
+    fine = np.fft.rfft(mapped, axis=-1,
+                       out=np.ndarray(mapped.shape[:-1] + (m // 2 + 1,), complex, fine))
+    del mapped
+    forward = _plan(grid.half_length, m).half_forward[:half + 1]
+    _real_ends(np.multiply(fine[..., :half + 1], forward, out=target))
+
+
 def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
                            out: np.ndarray | None = None) -> np.ndarray:
     """Apply a real pointwise map on a padded grid to rows of real fields.
@@ -523,26 +543,17 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     half = grid.size // 2
     m = pad * grid.size
     fine = (m // 2 + 1,)
-    inverse = _plan(grid.half_length, grid.size).half_inverse
-    forward = _plan(grid.half_length, m).half_forward[:half + 1]
     out = np.empty(coeffs.shape, dtype=complex) if out is None else out
 
     def body(rows, work):
-        block, target = coeffs[rows], out[rows]
+        block = coeffs[rows]
         samples = np.ndarray(block.shape[:-1] + fine, complex, work)
         # a lone thread takes a fresh coarse spectrum, freed before func runs
         spec = np.ndarray(block.shape, complex, work, samples.nbytes) \
             if work.nbytes >= samples.nbytes + 16 * block.size else None
-        samples = samples.view(float)[..., :m]
-        mapped = np.asarray(func(_real_samples(block, grid, pad, samples, spec, inverse)))
-        if mapped.shape[-1] != m or mapped.shape[:-1] != target.shape[:-1]:
-            raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last "
-                             f"axis {m} and the rows of out, {target.shape[:-1]}")
-        spec = np.fft.rfft(mapped, axis=-1,
-                           out=np.ndarray(mapped.shape[:-1] + fine, complex, work))
-        del mapped
-        np.multiply(spec[..., :half + 1], forward, out=target)
+        _dealiased_map(block, grid, func, pad, samples.view(float)[..., :m], spec, work,
+                       out[rows])
 
     _map_rows(coeffs, lambda rows, threads: math.prod(coeffs[rows].shape[:-1]) * 16
               * (fine[0] + (half + 1) * (threads > 1)), body)
-    return _real_ends(out)
+    return out

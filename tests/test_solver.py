@@ -788,12 +788,14 @@ def _parent_reference(data, G, cfg):
     return out
 
 
-@pytest.mark.parametrize("mu", [1.0, -1.0])
-def test_reference_solve_rows_match_the_full_band_scheme_bytewise(mu):
+# reference_solve sizes its sample and fine-spectrum arrays by pad
+@pytest.mark.parametrize("mu, pad", [(1.0, 2), (-1.0, 2), (1.0, 3), (-1.0, 3)],
+                         ids=["1.0", "-1.0", "1.0-pad3", "-1.0-pad3"])
+def test_reference_solve_rows_match_the_full_band_scheme_bytewise(mu, pad):
     grid = Grid1D(32.0, 128)
     G = NonlinearityG(alpha=5.0, mu=mu)
     cfg = SolverConfig(grid=grid, t_start=0.1, t_end=0.6, samples_per_unit=16,
-                       reference_dt=0.005)
+                       reference_dt=0.005, pad=pad)
     data = [gaussian_profile(grid, 0.5), 0.4 * random_band_limited(grid, 1.0, 32, seed=3)]
     want = _parent_reference(data, G, cfg)
     for trace, rows in zip(reference_solve(data, G, cfg), want):
@@ -936,3 +938,22 @@ def test_power_rule_is_the_signed_power():
     np.testing.assert_allclose(got, np.sign(v) * np.abs(v) ** 5.0, rtol=1e-15, atol=0.0)
     np.testing.assert_allclose(NonlinearityG(alpha=4.5).apply_values(v),
                                np.sign(v) * np.abs(v) ** 4.5, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [5.0, 4.5])
+def test_power_rule_into_a_given_array_has_the_allocating_bytes(alpha):
+    G = NonlinearityG(alpha=alpha)
+    v = np.array([[-2.0, -0.5, -0.0, 0.0, 0.25, 3.0],
+                  [1e-3, -7.5, 0.0, -1e-300, 2.0, -0.0]])
+    given = v.tobytes()
+    want = G.apply_values(v)
+    buf = np.full_like(v, np.nan)
+    assert G.apply_values(v, out=buf) is buf
+    assert buf.tobytes() == want.tobytes() and v.tobytes() == given
+
+
+def test_the_gate_edge_at_the_glued_commands_sampling_gives_the_shipped_delta():
+    # solve, scatter and persist gate at 32 samples per unit; the sweep's
+    # default is 128, where the edge reads 1.386787 (1.386791 at 32)
+    result = solver.calibrate_delta(Grid1D(64.0, 256), samples_per_unit=32)
+    assert result["delta"] == solver.DELTA_DEFAULT
