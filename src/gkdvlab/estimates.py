@@ -161,7 +161,7 @@ def _ensemble(spec: EstimateSpec, one: Callable,
     seeds = np.random.SeedSequence(spec.seed).spawn(start + spec.ensemble)[start:]
     rows: List[Optional[dict]] = [None] * spec.ensemble
 
-    def sample(i, _thread):
+    def sample(i):
         decay = spec.decays[i % len(spec.decays)]
         num, den = one(grid, times, band, decay, seeds[i - start])
         if not den > 0:

@@ -46,6 +46,7 @@ from .spectral import (
     _real_ends,
     _real_samples,
     _row_blocks,
+    _work_buffer,
     apply_pointwise_matrix,
 )
 
@@ -303,7 +304,9 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     t_start serves the free trace, each map's free term and every retarded
     integral (shared in a _shared_tables scope, which joins a glued run's).
     The free trace, built once for the gate and the first iterate, goes
-    with that iterate: a step holds the table, the iterate and the flux.
+    with that iterate: a step holds the table, the iterate and the flux,
+    and its map's work is one _work_buffer scope's, opened around the loop
+    only (in it the gate's norms would keep their powers for the solve).
     The diagnostics are computed when first read.
     """
     _wellposed_guard(G, cfg)
@@ -323,22 +326,23 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
         converged = False
         reason = "max iterations reached"
         iterations = 0
-        for iterations in range(1, cfg.max_iterations + 1):
-            w = duhamel_map(v, u0, G, cfg)
-            if not np.all(np.isfinite(w.coeffs)):
-                raise NumericalBlowupError(
-                    "iterate left the finite regime", time=float(times[0]), trace=v,
-                )
-            dist = max(float(np.max(lhat_rows(w.coeffs[b] - v.coeffs[b], u0.grid.dxi, rc)))
-                       for b in _row_blocks(w.coeffs))
-            dists.append(dist)
-            if len(dists) >= 2 and dists[-2] > 0.0:
-                factors.append(dists[-1] / dists[-2])
-            v = w
-            if dist <= cfg.tolerance:
-                converged = True
-                reason = ""
-                break
+        with _work_buffer():
+            for iterations in range(1, cfg.max_iterations + 1):
+                w = duhamel_map(v, u0, G, cfg)
+                if not np.all(np.isfinite(w.coeffs)):
+                    raise NumericalBlowupError(
+                        "iterate left the finite regime", time=float(times[0]), trace=v,
+                    )
+                dist = max(float(np.max(lhat_rows(w.coeffs[b] - v.coeffs[b], u0.grid.dxi, rc)))
+                           for b in _row_blocks(w.coeffs))
+                dists.append(dist)
+                if len(dists) >= 2 and dists[-2] > 0.0:
+                    factors.append(dists[-1] / dists[-2])
+                v = w
+                if dist <= cfg.tolerance:
+                    converged = True
+                    reason = ""
+                    break
     return SolveResult(
         trace=v, converged=converged, iterations=iterations, epsilon=eps,
         delta=cfg.delta, update_distances=dists, contraction_factors=factors,

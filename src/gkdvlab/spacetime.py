@@ -288,13 +288,12 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0) -> float:
     Time is inside: trapezoid weights on the stored sample times, then the
     lattice sum with weight dx over space; infinite exponents take maxima
     over the samples.  The rows go through _map_rows into one (M, N) array
-    of |.|^q (|.| at q = inf), through a coarse spectrum per thread, both
+    of |.|^q (|.| at q = inf), through one block-sized coarse spectrum, both
     from the work buffer in a _work_buffer scope.
     """
     _validate_exponent("p", p)
     _validate_exponent("q", q)
     weights = None if s == 0 else riesz_weights(trace.grid, s, half=True)
-    scale = _plan(trace.grid.half_length, trace.grid.size).half_inverse
     powers = _scratch((trace.sample_count, trace.grid.size), float)
 
     def body(rows, work):
@@ -303,11 +302,11 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0) -> float:
         spec = np.ndarray(coeffs.shape, complex, work)
         if weights is not None:
             coeffs = np.multiply(coeffs, weights, out=spec)
-        np.abs(_real_samples(coeffs, trace.grid, 1, block, spec, scale), out=block)
+        np.abs(_real_samples(coeffs, trace.grid, 1, block, spec), out=block)
         if q != math.inf:
             block **= q
 
-    _map_rows(trace.coeffs, lambda rows, _: trace.coeffs[rows].nbytes, body, powers.nbytes)
+    _map_rows(trace.coeffs, lambda rows: trace.coeffs[rows].nbytes, body, powers.nbytes)
     inner = np.max(powers, axis=0) if q == math.inf \
         else np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
     return weighted_power_sum(inner, trace.grid.dx, p)

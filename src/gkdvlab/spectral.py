@@ -48,8 +48,8 @@ class Grid1D:
 
     def __post_init__(self) -> None:
         L, N = self.half_length, self.size
-        if not (L > 0):
-            raise ValueError(f"half_length must be positive, got {L}")
+        if not (0 < L < math.inf):
+            raise ValueError(f"half_length must be positive and finite, got {L}")
         if N < 8 or N % 2 != 0:
             raise ValueError(f"size must be even and >= 8, got {N}")
         object.__setattr__(self, "dx", 2.0 * L / N)
@@ -153,8 +153,7 @@ def _check_modes(modes: np.ndarray, grid: Grid1D) -> None:
                          f"expected {grid.size // 2 + 1} modes per row, {_LAYOUT}")
 
 
-def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=None,
-                  scale=None) -> np.ndarray:
+def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=None) -> np.ndarray:
     """Real samples of half-spectra (last axis) on the grid refined by pad.
 
     One irfft: the unpaired -N/2 mode goes to bin N/2, as it is at pad 1,
@@ -162,11 +161,10 @@ def _real_samples(coeffs: np.ndarray, grid: Grid1D, pad: int, out=None, spec=Non
     pad >= 2, where the irfft's implied mirror puts the other half back in
     bin -N/2.  So the samples are the real part of the full band's inverse
     transform, zero-padded by pad, formed in out and spec if given, scaled
-    by the plan's half_inverse or by scale.
+    by the plan's half_inverse.
     """
     half = grid.size // 2
-    scale = _plan(grid.half_length, grid.size).half_inverse if scale is None else scale
-    spec = np.multiply(coeffs, scale, out=spec)
+    spec = np.multiply(coeffs, _plan(grid.half_length, grid.size).half_inverse, out=spec)
     if pad > 1:
         spec[..., half] = 0.5 * np.conjugate(spec[..., half])
     return np.fft.irfft(spec, n=pad * grid.size, axis=-1, norm="forward", out=out)
@@ -402,11 +400,13 @@ _work: ContextVar[list | None] = ContextVar("gkdvlab_work_buffer", default=None)
 
 
 def _work_buffer():
-    """Let the row kernels called in this scope reuse one work buffer (one per thread of a leg).
+    """Let the row kernels called in this scope reuse one work buffer.
 
-    They take their throwaway arrays from it, grown to the largest request,
-    instead of fresh pages per sample.  No kernel returns a view of it, and
-    no pointwise map's func may call mixed_norm or apply_pointwise_matrix.
+    Each thread of a verify ensemble leg opens one, and so does each Picard
+    loop.  The kernels take their throwaway arrays from it, grown to the
+    largest request, instead of fresh pages per sample or iteration.  No
+    kernel returns a view of it, and no pointwise map's func may call
+    mixed_norm or apply_pointwise_matrix.
     """
     return _scope(_work, lambda: [np.empty(0, dtype=np.uint8)])
 
@@ -437,13 +437,13 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_busy = threading.Lock()  # held while a call maps on two threads
+_busy = threading.Lock()  # held while an ensemble leg maps its samples on two threads
 
 
 def _map_items(items, func) -> None:
-    """Call func(item, thread) on each item: on this thread (0) and on a helper
-    thread (1) started for this call and joined before it returns, in a copy of
-    this context (np.errstate too) with a fresh work buffer if this one has one.
+    """Call func(item) on each item: on this thread and on a helper thread
+    started for this call and joined before it returns, in a copy of this
+    context (np.errstate too) with a fresh work buffer if this one has one.
 
     Both take items in order from one iterator.  After an exception neither
     takes another; once both are done, the one of the lowest item is re-raised
@@ -452,12 +452,12 @@ def _map_items(items, func) -> None:
     """
     pending, errors = enumerate(items), {}
 
-    def run(thread):
+    def run():
         i = -1
         try:
             while not errors and (job := next(pending, None)) is not None:
                 i, item = job
-                func(item, thread)
+                func(item)
         except BaseException as exc:
             errors[i] = exc
 
@@ -465,9 +465,9 @@ def _map_items(items, func) -> None:
     if helped:
         ctx = copy_context()
         ctx.run(_work.set, None if _work.get() is None else [np.empty(0, dtype=np.uint8)])
-        helper = threading.Thread(target=ctx.run, args=(run, 1), name="gkdvlab-rows", daemon=True)
+        helper = threading.Thread(target=ctx.run, args=(run,), name="gkdvlab-rows", daemon=True)
         helper.start()
-    run(0)
+    run()
     if helped:
         helper.join()
         _busy.release()
@@ -476,25 +476,15 @@ def _map_items(items, func) -> None:
 
 
 def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
-    """Call body(rows, work) on each block of rows of a, work being its thread's
-    nbytes(largest block, threads) bytes from offset on of the work buffer.
+    """Call body(rows, work) on each block of rows of a, on this thread, work
+    being nbytes(largest block) bytes from offset on of the work buffer.
 
-    With several _row_blocks blocks and CPUs, and the helper free, _map_items
-    maps half blocks on this thread and a helper thread started for the call
-    and joined before it returns.  Otherwise this thread maps alone: in half
-    blocks if it finds the helper taken (inside an ensemble sample, where two
-    calls' work is in flight), halving even one block, else in blocks.
+    Inside an ensemble sample, where the helper is taken (_busy) and two
+    samples' work is in flight, the blocks are half blocks, halving even one
+    block; elsewhere they are whole.
     """
-    alone = _busy.locked()
-    blocks = _row_blocks(a)
-    threads = 2 if not alone and len(blocks) > 1 and _cpus() > 1 else 1
-    if alone or threads > 1:
-        blocks = _row_blocks(a, halved=True)
-    size = nbytes(blocks[0], threads)
-    work = _scratch((threads * size,), np.uint8, offset)  # one array: fewer page faults than two
-    if threads > 1:
-        _map_items(blocks, lambda rows, k: body(rows, work[k * size:(k + 1) * size]))
-        return
+    blocks = _row_blocks(a, halved=_busy.locked())
+    work = _scratch((nbytes(blocks[0]),), np.uint8, offset)
     for rows in blocks:
         body(rows, work)
 
@@ -532,28 +522,20 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     coeffs or a row-aligned part of it: a block's rows are read before they
     are written.  func keeps the rows along axis -2 and may combine the
     axes before it only as far as out's shape does.  The rows go through
-    _map_rows, also on a helper thread started for the call and joined
-    before it returns, so func must not touch shared state.  Each block's
-    samples, then the rfft of its mapped samples, go into its thread's fine
-    complex block; on two threads each thread's coarse spectrum goes after
-    it, a lone thread's is fresh.
+    _map_rows on the calling thread: each block's samples, then the rfft of
+    its mapped samples, go into one fine complex block of work, and its
+    coarse spectrum is fresh, freed before func runs.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
-    half = grid.size // 2
     m = pad * grid.size
     fine = (m // 2 + 1,)
     out = np.empty(coeffs.shape, dtype=complex) if out is None else out
 
     def body(rows, work):
         block = coeffs[rows]
-        samples = np.ndarray(block.shape[:-1] + fine, complex, work)
-        # a lone thread takes a fresh coarse spectrum, freed before func runs
-        spec = np.ndarray(block.shape, complex, work, samples.nbytes) \
-            if work.nbytes >= samples.nbytes + 16 * block.size else None
-        _dealiased_map(block, grid, func, pad, samples.view(float)[..., :m], spec, work,
-                       out[rows])
+        samples = np.ndarray(block.shape[:-1] + fine, complex, work).view(float)[..., :m]
+        _dealiased_map(block, grid, func, pad, samples, None, work, out[rows])
 
-    _map_rows(coeffs, lambda rows, threads: math.prod(coeffs[rows].shape[:-1]) * 16
-              * (fine[0] + (half + 1) * (threads > 1)), body)
+    _map_rows(coeffs, lambda rows: math.prod(coeffs[rows].shape[:-1]) * 16 * fine[0], body)
     return out

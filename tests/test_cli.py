@@ -83,6 +83,14 @@ def test_out_of_hypothesis_flag_exits_one(tmp_path):
                           "--size", "128", "--half-length", "32", "--r", "4.0"]) == 1
 
 
+def test_an_infinite_box_exits_one_with_one_error_line(tmp_path, capsys):
+    """Found by test_cli_never_raises: an infinite half-length built a grid
+    whose boundary fraction raised IndexError once the solve was done."""
+    assert run(tmp_path, ["solve", "--half-length", "inf", "--size", "16",
+                          "--t-end", "0.125", "--max-iterations", "0"]) == 1
+    assert capsys.readouterr().err == "error: half_length must be positive and finite, got inf\n"
+
+
 def test_unreachable_stability_gate_exits_two(tmp_path):
     rc = run(tmp_path, FAST_VERIFY + ["--stability-threshold", "1e-9"])
     assert rc == 2
@@ -492,7 +500,7 @@ def test_help_and_version_still_exit_zero(argv, capsys):
 
 
 def test_importing_the_cli_leaves_concurrent_futures_out():
-    """The row kernels' helper thread is a plain threading.Thread:
+    """The ensemble legs' helper thread is a plain threading.Thread:
     concurrent.futures alone would add about 12 ms to every process's set-up."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gkdvlab.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -494,13 +494,13 @@ def _own_peak(call):
         tracemalloc.stop()
 
 
-def test_trace_kernels_hold_their_result_and_a_few_blocks(monkeypatch):
+def test_trace_kernels_hold_their_result_and_a_few_blocks():
     """The work arrays of the trace kernels are block-sized on a long trace.
 
     257 rows at N = 4096 (8.4 MB of coefficients, 7 blocks): each kernel
     holds its result, or the (M, N) array of powers of mixed_norm, plus at
-    most 4 pad blocks, on one thread and with the helper thread on (half
-    blocks on each).  With whole-trace temporaries they peaked at 25 to 34 MB.
+    most 4 pad blocks.  With whole-trace temporaries they peaked at 25 to
+    34 MB.
     """
     grid = Grid1D(1024.0, 4096)
     cfg = SolverConfig(grid=grid, t_start=0.0, t_end=2.0)
@@ -511,12 +511,10 @@ def test_trace_kernels_hold_their_result_and_a_few_blocks(monkeypatch):
         assert len(spectral._row_blocks(v.coeffs)) > 4
         result = v.coeffs.nbytes
         powers = times.size * grid.size * 8
-        for cpus in (1, 2):
-            monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
-            assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
-                                                            pad=cfg.pad)) <= result + budget
-            assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
-            assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
+        assert _own_peak(lambda: apply_pointwise_matrix(v.coeffs, grid, G5.apply_values,
+                                                        pad=cfg.pad)) <= result + budget
+        assert _own_peak(lambda: spacetime.mixed_norm(v, 8.0, 4.0, 0.5)) <= powers + budget
+        assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
 
 
 def test_a_picard_step_holds_the_table_and_two_traces():
@@ -534,6 +532,22 @@ def test_a_picard_step_holds_the_table_and_two_traces():
     res = []
     assert _own_peak(lambda: res.append(picard_solve(u0, G5, cfg))) <= 3 * trace + budget
     assert res[0].iterations == 2 and res[0].trace.coeffs.nbytes == trace
+
+
+def test_a_picard_loop_maps_in_one_work_buffer(monkeypatch):
+    """Every iteration's pointwise map sees the same work buffer, and none outlives the solve."""
+    cfg = SolverConfig(grid=GRID, t_start=0.0, t_end=1.0, tolerance=0.0, max_iterations=3)
+    buffers = []
+
+    def apply_values(self, values, out=None, _apply=NonlinearityG.apply_values):
+        buffers.append(spectral._work.get())
+        return _apply(self, values, out)
+
+    monkeypatch.setattr(NonlinearityG, "apply_values", apply_values)
+    res = picard_solve(gaussian_profile(GRID, 0.05), G5, cfg)
+    assert res.iterations == 3 and len(buffers) == 3
+    assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
+    assert spectral._work.get() is None
 
 
 # Update distances are sums over the modes.  A real trace's are taken over

@@ -1,13 +1,16 @@
 """Transforms, multipliers, and field generation."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab import spectral
-from gkdvlab.spacetime import _airy_table, free_evolution
+from gkdvlab.solver import NonlinearityG
+from gkdvlab.spacetime import _airy_table, free_evolution, mixed_norm
 from gkdvlab.spectral import (
     SQRT_2PI,
     Grid1D,
@@ -43,6 +46,9 @@ def test_grid_lattice_shapes():
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(0.0, 16)
+    for length in (math.inf, math.nan):  # such a box has no outer tenth to report
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid1D(length, 16)
     with pytest.raises(ValueError):
         Grid1D(8.0, 15)
     with pytest.raises(ValueError):
@@ -414,6 +420,61 @@ def test_row_blocks_map_like_one_block_bytewise(case, pad, monkeypatch):
     monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_rows * coeffs.nbytes // lead[-1])
     assert len(spectral._row_blocks(coeffs)) == -(-lead[-1] // block_rows) > 1
     _assert_same_bytes(mapped(), want)
+
+
+def test_halved_blocks_cover_the_rows_once():
+    """Half blocks from row 0 on, each row once; one block splits into two halves."""
+    for size, count in ((1024, 4), (4096, 14)):
+        coeffs = np.zeros((257, size // 2 + 1), dtype=complex)  # 257 rows: several blocks
+        rows = [range(257)[r[-2]] for r in spectral._row_blocks(coeffs, halved=True)]
+        assert len(rows) == count and rows[0].start == 0
+        assert [i for block in rows for i in block] == list(range(257))
+        whole = range(257)[spectral._row_blocks(coeffs)[0][-2]]
+        assert 2 * len(rows[0]) <= len(whole)
+    short = np.zeros((129, 513), dtype=complex)
+    assert len(spectral._row_blocks(short)) == 1
+    assert [range(129)[r[-2]] for r in spectral._row_blocks(short, halved=True)] == \
+        [range(0, 65), range(65, 129)]
+
+
+def test_concurrent_callers_each_get_their_own_bytes():
+    """Four threads map their own traces at once, with a short switch interval:
+    each gets the bytes of a lone map, and none waits forever."""
+    G5 = NonlinearityG(alpha=5.0)
+    times = np.linspace(0.0, 2.0, 257)
+    traces = [free_evolution(random_band_limited(Grid1D(256.0, 1024), 1.0, 100, seed), times)
+              for seed in range(4)]
+    want = [(apply_pointwise_matrix(t.coeffs, t.grid, G5.apply_values),
+             mixed_norm(t, 4.0, 6.0, 0.5)) for t in traces]
+    got = [[] for _ in traces]
+
+    def work(i):
+        try:
+            for _ in range(3):
+                got[i].append((apply_pointwise_matrix(traces[i].coeffs, traces[i].grid,
+                                                      G5.apply_values),
+                               mixed_norm(traces[i], 4.0, 6.0, 0.5)))
+        except BaseException as exc:  # reported below
+            got[i].append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(len(traces))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for mine, (rows, norm) in zip(got, want):
+        assert len(mine) == 3
+        for result in mine:
+            assert isinstance(result, tuple), result
+            _assert_same_bytes(result[0], rows)
+            assert result[1].hex() == norm.hex()
 
 
 def _long_double_pointwise(coeffs, grid, func, pad, block=256):
