@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -35,9 +36,10 @@ from .solver import (
     picard_solve,
     reference_solve,
     reference_step,
+    solve_diagnostics,
 )
 from .spacetime import TimeTrace, snorm
-from .spectral import Grid1D, SpectralField, gaussian_profile, random_band_limited
+from .spectral import Grid1D, gaussian_profile, random_band_limited
 from .traceio import atomic_write_json, write_trace
 
 _EXIT_OK = 0
@@ -58,6 +60,15 @@ def _float_list(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+# The datum, coupling, sampling and output keys that solve, scatter and
+# persist share, with their common defaults.
+_FLOW: Dict[str, tuple] = {
+    "alpha": (5.0, float), "mu": (1.0, float), "datum": ("gaussian", str),
+    "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
+    "band": (None, int), "seed": (0, int), "samples_per_unit": (32, int),
+    "delta": (None, float), "pad": (2, int), "save_trace": (None, str), "out": (".", str),
+}
+
 # Per command, key -> (default, kind).  The kind parses the --flag (bool is
 # a switch) and fixes the JSON type a --config value must have: a string, an
 # integer, a number (an integer is accepted and echoed as given; "inf",
@@ -77,26 +88,18 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
         "stability_threshold": (None, float), "out": (".", str),
     },
     "solve": {
-        "alpha": (5.0, float), "mu": (1.0, float), "datum": ("gaussian", str),
-        "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
-        "band": (None, int), "seed": (0, int), "half_length": (64.0, float),
-        "size": (256, int), "t_start": (0.0, float), "t_end": (1.0, float),
-        "samples_per_unit": (32, int), "tolerance": (1e-10, float),
-        "max_iterations": (25, int), "delta": (None, float), "pad": (2, int),
-        "exploratory": (False, bool), "reference": (False, bool),
-        "reference_dt": (1.0 / 256.0, float), "mass_drift_bound": (1e-8, float),
-        "energy_drift_bound": (1e-6, float), "reference_bound": (1e-6, float),
-        "save_trace": (None, str), "out": (".", str),
+        **_FLOW, "half_length": (64.0, float), "size": (256, int),
+        "t_start": (0.0, float), "t_end": (1.0, float), "tolerance": (1e-10, float),
+        "max_iterations": (25, int), "exploratory": (False, bool),
+        "reference": (False, bool), "reference_dt": (1.0 / 256.0, float),
+        "mass_drift_bound": (1e-8, float), "energy_drift_bound": (1e-6, float),
+        "reference_bound": (1e-6, float),
     },
     "scatter": {
-        "protocol": ("small-data", str), "alpha": (5.0, float), "mu": (1.0, float),
-        "datum": ("gaussian", str), "amp": (0.05, float), "width": (1.0, float),
-        "decay": (1.0, float), "band": (None, int), "seed": (0, int),
-        "half_length": (256.0, float), "size": (1024, int), "t_end": (64.0, float),
-        "samples_per_unit": (32, int), "segment_length": (2.0, float),
-        "store_stride": (4, int), "levels": (4, int), "delta": (None, float),
-        "pad": (2, int), "reference_dt": (1.0 / 256.0, float), "control_amp": (0.05, float),
-        "energy_margin": (1.0, float), "save_trace": (None, str), "out": (".", str),
+        **_FLOW, "protocol": ("small-data", str), "half_length": (256.0, float),
+        "size": (1024, int), "t_end": (64.0, float), "segment_length": (2.0, float),
+        "store_stride": (4, int), "levels": (4, int), "reference_dt": (1.0 / 256.0, float),
+        "control_amp": (0.05, float), "energy_margin": (1.0, float),
     },
     "counterexample": {
         "family": ("sharp_band", str), "r": (4.0, float), "n": (None, _int_list),
@@ -110,17 +113,13 @@ _KEYS: Dict[str, Dict[str, tuple]] = {
         "out": (".", str),
     },
     "persist": {
-        "alpha": (5.0, float), "mu": (1.0, float), "datum": ("gaussian", str),
-        "amp": (0.05, float), "width": (1.0, float), "decay": (1.0, float),
-        "band": (None, int), "seed": (0, int),
+        **_FLOW,
         # box large enough that no resolvable group speed crosses 0.9L
         # by t_end; smaller boxes trip the boundary-mass taint flag
         "half_length": (1024.0, float), "size": (4096, int), "t_end": (16.0, float),
-        "samples_per_unit": (32, int), "segment_length": (2.0, float),
-        "store_stride": (4, int), "aux_lhat": ([1.8, 2.5], _float_list),
-        "aux_sobolev": ([0.5, 1.0], _float_list), "growth_bound": (3.0, float),
-        "delta": (None, float), "pad": (2, int), "save_trace": (None, str),
-        "out": (".", str),
+        "segment_length": (2.0, float), "store_stride": (4, int),
+        "aux_lhat": ([1.8, 2.5], _float_list), "aux_sobolev": ([0.5, 1.0], _float_list),
+        "growth_bound": (3.0, float),
     },
 }
 
@@ -209,31 +208,35 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _make_datum(cfg: dict, grid: Grid1D) -> SpectralField:
-    kind = cfg["datum"]
+def _flow(cfg: dict, datum: bool = True):
+    """The grid, the datum (None if not datum) and G of solve, scatter and persist.
+
+    Datum and control sizes must be finite: a NaN or infinite one would
+    surface only later, as a blowup at t = 0 or a division by zero.
+    """
+    for key in ("amp", "width", "decay", "control_amp", "energy_margin"):
+        if key in cfg and not math.isfinite(cfg[key]):
+            raise ConfigError(f"config: {key!r} must be finite, got {cfg[key]}")
+    grid = Grid1D(cfg["half_length"], cfg["size"])
+    kind = cfg["datum"] if datum else None
+    u0 = None
     if kind == "gaussian":
-        return gaussian_profile(grid, cfg["amp"], cfg["width"])
-    if kind == "random":
+        u0 = gaussian_profile(grid, cfg["amp"], cfg["width"])
+    elif kind == "random":
         band = cfg["band"] if cfg["band"] is not None else grid.size // 4
-        f = random_band_limited(grid, decay=cfg["decay"], band=band, seed=cfg["seed"])
-        return cfg["amp"] * f
-    raise ConfigError(f"config: datum must be gaussian or random, got {kind!r}")
+        u0 = cfg["amp"] * random_band_limited(grid, decay=cfg["decay"], band=band,
+                                              seed=cfg["seed"])
+    elif kind is not None:
+        raise ConfigError(f"config: datum must be gaussian or random, got {kind!r}")
+    return grid, u0, NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
 
 
 def _solver_config(cfg: dict, grid: Grid1D) -> SolverConfig:
-    kwargs = dict(
-        grid=grid,
-        t_start=cfg.get("t_start", 0.0),
-        t_end=cfg["t_end"],
-        samples_per_unit=cfg["samples_per_unit"],
-        pad=cfg["pad"],
-        exploratory=cfg.get("exploratory", False),
-    )
     # keys a command lacks, or leaves at None, keep SolverConfig's defaults
-    for key in ("delta", "tolerance", "max_iterations", "reference_dt"):
-        if cfg.get(key) is not None:
-            kwargs[key] = cfg[key]
-    return SolverConfig(**kwargs)
+    given = {key: cfg[key] for key in ("t_start", "tolerance", "max_iterations", "delta",
+                                       "exploratory", "reference_dt") if cfg.get(key) is not None}
+    return SolverConfig(grid=grid, t_end=cfg["t_end"], samples_per_unit=cfg["samples_per_unit"],
+                        pad=cfg["pad"], **given)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -268,11 +271,8 @@ def _verdict(passed: bool) -> str:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    params = {}
-    for key in ("r", "s", "q", "theta", "s1", "s2", "alpha", "mu", "case",
-                "family", "n", "p"):
-        if cfg.get(key) is not None:
-            params[key] = cfg[key]
+    params = {key: cfg[key] for key in ("r", "s", "q", "theta", "s1", "s2", "alpha", "mu",
+                                        "case", "family", "n", "p") if cfg[key] is not None}
     row = _estimate(cfg["id"])
     if cfg["ensemble"] is None:
         cfg["ensemble"] = row.floor
@@ -307,26 +307,20 @@ def _cmd_verify(cfg: dict) -> int:
 
 
 def _cmd_solve(cfg: dict) -> int:
-    grid = Grid1D(cfg["half_length"], cfg["size"])
-    u0 = _make_datum(cfg, grid)
-    G = NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
+    grid, u0, G = _flow(cfg)
     scfg = _solver_config(cfg, grid)
     result = picard_solve(u0, G, scfg)
+    # the gate's own test: a declined solve has no iterate to diagnose
+    diagnostics = {} if result.epsilon > result.delta else \
+        solve_diagnostics(result.trace, u0, G, scfg, result.epsilon)
     doc = _report_skeleton("solve", cfg)
-    doc["result"] = {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "epsilon": result.epsilon,
-        "delta": result.delta,
-        "update_distances": result.update_distances,
-        "contraction_factors": result.contraction_factors,
-        "reason": result.reason,
-        "diagnostics": result.diagnostics,
-    }
+    # every field of the result but its trace, which --save-trace writes
+    doc["result"] = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "trace"}
+    doc["result"]["diagnostics"] = diagnostics
     passed = result.converged
     if result.converged:
-        passed = (result.diagnostics["mass_drift"] <= cfg["mass_drift_bound"]
-                  and result.diagnostics["energy_drift"] <= cfg["energy_drift_bound"])
+        passed = (diagnostics["mass_drift"] <= cfg["mass_drift_bound"]
+                  and diagnostics["energy_drift"] <= cfg["energy_drift_bound"])
         if cfg["reference"]:
             doc["reference_step"] = reference_step(scfg)
             ref = reference_solve(u0, G, scfg)
@@ -353,9 +347,7 @@ def _cmd_scatter(cfg: dict) -> int:
 
 def _glued(cfg: dict, command: str):
     """The glued solve of scatter small-data and persist, and its report so far."""
-    grid = Grid1D(cfg["half_length"], cfg["size"])
-    u0 = _make_datum(cfg, grid)
-    G = NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
+    grid, u0, G = _flow(cfg)
     glued = glued_solve(u0, G, _solver_config(cfg, grid),
                         segment_length=cfg["segment_length"],
                         store_stride=cfg["store_stride"])
@@ -396,8 +388,7 @@ def _scatter_small(cfg: dict) -> int:
 def _scatter_energy(cfg: dict) -> int:
     if cfg["mu"] >= 0:
         raise ConfigError("config: the energy-threshold protocol needs mu < 0")
-    grid = Grid1D(cfg["half_length"], cfg["size"])
-    G = NonlinearityG(alpha=cfg["alpha"], mu=cfg["mu"])
+    grid, _, G = _flow(cfg, datum=False)
     profile = gaussian_profile(grid, 1.0, cfg["width"])
     threshold = nonpositive_energy_amplitude(profile, G)
     amp = cfg["energy_margin"] * threshold
@@ -443,10 +434,8 @@ def _scatter_energy(cfg: dict) -> int:
 
 
 def _cmd_counterexample(cfg: dict) -> int:
-    params = {"family": cfg["family"], "r": cfg["r"]}
-    for key in ("n", "p", "half_length", "size"):
-        if cfg.get(key) is not None:
-            params[key] = cfg[key]
+    params = {key: cfg[key] for key in ("family", "r", "n", "p", "half_length", "size")
+              if cfg[key] is not None}
     spec = EstimateSpec("counterexample", params)
     report = verify(spec)
     table = report.extras["table"]

@@ -83,6 +83,8 @@ class EstimateSpec:
             raise ValueError("amplitude must be positive")
         if not self.decays:
             raise ValueError("need at least one spectral decay rate")
+        if self.samples_per_unit < 2:
+            raise ValueError("samples_per_unit must be >= 2")
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "interval", (float(a), float(b)))
         object.__setattr__(self, "decays", tuple(float(d) for d in self.decays))
@@ -188,14 +190,23 @@ def _check_stein_tomas(params: dict) -> dict:
     return {"r": r}
 
 
-def _run_stein_tomas(spec, rp):
-    r = rp["r"]
+def _free_sample(spec, ratio) -> Callable:
+    """One sample's work for an id whose ratio reads a random datum f and its free flow.
 
+    ratio(f, u) gets the datum and its free trace on the sample's times and
+    returns (num, den).
+    """
     def one(grid, times, band, decay, child):
         f = _datum(grid, band, decay, child, spec.amplitude)
-        return mixed_norm(free_evolution(f, times), r, r, 1.0 / r), lhat_norm(f, r / 3.0)
+        return ratio(f, free_evolution(f, times))
 
-    return one, {}
+    return one
+
+
+def _run_stein_tomas(spec, rp):
+    r = rp["r"]
+    return _free_sample(spec, lambda f, u: (mixed_norm(u, r, r, 1.0 / r),
+                                            lhat_norm(f, r / 3.0))), {}
 
 
 def _check_kenig_ruiz(params: dict) -> dict:
@@ -203,13 +214,9 @@ def _check_kenig_ruiz(params: dict) -> dict:
 
 
 def _run_kenig_ruiz(spec, rp):
-    def one(grid, times, band, decay, child):
-        f = _datum(grid, band, decay, child, spec.amplitude)
-        u = free_evolution(f, times)
-        # the time sup is a sample maximum, hence a certified lower bound
-        return mixed_norm(u, 4.0, math.inf, -0.25), lebesgue_norm(f, 2.0)
-
-    return one, {}
+    # the time sup is a sample maximum, hence a certified lower bound
+    return _free_sample(spec, lambda f, u: (mixed_norm(u, 4.0, math.inf, -0.25),
+                                            lebesgue_norm(f, 2.0))), {}
 
 
 def _check_kato(params: dict) -> dict:
@@ -222,12 +229,7 @@ def _check_kato(params: dict) -> dict:
 def _run_kato(spec, rp):
     q = rp["q"]
     s = 0.0 if math.isinf(q) else 2.0 / q
-
-    def one(grid, times, band, decay, child):
-        f = _datum(grid, band, decay, child, spec.amplitude)
-        return mixed_norm(free_evolution(f, times), math.inf, q, s), lhat_norm(f, q)
-
-    return one, {}
+    return _free_sample(spec, lambda f, u: (mixed_norm(u, math.inf, q, s), lhat_norm(f, q))), {}
 
 
 def _check_strichartz(params: dict) -> dict:
@@ -245,11 +247,7 @@ def _check_strichartz(params: dict) -> dict:
 
 def _run_strichartz(spec, rp):
     s, r, p, q = rp["s"], rp["r"], rp["p"], rp["q"]
-
-    def one(grid, times, band, decay, child):
-        f = _datum(grid, band, decay, child, spec.amplitude)
-        return mixed_norm(free_evolution(f, times), p, q, s), lhat_norm(f, r)
-
+    one = _free_sample(spec, lambda f, u: (mixed_norm(u, p, q, s), lhat_norm(f, r)))
     return one, {"exponents": {"p": p, "q": q}, "boundary_pair": rp["boundary"]}
 
 
@@ -305,41 +303,44 @@ def _forcing_trace(spec, grid, times, band, decay, child) -> TimeTrace:
     return TimeTrace(grid, times, rows)
 
 
-def _run_inhom_linf(spec, rp):
-    r, s2 = rp["r"], rp["s2"]
+def _retarded_sample(spec, rp, size) -> Callable:
+    """One sample's work for a retarded bound: size(integral) over the forcing's dual norm.
+
+    The retarded integral overwrites the forcing once its dual norm is
+    taken, and size maps the integral's trace to the ratio's numerator.
+    """
     pd, qd = holder_conjugate(rp["p2"]), holder_conjugate(rp["q2"])
 
     def one(grid, times, band, decay, child):
         forcing = _forcing_trace(spec, grid, times, band, decay, child)
-        den = mixed_norm(forcing, pd, qd, -s2)
-        num = lhat_sup(retarded_integral(forcing, out=forcing.coeffs).coeffs, grid.dxi, r)
-        return num, den
+        den = mixed_norm(forcing, pd, qd, -rp["s2"])
+        return size(retarded_integral(forcing, out=forcing.coeffs)), den
 
-    return one, {}
+    return one
+
+
+def _run_inhom_linf(spec, rp):
+    r = rp["r"]
+    return _retarded_sample(spec, rp, lambda w: lhat_sup(w.coeffs, w.grid.dxi, r)), {}
 
 
 def _run_inhom_xy(spec, rp):
-    r, s1, s2 = rp["r"], rp["s1"], rp["s2"]
-    p1, q1 = rp["p1"], rp["q1"]
-    pd, qd = holder_conjugate(rp["p2"]), holder_conjugate(rp["q2"])
-
-    def one(grid, times, band, decay, child):
-        forcing = _forcing_trace(spec, grid, times, band, decay, child)
-        den = mixed_norm(forcing, pd, qd, -s2)
-        num = mixed_norm(retarded_integral(forcing, out=forcing.coeffs), p1, q1, s1)
-        return num, den
-
-    return one, {}
+    p1, q1, s1 = rp["p1"], rp["q1"], rp["s1"]
+    return _retarded_sample(spec, rp, lambda w: mixed_norm(w, p1, q1, s1)), {}
 
 
 # ---------------------------------------------------------------------------
 # calculus inequalities on traces
 
 
-def _require_open_exponent(tag: str, value: float) -> float:
-    if not (1.0 < value < math.inf):
-        raise ValueError(f"{tag} must lie strictly between 1 and infinity, got {value:g}")
-    return float(value)
+def _open_exponents(params: dict, **defaults: float) -> dict:
+    """The exponents named in defaults, from params or else the default, each in (1, inf)."""
+    rp = {}
+    for name, default in defaults.items():
+        rp[name] = float(params.get(name, default))
+        if not (1.0 < rp[name] < math.inf):
+            raise ValueError(f"{name} must lie strictly between 1 and infinity, got {rp[name]:g}")
+    return rp
 
 
 def _check_interpolation(params: dict) -> dict:
@@ -348,23 +349,18 @@ def _check_interpolation(params: dict) -> dict:
         raise ValueError(f"interpolation weight must satisfy 0 < theta < 1, got {theta:g}")
     s1 = float(params.get("s1", 0.0))
     s2 = float(params.get("s2", 1.0))
-    p1 = _require_open_exponent("p1", float(params.get("p1", 4.0)))
-    q1 = _require_open_exponent("q1", float(params.get("q1", 4.0)))
-    p2 = _require_open_exponent("p2", float(params.get("p2", 8.0)))
-    q2 = _require_open_exponent("q2", float(params.get("q2", 8.0)))
-    p = 1.0 / (theta / p1 + (1.0 - theta) / p2)
-    q = 1.0 / (theta / q1 + (1.0 - theta) / q2)
-    s = theta * s1 + (1.0 - theta) * s2
-    return {"theta": theta, "s1": s1, "s2": s2, "p1": p1, "q1": q1,
-            "p2": p2, "q2": q2, "p": p, "q": q, "s": s}
+    rp = {"theta": theta, "s1": s1, "s2": s2,
+          **_open_exponents(params, p1=4.0, q1=4.0, p2=8.0, q2=8.0)}
+    rp["p"] = 1.0 / (theta / rp["p1"] + (1.0 - theta) / rp["p2"])
+    rp["q"] = 1.0 / (theta / rp["q1"] + (1.0 - theta) / rp["q2"])
+    rp["s"] = theta * s1 + (1.0 - theta) * s2
+    return rp
 
 
 def _run_interpolation(spec, rp):
     theta = rp["theta"]
 
-    def one(grid, times, band, decay, child):
-        f = _datum(grid, band, decay, child, spec.amplitude)
-        u = free_evolution(f, times)
+    def ratio(f, u):
         num = mixed_norm(u, rp["p"], rp["q"], rp["s"])
         den = (
             mixed_norm(u, rp["p1"], rp["q1"], rp["s1"]) ** theta
@@ -372,18 +368,15 @@ def _run_interpolation(spec, rp):
         )
         return num, den
 
-    return one, {}
+    return _free_sample(spec, ratio), {}
 
 
 def _check_leibniz(params: dict) -> dict:
     s = float(params.get("s", 0.5))
     if s < 0.0:
         raise ValueError(f"the product rule needs s >= 0, got s = {s:g}")
-    rp = {"s": s}
-    for name, default in (("p", 2.0), ("q", 2.0), ("p1", 4.0), ("q1", 4.0),
-                          ("p2", 4.0), ("q2", 4.0), ("p3", 4.0), ("q3", 4.0),
-                          ("p4", 4.0), ("q4", 4.0)):
-        rp[name] = _require_open_exponent(name, float(params.get(name, default)))
+    rp = {"s": s, **_open_exponents(params, p=2.0, q=2.0, p1=4.0, q1=4.0, p2=4.0, q2=4.0,
+                                    p3=4.0, q3=4.0, p4=4.0, q4=4.0)}
     for a, b in (("p1", "p2"), ("p3", "p4")):
         if abs(1.0 / rp[a] + 1.0 / rp[b] - 1.0 / rp["p"]) > 1e-12:
             raise ValueError(f"split 1/{a} + 1/{b} must equal 1/p")
@@ -425,19 +418,21 @@ def _check_chain_rule(params: dict) -> dict:
     s = float(params.get("s", 0.5))
     if not (0.0 < s < mu):
         raise ValueError(f"the chain rule needs s in (0, mu), got s = {s:g}")
-    p1 = _require_open_exponent("p1", float(params.get("p1", 16.0)))
-    q1 = _require_open_exponent("q1", float(params.get("q1", 16.0)))
-    p2 = _require_open_exponent("p2", float(params.get("p2", 4.0)))
-    q2 = _require_open_exponent("q2", float(params.get("q2", 4.0)))
-    invp = (mu - 1.0) / p1 + 1.0 / p2
-    invq = (mu - 1.0) / q1 + 1.0 / q2
+    rp = {"mu": mu, "s": s, **_open_exponents(params, p1=16.0, q1=16.0, p2=4.0, q2=4.0)}
+    invp = (mu - 1.0) / rp["p1"] + 1.0 / rp["p2"]
+    invq = (mu - 1.0) / rp["q1"] + 1.0 / rp["q2"]
     if not (0.0 < invp < 1.0 and 0.0 < invq < 1.0):
         raise ValueError(
             "derived exponents leave the open (1, inf) range: "
             f"1/p = {invp:g}, 1/q = {invq:g}"
         )
-    return {"mu": mu, "s": s, "p1": p1, "q1": q1, "p2": p2, "q2": q2,
-            "p": 1.0 / invp, "q": 1.0 / invq}
+    rp.update(p=1.0 / invp, q=1.0 / invq)
+    return rp
+
+
+def _apply_power(trace: TimeTrace, G: NonlinearityG, out=None) -> np.ndarray:
+    """G of the trace's rows, dealiased at pad 3: degree-5 products need the wider margin."""
+    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3, out=out)
 
 
 def _run_chain_rule(spec, rp):
@@ -445,12 +440,8 @@ def _run_chain_rule(spec, rp):
     G = NonlinearityG(alpha=mu, mu=1.0)
     lip = lip_norm_estimate(G, mu)
 
-    def one(grid, times, band, decay, child):
-        f = _datum(grid, band, decay, child, spec.amplitude)
-        u = free_evolution(f, times)
-        # degree-5 products need the wider dealias margin
-        gu_rows = apply_pointwise_matrix(u.coeffs, grid, G.apply_values, pad=3)
-        gu = TimeTrace(grid, times, gu_rows)
+    def ratio(f, u):
+        gu = TimeTrace(u.grid, u.times, _apply_power(u, G))
         num = mixed_norm(gu, rp["p"], rp["q"], s)
         den = (
             lip
@@ -459,7 +450,7 @@ def _run_chain_rule(spec, rp):
         )
         return num, den
 
-    return one, {"lip_bound": lip}
+    return _free_sample(spec, ratio), {"lip_bound": lip}
 
 
 # ---------------------------------------------------------------------------
@@ -483,23 +474,18 @@ def _check_nonlinear(params: dict) -> dict:
     return {"alpha": alpha, "s": s, "r": r, "boundary": cls.boundary}
 
 
-def _apply_power(trace: TimeTrace, G: NonlinearityG, out=None) -> np.ndarray:
-    return apply_pointwise_matrix(trace.coeffs, trace.grid, G.apply_values, pad=3, out=out)
-
-
 def _run_nonlinear_i(spec, rp):
     alpha, s, r = rp["alpha"], rp["s"], rp["r"]
     rc = critical_exponent(alpha)
     G = NonlinearityG(alpha=alpha, mu=1.0)
 
-    def one(grid, times, band, decay, child):
-        u = free_evolution(_datum(grid, band, decay, child, spec.amplitude), times)
-        gu = TimeTrace(grid, times, _apply_power(u, G))
+    def ratio(f, u):
+        gu = TimeTrace(u.grid, u.times, _apply_power(u, G))
         num = ynorm(gu, s, r)
         den = snorm(u, rc) ** (alpha - 1.0) * xnorm(u, s, r)
         return num, den
 
-    return one, {"boundary_pair": rp["boundary"]}
+    return _free_sample(spec, ratio), {"boundary_pair": rp["boundary"]}
 
 
 def _run_nonlinear_ii(spec, rp):

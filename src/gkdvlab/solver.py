@@ -22,8 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -171,7 +171,6 @@ class SolveResult:
     update_distances[k] is the sup-in-time critical-norm distance between
     iterates k and k+1; contraction_factors are their successive ratios.
     epsilon is the free-evolution smallness the gate compares against delta.
-    diagnose, when set, computes the diagnostics of the trace.
     """
 
     trace: TimeTrace
@@ -182,12 +181,6 @@ class SolveResult:
     update_distances: List[float] = field(default_factory=list)
     contraction_factors: List[float] = field(default_factory=list)
     reason: str = ""
-    diagnose: Optional[Callable[[], dict]] = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def diagnostics(self) -> dict:
-        """solve_diagnostics of the trace, computed on first read; {} if declined."""
-        return {} if self.diagnose is None else self.diagnose()
 
 
 def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> TimeTrace:
@@ -307,7 +300,6 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     with that iterate: a step holds the table, the iterate and the flux,
     and its map's work is one _work_buffer scope's, opened around the loop
     only (in it the gate's norms would keep their powers for the solve).
-    The diagnostics are computed when first read.
     """
     _wellposed_guard(G, cfg)
     times = cfg.times()
@@ -346,7 +338,7 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     return SolveResult(
         trace=v, converged=converged, iterations=iterations, epsilon=eps,
         delta=cfg.delta, update_distances=dists, contraction_factors=factors,
-        reason=reason, diagnose=lambda: solve_diagnostics(v, u0, G, cfg, eps),
+        reason=reason,
     )
 
 
@@ -368,7 +360,7 @@ def solve_diagnostics(trace: TimeTrace, u0: SpectralField, G: NonlinearityG,
     escale = max(abs(e0), 1e-300)
     energy_drift = float(max(abs(e1 - e0), abs(emid - e0)) / escale)
     sup_lhat = float(np.max(lhat_rows(trace.coeffs, trace.grid.dxi, rc)))
-    boundary = float(np.max(boundary_mass_fraction(trace.values(), trace.grid)))
+    boundary = _largest_boundary_fraction(trace)
     size = sum(_size_norms(trace, G.alpha))
     return {
         "mass_initial": m0,
@@ -388,9 +380,11 @@ def boundary_mass_fraction(vals: np.ndarray, grid: Grid1D):
     """Share of the L^2 mass within the outer tenth of the domain, per row.
 
     vals are physical samples along the last axis; a 1-d input gives a
-    float, and a row with no mass gives 0.  The periodic interval stands in
-    for the whole line only while this stays tiny; runs report it and flag
-    values above 1e-6 as tainted.
+    float, and a row with no mass gives 0.  A row's fraction has the same
+    bits however many rows come with it, so a trace's largest may be taken
+    in row blocks.  The periodic interval stands in for the whole line only
+    while this stays tiny; runs report it and flag values above 1e-6 as
+    tainted.
     """
     # the outer tenth is a leading and a trailing range of samples; summing
     # each as a slice along the last axis gives a row the same bits however
@@ -403,6 +397,14 @@ def boundary_mass_fraction(vals: np.ndarray, grid: Grid1D):
     with np.errstate(invalid="ignore"):
         frac = np.where(den > 0, num / den, 0.0)
     return float(frac) if frac.ndim == 0 else frac
+
+
+def _largest_boundary_fraction(trace: TimeTrace) -> float:
+    """The largest boundary_mass_fraction of a trace's rows, taken one row block
+    at a time, so the trace's samples are never whole."""
+    return float(max(np.max(boundary_mass_fraction(
+        _real_samples(trace.coeffs[rows], trace.grid, 1), trace.grid))
+        for rows in _row_blocks(trace.coeffs)))
 
 
 # Shortest segment a glued solve bisects down to before it gives up.
@@ -430,8 +432,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
     _shared_tables scope: segments of one length repeat the same offsets
     from their starts, so they read one phase table.  Each segment reports
     only its mass drift and boundary mass fraction, with the bytes
-    solve_diagnostics gives them; the fraction is taken in row blocks, so
-    the segment's samples are never whole.
+    solve_diagnostics gives them.
     """
     if not math.isfinite(cfg.t_end):
         raise ValueError(f"a glued solve needs a finite end time, got {cfg.t_end}")
@@ -458,9 +459,6 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                 length /= 2.0
                 del res  # a declined attempt's trace must not outlive it
             seg = res.trace
-            boundary = max(np.max(boundary_mass_fraction(
-                _real_samples(seg.coeffs[rows], seg.grid, 1), seg.grid))
-                for rows in _row_blocks(seg.coeffs))
             segments.append({
                 "t_start": float(t),
                 "t_end": float(t + length),
@@ -468,7 +466,7 @@ def glued_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig,
                 "epsilon": res.epsilon,
                 "contraction_factors": res.contraction_factors,
                 "mass_drift": _mass_drift(seg)[1],
-                "boundary_mass_fraction": float(boundary),
+                "boundary_mass_fraction": _largest_boundary_fraction(seg),
             })
             idx = _strided_indices(seg.sample_count, store_stride)
             if all_times:
@@ -675,15 +673,12 @@ def calibrate_delta(grid: Grid1D, alpha: float = 5.0,
                     # check trips; those floating warnings are the point
                     with np.errstate(over="ignore", invalid="ignore"):
                         res = picard_solve(u0, G, cfg)
+                    eps, converged = res.epsilon, res.converged
                     factor = max(res.contraction_factors) if res.contraction_factors else 0.0
-                    rows.append({"mu": mu, "amplitude": float(amp), "datum": label,
-                                 "epsilon": res.epsilon, "factor": factor,
-                                 "converged": res.converged})
                 except NumericalBlowupError:
-                    eps = free_smallness(u0, G, cfg)
-                    rows.append({"mu": mu, "amplitude": float(amp), "datum": label,
-                                 "epsilon": eps, "factor": math.inf,
-                                 "converged": False})
+                    eps, factor, converged = free_smallness(u0, G, cfg), math.inf, False
+                rows.append({"mu": mu, "amplitude": float(amp), "datum": label,
+                             "epsilon": eps, "factor": factor, "converged": converged})
     good = [r["epsilon"] for r in rows if r["converged"] and r["factor"] <= 0.5]
     bad = [r["epsilon"] for r in rows if not (r["converged"] and r["factor"] <= 0.5)]
     if not good:

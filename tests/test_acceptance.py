@@ -26,6 +26,7 @@ from gkdvlab.solver import (
     critical_exponent,
     picard_solve,
     reference_solve,
+    solve_diagnostics,
 )
 from gkdvlab.spacetime import classify_pair
 from gkdvlab.spectral import Grid1D, airy_propagate, gaussian_profile, random_band_limited
@@ -125,8 +126,9 @@ def test_criterion_07_contraction_solver_with_conservation():
         res = picard_solve(u0, G, cfg)
         assert res.converged
         assert all(f <= 0.5 for f in res.contraction_factors)
-        assert res.diagnostics["mass_drift"] < 1e-8
-        assert res.diagnostics["energy_drift"] < 1e-6
+        diagnostics = solve_diagnostics(res.trace, u0, G, cfg, res.epsilon)
+        assert diagnostics["mass_drift"] < 1e-8
+        assert diagnostics["energy_drift"] < 1e-6
         ref = reference_solve(u0, G, cfg)
         gap = float(np.max(np.sqrt(
             band_sum(np.abs(res.trace.coeffs - ref.coeffs) ** 2, half=True) * grid.dxi)))

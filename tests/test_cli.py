@@ -91,6 +91,37 @@ def test_an_infinite_box_exits_one_with_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: half_length must be positive and finite, got inf\n"
 
 
+_ENERGY_SMALL = ["scatter", "--protocol", "energy-threshold", "--mu", "-1",
+                 "--size", "64", "--half-length", "16", "--t-end", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--amp", "nan"],
+    ["solve", "--width=-inf"],
+    ["solve", "--datum", "random", "--decay", "inf"],
+    ["scatter", "--amp", "inf", "--size", "64", "--half-length", "16", "--t-end", "0.5"],
+    _ENERGY_SMALL + ["--width", "nan"],
+    _ENERGY_SMALL + ["--energy-margin", "inf"],
+    _ENERGY_SMALL + ["--control-amp", "nan"],
+    ["persist", "--width", "inf", "--size", "64", "--half-length", "16", "--t-end", "0.5"],
+])
+def test_a_non_finite_datum_parameter_exits_one_without_a_report(tmp_path, capsys, argv):
+    """A NaN datum used to run and exit 3 as a blowup at t = 0, the energy
+    protocol wrote a report of one, and persist --width inf died dividing by zero."""
+    assert run(tmp_path, argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "must be finite" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("per_unit", ["1", "0", "-3"])
+def test_verify_below_two_samples_per_unit_exits_one(tmp_path, capsys, per_unit):
+    """The sampler's floor of 2 intervals used to run while the report echoed the value."""
+    assert run(tmp_path, FAST_VERIFY + [f"--samples-per-unit={per_unit}"]) == 1
+    assert capsys.readouterr().err == "error: samples_per_unit must be >= 2\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unreachable_stability_gate_exits_two(tmp_path):
     rc = run(tmp_path, FAST_VERIFY + ["--stability-threshold", "1e-9"])
     assert rc == 2

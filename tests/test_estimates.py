@@ -49,6 +49,8 @@ def test_spec_validation():
         EstimateSpec("kato", amplitude=0.0)
     with pytest.raises(ValueError):
         EstimateSpec("kato", decays=())
+    with pytest.raises(ValueError, match="samples_per_unit"):
+        EstimateSpec("kato", samples_per_unit=1)
 
 
 def test_reports_are_reproducible():
