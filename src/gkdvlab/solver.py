@@ -1,12 +1,12 @@
 """Contraction solver and reference integrator for the generalized KdV flow.
 
 The equation is d_t u + d_x^3 u = mu * d_x(|u|^(alpha-1) u) for real u.  The
-integral formulation is iterated on whole-interval traces from their first
-sample t0: the retarded integral factors the Airy phase out per Fourier
-mode and integrates it exactly against the flux's linear interpolant in
-time (exponential quadrature with phi_2 weights, one row per grid and
-step), so its error is second order in dt at every mode and does not grow
-with xi^3 dt.  Its phases are the free flow's table of offsets t - t0, so a
+integral formulation is iterated in place on one whole-interval trace from
+its first sample t0, a row block at a time: the retarded integral factors
+the Airy phase out per Fourier mode and integrates it exactly against the
+flux's linear interpolant in time (exponential quadrature with phi_2
+weights, causal, so a block carries one row and a sum to the next), so its
+error is second order in dt at every mode and does not grow with xi^3 dt.  Its phases are the free flow's table of offsets t - t0, so a
 solve depends on where it sits in time only through those offsets, as the
 autonomous flow does, and a glued run shares one table among its segments.  The backward
 problem needs no solver of its own: u(t, x) -> u(-t, -x) maps it onto the
@@ -46,8 +46,8 @@ from .spectral import (
     _real_ends,
     _real_samples,
     _row_blocks,
+    _scratch,
     _work_buffer,
-    apply_pointwise_matrix,
 )
 
 ALPHA_LOWER = 21.0 / 5.0
@@ -92,6 +92,8 @@ class NumericalBlowupError(RuntimeError):
         time: last time with a healthy iterate.
         trace: trace of the stored samples up to that time (None when fewer
             than two were stored; reference_solve stores every store_stride-th).
+            picard_solve's is None: it overwrites its iterate in place, so
+            no healthy iterate is left once the first block is written.
         datum: position of the failing datum in a stacked reference_solve
             (0 for a single datum).
     """
@@ -159,6 +161,10 @@ class SolverConfig:
             raise ValueError("samples_per_unit must be >= 2")
         if not self.reference_dt > 0:
             raise ValueError(f"reference_dt must be > 0, got {self.reference_dt}")
+        if not self.delta >= 0:  # inf turns the gate off, NaN would as well
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     def times(self) -> np.ndarray:
         return _sample_times(self.t_start, self.t_end, self.samples_per_unit)
@@ -183,6 +189,42 @@ class SolveResult:
     reason: str = ""
 
 
+def _retarded_rows(grid: Grid1D, times: np.ndarray, carry: np.ndarray):
+    """The phase table of offsets from times[0] and the retarded integral's block step.
+
+    step(rows, forcing, out, tmp) forms rows `rows` of the integral in out (may
+    be forcing) from the forcing's rows, tmp a work array of their shape, in
+    order from row 0; g of a block's last row and the running sum, which
+    continues np.cumsum's sequential adds, go to the next in carry's rows.
+    """
+    h = (times[-1] - times[0]) / (times.size - 1)
+    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * h:
+        raise ValueError("the retarded integral needs uniformly spaced times")
+    up, w = _airy_table(grid, times - times[0], 1j), _phi2_weights(grid, h)
+    w_bar, done = np.conjugate(w), 0  # rows formed
+
+    def step(rows, forcing, out, tmp):
+        nonlocal done
+        # the phase stays the left operand: complex products are not bytewise
+        # commutative where numpy's multiply loop uses fused multiply-adds
+        g = np.multiply(np.conjugate(up[rows], out=tmp), forcing, out=out)
+        np.multiply(w, g[:-1], out=tmp[1:])  # w g_{k-1}, the first row's from carry
+        if done:
+            np.multiply(w, carry[0], out=tmp[0])
+        carry[0] = g[-1]
+        steps = g[not done:]  # row 0 takes no step
+        np.add(np.multiply(w_bar, steps, out=steps), tmp[not done:], out=steps)
+        if done > 1:
+            np.add(carry[1], steps[0], out=steps[0])
+        carry[1] = np.cumsum(steps, axis=0, out=steps)[-1] if len(steps) else 0.0
+        if not done:
+            g[0] = 0.0
+        done += len(g)
+        _real_ends(np.multiply(up[rows], g, out=g))
+
+    return up, step
+
+
 def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> TimeTrace:
     """Mode-wise retarded integral of a forcing trace from its first time t0.
 
@@ -194,31 +236,57 @@ def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> T
     not grow with xi^3 h.  The phases are the table of offsets t - t0 that
     free_evolution reads, so traces whose offsets are equal bit for bit give
     the same bytes wherever they sit in time.  The result's zero and unpaired
-    modes are real.  It is formed in place in out, an array of the forcing's
-    shape, if given (out may be forcing.coeffs), else in a new array.
+    modes are real.  It is formed a row block at a time (_retarded_rows) in
+    out, of the forcing's shape (it may be forcing.coeffs), or a new array.
     """
-    times = forcing.times
-    h = (times[-1] - times[0]) / (times.size - 1)
-    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * h:
-        raise ValueError("the retarded integral needs uniformly spaced times")
-    up = _airy_table(forcing.grid, times - times[0], 1j)
-    w = _phi2_weights(forcing.grid, h)
     result = np.empty_like(forcing.coeffs) if out is None else out
-    for rows in _row_blocks(result):
-        # the phase stays the left operand: complex products are not bytewise
-        # commutative where numpy's multiply loop uses fused multiply-adds
-        np.multiply(np.conjugate(up[rows]), forcing.coeffs[rows], out=result[rows])
-    later, earlier = result[1:], result[:-1]
-    # last block first, and w g_k before conj(w) g_{k+1} overwrites the block,
-    # so each block reads the rows before it unchanged; first is block-sized
-    for block in reversed(_row_blocks(later)):
-        first = w * earlier[block]
-        np.add(np.multiply(np.conjugate(w), later[block], out=later[block]), first,
-               out=later[block])
-    np.cumsum(later, axis=0, out=later)
-    result[0] = 0.0
-    np.multiply(up, result, out=result)
-    return TimeTrace(forcing.grid, times, _real_ends(result))
+    blocks = _row_blocks(result)
+    rows, n = result[blocks[0]].shape
+    work = np.empty((rows + 2, n), complex)
+    step = _retarded_rows(forcing.grid, forcing.times, work[rows:])[1]
+    for b in blocks:
+        step(b, forcing.coeffs[b], result[b], work[:len(result[b])])
+    return TimeTrace(forcing.grid, forcing.times, result)
+
+
+def _duhamel_rows(coeffs: np.ndarray, times: np.ndarray, u0: SpectralField,
+                  G: NonlinearityG, pad: int, rc: Optional[float] = None) -> Optional[float]:
+    """Overwrite an iterate's rows with its integral map (duhamel_map), in half row blocks.
+
+    Each block runs the power map, i xi, the retarded step, mu and the free
+    term with the whole trace's operands and order, so the bytes are its.
+    With rc, the new rows must be finite (else NumericalBlowupError, with no
+    trace), and the largest lhat_rows at rc of their change is returned.
+    The block arrays are in one work buffer: the fine spectrum (the samples
+    in it), the mapped samples, and new rows, a spare block and carried rows.
+    """
+    n, m = u0.grid.size // 2 + 1, pad * u0.grid.size
+    blocks = _row_blocks(coeffs, halved=True)
+    b = len(coeffs[blocks[0]])
+    fine_bytes = 16 * b * (m // 2 + 1)
+    # the last array first, so the buffer grows at most once
+    coarse = _scratch((2 * b + 2, n), complex, fine_bytes + 8 * b * m)
+    fine, mapped = _scratch((b, m // 2 + 1), complex), _scratch((b, m), float, fine_bytes)
+    up, step = _retarded_rows(u0.grid, times, coarse[2 * b:])
+    # i xi of the unpaired mode makes it imaginary; the integral keeps it
+    # until its result's modes are made real
+    i_xi, dist = 1j * _plan(u0.grid.half_length, u0.grid.size).xi, 0.0
+    for rows in blocks:
+        old = coeffs[rows]
+        k = len(old)
+        new, tmp, work = coarse[:k], coarse[b:b + k], mapped[:k]
+        _dealiased_map(old, u0.grid, partial(G.apply_values, out=work), pad,
+                       fine[:k].view(float)[..., :m], tmp, fine[:k], new)
+        step(rows, np.multiply(i_xi, new, out=new), new, tmp)
+        np.multiply(G.mu, new, out=new)
+        np.add(_real_ends(np.multiply(up[rows], u0.modes, out=tmp)), new, out=new)
+        if rc is not None:
+            if not np.all(np.isfinite(new, out=np.ndarray(new.shape, bool, work))):
+                raise NumericalBlowupError("iterate left the finite regime", time=float(times[0]))
+            dist = max(dist, float(np.max(lhat_rows(np.subtract(new, old, out=tmp),
+                                                    u0.grid.dxi, rc))))
+        old[...] = new
+    return dist if rc is not None else None
 
 
 def duhamel_map(v: TimeTrace, u0: SpectralField, G: NonlinearityG,
@@ -227,22 +295,13 @@ def duhamel_map(v: TimeTrace, u0: SpectralField, G: NonlinearityG,
 
     On the times of v, from their first time t0, returns
     exp(-(t - t0) d_x^3) u0 + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
-    formed in the flux's array: one trace-sized allocation per step.  The
-    free term is added one row block at a time from the phase table the
-    retarded integral reads, with the bytes of free_evolution's rows, so no
-    free trace is held.
+    formed in a copy of v's rows by picard_solve's pass (_duhamel_rows), its
+    free term from the retarded integral's phase table with free_evolution's bytes.
     """
     if v.grid != u0.grid:
         raise ValueError("iterate and datum live on different grids")
-    flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=cfg.pad)
-    # i xi of the unpaired mode makes it imaginary; the integral keeps it
-    # until its result's modes are made real
-    np.multiply(1j * _plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
-    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), out=flux).coeffs
-    np.multiply(G.mu, coeffs, out=coeffs)
-    up = _airy_table(v.grid, v.times - v.times[0], 1j)
-    for rows in _row_blocks(coeffs):
-        np.add(_real_ends(up[rows] * u0.modes), coeffs[rows], out=coeffs[rows])
+    coeffs = v.coeffs.copy()
+    _duhamel_rows(coeffs, v.times, u0, G, cfg.pad)
     return TimeTrace(v.grid, v.times, coeffs)
 
 
@@ -290,16 +349,15 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
     The iteration starts from the free evolution; when the free-evolution
     smallness exceeds delta the gate declines to iterate and a not-converged
     result is returned (split the interval and retry in that case).  A NaN
-    or overflow in an iterate raises NumericalBlowupError carrying the last
-    healthy iterate.
+    or overflow in an iterate raises NumericalBlowupError with no trace.
 
     Grid and sample times are fixed, so one phase table of offsets from
-    t_start serves the free trace, each map's free term and every retarded
-    integral (shared in a _shared_tables scope, which joins a glued run's).
-    The free trace, built once for the gate and the first iterate, goes
-    with that iterate: a step holds the table, the iterate and the flux,
-    and its map's work is one _work_buffer scope's, opened around the loop
-    only (in it the gate's norms would keep their powers for the solve).
+    t_start serves the free trace and each step (shared in a _shared_tables
+    scope, which joins a glued run's).  The free trace, built for the gate,
+    is the first iterate; each step overwrites it a half block of rows at a
+    time (_duhamel_rows), with the update distance: it holds the table, one
+    trace and block work from one _work_buffer scope, opened around the
+    loop only (in it the gate's norms would keep their powers).
     """
     _wellposed_guard(G, cfg)
     times = cfg.times()
@@ -309,37 +367,21 @@ def picard_solve(u0: SpectralField, G: NonlinearityG, cfg: SolverConfig) -> Solv
         eps = sum(_size_norms(v, G.alpha))
         if eps > cfg.delta:
             return SolveResult(
-                trace=v, converged=False, iterations=0, epsilon=eps,
-                delta=cfg.delta,
-                reason=f"smallness gate: epsilon {eps:.6g} exceeds delta {cfg.delta:.6g}",
-            )
+                trace=v, converged=False, iterations=0, epsilon=eps, delta=cfg.delta,
+                reason=f"smallness gate: epsilon {eps:.6g} exceeds delta {cfg.delta:.6g}")
         dists: List[float] = []
         factors: List[float] = []
-        converged = False
-        reason = "max iterations reached"
-        iterations = 0
         with _work_buffer():
             for iterations in range(1, cfg.max_iterations + 1):
-                w = duhamel_map(v, u0, G, cfg)
-                if not np.all(np.isfinite(w.coeffs)):
-                    raise NumericalBlowupError(
-                        "iterate left the finite regime", time=float(times[0]), trace=v,
-                    )
-                dist = max(float(np.max(lhat_rows(w.coeffs[b] - v.coeffs[b], u0.grid.dxi, rc)))
-                           for b in _row_blocks(w.coeffs))
-                dists.append(dist)
+                dists.append(_duhamel_rows(v.coeffs, times, u0, G, cfg.pad, rc))
                 if len(dists) >= 2 and dists[-2] > 0.0:
                     factors.append(dists[-1] / dists[-2])
-                v = w
-                if dist <= cfg.tolerance:
-                    converged = True
-                    reason = ""
+                if dists[-1] <= cfg.tolerance:
                     break
-    return SolveResult(
-        trace=v, converged=converged, iterations=iterations, epsilon=eps,
-        delta=cfg.delta, update_distances=dists, contraction_factors=factors,
-        reason=reason,
-    )
+    converged = dists[-1] <= cfg.tolerance
+    return SolveResult(trace=v, converged=converged, iterations=iterations, epsilon=eps,
+                       delta=cfg.delta, update_distances=dists, contraction_factors=factors,
+                       reason="" if converged else "max iterations reached")
 
 
 def _mass_drift(trace: TimeTrace) -> Tuple[float, float]:

@@ -90,7 +90,8 @@ class _Plan:
     xi3 the product xi*xi*xi, which is odd bitwise, unlike numpy's SIMD
     array power xi**3.  half_forward and half_inverse are the scales on
     bins k = 0 .. N/2: (-1)^k dx / sqrt(2 pi) after an rfft, and
-    (-1)^k dxi / sqrt(2 pi) before an unnormalized irfft.
+    (-1)^k dxi / sqrt(2 pi) before an unnormalized irfft, stored as complex
+    (r, +0.0): numpy casts a real row so, through a buffer, to multiply.
     """
 
     __slots__ = ("grid", "xi", "xi3", "half_forward", "half_inverse")
@@ -103,8 +104,8 @@ class _Plan:
         self.grid = grid
         self.xi = k * (math.pi / half_length)  # as grid.frequencies, folded
         self.xi3 = self.xi * self.xi * self.xi
-        self.half_forward = (grid.dx / SQRT_2PI) * signs
-        self.half_inverse = (grid.dxi / SQRT_2PI) * signs
+        self.half_forward = ((grid.dx / SQRT_2PI) * signs).astype(complex)
+        self.half_inverse = ((grid.dxi / SQRT_2PI) * signs).astype(complex)
         for arr in (grid.points, grid.frequencies, self.xi, self.xi3,
                     self.half_forward, self.half_inverse):
             arr.flags.writeable = False

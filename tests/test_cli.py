@@ -114,6 +114,18 @@ def test_a_non_finite_datum_parameter_exits_one_without_a_report(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--delta", "nan"], "error: delta must be >= 0, got nan\n"),
+    (["--max-iterations", "0"], "error: max_iterations must be >= 1, got 0\n"),
+])
+def test_a_gate_or_loop_that_cannot_run_exits_one(tmp_path, capsys, argv, err):
+    """delta NaN passed every datum through the gate; --max-iterations 0 ran no map and exited 2."""
+    assert run(tmp_path, ["solve", "--size", "32", "--half-length", "8", "--t-end", "0.25"]
+               + argv) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("per_unit", ["1", "0", "-3"])
 def test_verify_below_two_samples_per_unit_exits_one(tmp_path, capsys, per_unit):
     """The sampler's floor of 2 intervals used to run while the report echoed the value."""

@@ -484,6 +484,72 @@ def test_picard_solve_in_row_blocks_matches_the_whole_trace_loop_bytewise(mu, mo
     _assert_equal_values(unfold(res.trace.coeffs), v)
 
 
+def _whole_trace_map(v, u0, G, pad):
+    """The integral map in one block of the whole trace: the formula the row-block pass follows."""
+    flux = apply_pointwise_matrix(v.coeffs, v.grid, G.apply_values, pad=pad)
+    np.multiply(1j * spectral._plan(v.grid.half_length, v.grid.size).xi, flux, out=flux)
+    coeffs = retarded_integral(TimeTrace(v.grid, v.times, flux), out=flux).coeffs
+    np.multiply(G.mu, coeffs, out=coeffs)
+    return np.add(free_evolution(u0, v.times, t0=v.times[0]).coeffs, coeffs, out=coeffs)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("mu", [1.0, -1.0])
+def test_row_block_pass_gives_the_one_block_bytes(rows, mu, monkeypatch):
+    """picard_solve, duhamel_map and retarded_integral on 33 rows split in blocks of rows.
+
+    Blocks end mid-trace, so the carried g row and running sum both cross
+    block edges; with rows = 1 the first block is row 0 alone, which starts
+    no sum.  Iterates, update distances and maps are the bytes of the same
+    formulas on the whole trace in one block.
+    """
+    G = NonlinearityG(alpha=5.0, mu=mu)
+    u0 = 1.5 * random_band_limited(GRID, decay=1.0, band=GRID.size // 4, seed=7)
+    cfg = SolverConfig(grid=GRID, t_start=0.25, t_end=1.25, samples_per_unit=32)
+    times, rc = cfg.times(), critical_exponent(G.alpha)
+    v = free_evolution(u0, times, t0=cfg.t_start)
+    assert len(spectral._row_blocks(v.coeffs)) == 1
+    forcing = free_evolution(gaussian_profile(GRID, 0.6), times, t0=cfg.t_start)
+    want_integral = retarded_integral(forcing).coeffs
+    want_map = _whole_trace_map(v, u0, G, cfg.pad)
+    iterate, dists = v.coeffs, []
+    while not dists or dists[-1] > cfg.tolerance:
+        new = _whole_trace_map(TimeTrace(GRID, times, iterate), u0, G, cfg.pad)
+        dists.append(float(np.max(lhat_rows(new - iterate, GRID.dxi, rc))))
+        iterate = new
+
+    with monkeypatch.context() as patch:  # whole blocks of rows
+        _blocks_of(patch, rows, GRID)
+        assert len(spectral._row_blocks(forcing.coeffs)) == -(-times.size // rows)
+        assert retarded_integral(forcing).coeffs.tobytes() == want_integral.tobytes()
+    _blocks_of(monkeypatch, 2 * rows, GRID)  # half blocks of rows
+    assert len(spectral._row_blocks(v.coeffs, halved=True)) == -(-times.size // rows)
+    assert solver.duhamel_map(v, u0, G, cfg).coeffs.tobytes() == want_map.tobytes()
+    res = picard_solve(u0, G, cfg)
+    assert res.converged and res.update_distances == dists and len(dists) >= 3
+    assert res.trace.coeffs.tobytes() == iterate.tobytes()
+
+
+def test_a_picard_blowup_carries_no_trace():
+    """The iterate is overwritten in place, so no healthy iterate is left to carry."""
+    cfg = SolverConfig(grid=GRID, t_start=0.5, t_end=0.75, samples_per_unit=32,
+                       delta=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalBlowupError, match="finite regime") as info:
+        picard_solve(gaussian_profile(GRID, 5.0), G5, cfg)
+    assert info.value.trace is None and info.value.time == 0.5 and info.value.datum == 0
+
+
+@pytest.mark.parametrize("bad", [{"delta": math.nan}, {"delta": -1.0},
+                                 {"max_iterations": 0}, {"max_iterations": -3}])
+def test_solver_config_refuses_a_gate_or_loop_that_cannot_run(bad):
+    """A NaN delta made the gate never decline; no iterations ran no map."""
+    with pytest.raises(ValueError, match=f"{next(iter(bad))} must be >= "):
+        SolverConfig(grid=GRID, **bad)
+    for fine in ({"delta": math.inf}, {"delta": 0.0}, {"max_iterations": 1}):
+        SolverConfig(grid=GRID, **fine)
+
+
 def _own_peak(call):
     """Bytes a call allocates above what is live when it starts, at its peak."""
     tracemalloc.start()
@@ -518,25 +584,28 @@ def test_trace_kernels_hold_their_result_and_a_few_blocks():
         assert _own_peak(lambda: solver.duhamel_map(v, v.field(0), G5, cfg)) <= result + budget
 
 
-def test_a_picard_step_holds_the_table_and_two_traces():
-    """A Picard solve drops its free trace once the first map returns.
+def test_a_picard_step_holds_the_table_and_one_trace():
+    """A Picard step overwrites its iterate in place, one row block at a time.
 
     257 rows at N = 4096, two iterations: the solve's own peak is its phase
-    table, the iterate and the flux, plus at most 4 pad blocks.  Holding the
-    free trace through every step, as a fourth trace, peaked above that.
+    table, the iterate and the gate's (M, N) powers, plus at most 2 blocks
+    of work.  A step that formed the new iterate in a second trace, as
+    before, peaked at 30.8 MB, above that.
     """
     grid = Grid1D(1024.0, 4096)
     cfg = SolverConfig(grid=grid, t_start=0.0, t_end=2.0, tolerance=0.0, max_iterations=2)
     u0 = gaussian_profile(grid, 0.05)
     trace = cfg.times().size * (grid.size // 2 + 1) * 16
-    budget = 4 * cfg.pad * spectral._BLOCK_BYTES
+    powers = cfg.times().size * grid.size * 8
+    budget = 2 * spectral._BLOCK_BYTES
     res = []
-    assert _own_peak(lambda: res.append(picard_solve(u0, G5, cfg))) <= 3 * trace + budget
+    peak = _own_peak(lambda: res.append(picard_solve(u0, G5, cfg)))
+    assert peak <= 2 * trace + powers + budget < 30.8e6
     assert res[0].iterations == 2 and res[0].trace.coeffs.nbytes == trace
 
 
 def test_a_picard_loop_maps_in_one_work_buffer(monkeypatch):
-    """Every iteration's pointwise map sees the same work buffer, and none outlives the solve."""
+    """Every block map of every iteration sees the same work buffer, and none outlives the solve."""
     cfg = SolverConfig(grid=GRID, t_start=0.0, t_end=1.0, tolerance=0.0, max_iterations=3)
     buffers = []
 
@@ -546,7 +615,8 @@ def test_a_picard_loop_maps_in_one_work_buffer(monkeypatch):
 
     monkeypatch.setattr(NonlinearityG, "apply_values", apply_values)
     res = picard_solve(gaussian_profile(GRID, 0.05), G5, cfg)
-    assert res.iterations == 3 and len(buffers) == 3
+    blocks = len(spectral._row_blocks(res.trace.coeffs, halved=True))
+    assert res.iterations == 3 and blocks > 1 and len(buffers) == 3 * blocks
     assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
     assert spectral._work.get() is None
 
@@ -637,9 +707,9 @@ def test_no_phase_table_outlives_picard_solve(monkeypatch):
     res = picard_solve(gaussian_profile(GRID, 0.05), G5,
                        SolverConfig(grid=GRID, t_start=0.5, t_end=1.5, samples_per_unit=32))
     assert res.iterations >= 2
-    # the free trace, then per iteration the retarded integral and the free
-    # term, all reading the one read-only table of offsets from the start
-    assert len(made) == 1 + 2 * res.iterations
+    # the free trace, then per iteration the pass's retarded integral and
+    # free term, all reading the one read-only table of offsets from the start
+    assert len(made) == 1 + res.iterations
     assert len({id(t) for t, _ in made}) == 1
     assert not made[0][0].flags.writeable
     _assert_none_outlive(made)
@@ -650,7 +720,7 @@ def test_equal_dyadic_segments_share_one_phase_table(monkeypatch):
     cfg = SolverConfig(grid=GRID, t_start=0.5, t_end=2.5, samples_per_unit=32)
     glued = glued_solve(gaussian_profile(GRID, 0.05), G5, cfg, segment_length=0.5)
     assert glued.converged and len(glued.segments) == 4
-    assert len(made) == sum(1 + 2 * seg["iterations"] for seg in glued.segments)
+    assert len(made) == sum(1 + seg["iterations"] for seg in glued.segments)
     assert len({id(t) for t, _ in made}) == 1
     _assert_none_outlive(made)
 

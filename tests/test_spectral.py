@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,43 @@ def test_row_blocks_map_like_one_block_bytewise(case, pad, monkeypatch):
     monkeypatch.setattr(spectral, "_BLOCK_BYTES", block_rows * coeffs.nbytes // lead[-1])
     assert len(spectral._row_blocks(coeffs)) == -(-lead[-1] // block_rows) > 1
     _assert_same_bytes(mapped(), want)
+
+
+def test_plan_scales_are_complex_rows_with_the_real_scales_bytes():
+    """half_forward and half_inverse are stored as (r, +0.0).
+
+    numpy multiplies complex by real only in its complex loop, after casting
+    the real operand so through an iterator buffer: the stored rows give
+    the same bytes, special values too, and a row's multiply allocates no
+    buffer.
+    """
+    plan = spectral._plan(24.0, 96)
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2e-308, 1e308]
+    data = np.empty((3, plan.half_forward.size), dtype=complex)
+    for part in (data.real, data.imag):
+        part[...] = rng.standard_normal(data.shape)
+        hit = rng.random(data.shape) < 0.3
+        part[hit] = rng.choice(special, int(hit.sum()))
+    row, out = data[0].copy(), np.empty(data.shape[1], dtype=complex)
+
+    def own_bytes(scale):
+        np.multiply(row, scale, out=out)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            np.multiply(row, scale, out=out)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    for scale in (plan.half_forward, plan.half_inverse):
+        real = scale.real.copy()
+        assert scale.dtype == complex and not np.any(scale.imag) and not np.any(np.signbit(scale.imag))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (data * scale).tobytes() == (data * real).tobytes()
+            assert (row * scale).tobytes() == (row * real).tobytes()
+            assert own_bytes(scale) < row.nbytes <= own_bytes(real)
 
 
 def test_halved_blocks_cover_the_rows_once():
