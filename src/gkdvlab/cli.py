@@ -293,8 +293,9 @@ def _cmd_verify(cfg: dict) -> int:
         if "interval" in entry:
             continue  # interval growth is reported, not gated
         gap = abs(entry["max_ratio"] - base)
-        # a zero base is stable only if the refined leg is zero too
-        drift = max(drift, gap / base if base else (math.inf if gap else 0.0))
+        # a zero base is stable only if the refined leg is zero too; a NaN never is
+        rel = gap / base if base else (math.inf if gap else 0.0)
+        drift = max(drift, math.inf if math.isnan(rel) else rel)
     finite = all(math.isfinite(x) for x in report.ratios)
     passed = finite and drift <= threshold
     doc = _report_skeleton("verify", cfg)

@@ -56,6 +56,10 @@ from .spectral import (
 )
 from .traceio import atomic_write_text, jsonable as _jsonable
 
+# Spectral decay rates of the random data, taken by the samples in turn.
+_DECAYS = (0.6, 1.0, 1.6)
+
+
 @dataclass(frozen=True)
 class EstimateSpec:
     """One configured verification run."""
@@ -69,7 +73,6 @@ class EstimateSpec:
     ensemble: int = 50
     seed: int = 0
     band: Optional[int] = None
-    decays: Tuple[float, ...] = (0.6, 1.0, 1.6)
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -81,13 +84,10 @@ class EstimateSpec:
             raise ValueError(f"empty time interval {self.interval}")
         if not self.amplitude > 0:
             raise ValueError("amplitude must be positive")
-        if not self.decays:
-            raise ValueError("need at least one spectral decay rate")
         if self.samples_per_unit < 2:
             raise ValueError("samples_per_unit must be >= 2")
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "interval", (float(a), float(b)))
-        object.__setattr__(self, "decays", tuple(float(d) for d in self.decays))
 
     def grid(self) -> Grid1D:
         return Grid1D(self.half_length, self.size)
@@ -118,7 +118,8 @@ class EstimateReport:
     def __post_init__(self):
         if not self.refinement:
             raise ValueError("refinement trace must be nonempty")
-        if not (self.max_ratio >= self.mean_ratio >= 0.0):
+        # a NaN ratio fails no comparison: the CLI's finiteness gate judges it
+        if self.max_ratio < self.mean_ratio or self.mean_ratio < 0.0:
             raise ValueError("ratio statistics out of order")
 
     def to_dict(self) -> dict:
@@ -164,7 +165,7 @@ def _ensemble(spec: EstimateSpec, one: Callable,
     rows: List[Optional[dict]] = [None] * spec.ensemble
 
     def sample(i):
-        decay = spec.decays[i % len(spec.decays)]
+        decay = _DECAYS[i % len(_DECAYS)]
         num, den = one(grid, times, band, decay, seeds[i - start])
         if not den > 0:
             raise ArithmeticError(f"degenerate right-hand side for sample {i}")
@@ -691,7 +692,7 @@ def lip_norm_estimate(G: NonlinearityG, mu: float, samples: int = 200) -> float:
 
 
 def _stats(ratios: List[float]) -> dict:
-    return {"max_ratio": float(max(ratios)), "mean_ratio": float(np.mean(ratios))}
+    return {"max_ratio": float(np.max(ratios)), "mean_ratio": float(np.mean(ratios))}
 
 
 def _ensemble_legs(spec: EstimateSpec, row: "_Estimate", resolved: dict):

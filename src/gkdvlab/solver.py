@@ -251,17 +251,18 @@ def retarded_integral(forcing: TimeTrace, out: Optional[np.ndarray] = None) -> T
 
 def _duhamel_rows(coeffs: np.ndarray, times: np.ndarray, u0: SpectralField,
                   G: NonlinearityG, pad: int, rc: Optional[float] = None) -> Optional[float]:
-    """Overwrite an iterate's rows with its integral map (duhamel_map), in half row blocks.
+    """Overwrite an iterate's rows with its integral map (duhamel_map), in row blocks.
 
     Each block runs the power map, i xi, the retarded step, mu and the free
     term with the whole trace's operands and order, so the bytes are its.
     With rc, the new rows must be finite (else NumericalBlowupError, with no
     trace), and the largest lhat_rows at rc of their change is returned.
-    The block arrays are in one work buffer: the fine spectrum (the samples
-    in it), the mapped samples, and new rows, a spare block and carried rows.
+    The block arrays come from the work buffer, in a _work_buffer scope: the
+    fine spectrum (the samples in it), the mapped samples, and new rows, a
+    spare block and carried rows.
     """
     n, m = u0.grid.size // 2 + 1, pad * u0.grid.size
-    blocks = _row_blocks(coeffs, halved=True)
+    blocks = _row_blocks(coeffs)
     b = len(coeffs[blocks[0]])
     fine_bytes = 16 * b * (m // 2 + 1)
     # the last array first, so the buffer grows at most once
@@ -275,8 +276,7 @@ def _duhamel_rows(coeffs: np.ndarray, times: np.ndarray, u0: SpectralField,
         old = coeffs[rows]
         k = len(old)
         new, tmp, work = coarse[:k], coarse[b:b + k], mapped[:k]
-        _dealiased_map(old, u0.grid, partial(G.apply_values, out=work), pad,
-                       fine[:k].view(float)[..., :m], tmp, fine[:k], new)
+        _dealiased_map(old, u0.grid, partial(G.apply_values, out=work), pad, tmp, fine[:k], new)
         step(rows, np.multiply(i_xi, new, out=new), new, tmp)
         np.multiply(G.mu, new, out=new)
         np.add(_real_ends(np.multiply(up[rows], u0.modes, out=tmp)), new, out=new)
@@ -295,13 +295,15 @@ def duhamel_map(v: TimeTrace, u0: SpectralField, G: NonlinearityG,
 
     On the times of v, from their first time t0, returns
     exp(-(t - t0) d_x^3) u0 + mu * integral_{t0}^{t} exp(-(t - t') d_x^3) d_x G(v(t')) dt',
-    formed in a copy of v's rows by picard_solve's pass (_duhamel_rows), its
-    free term from the retarded integral's phase table with free_evolution's bytes.
+    formed in a copy of v's rows by picard_solve's pass (_duhamel_rows), in
+    half blocks of one work buffer as there, its free term from the retarded
+    integral's phase table with free_evolution's bytes.
     """
     if v.grid != u0.grid:
         raise ValueError("iterate and datum live on different grids")
     coeffs = v.coeffs.copy()
-    _duhamel_rows(coeffs, v.times, u0, G, cfg.pad)
+    with _work_buffer():
+        _duhamel_rows(coeffs, v.times, u0, G, cfg.pad)
     return TimeTrace(v.grid, v.times, coeffs)
 
 
@@ -596,10 +598,10 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
     out = np.empty((len(data), idx.size, grid.size // 2 + 1), dtype=complex)
     c = np.stack([u.modes for u in data])
     out[:, 0] = c
-    # the call's arrays, cut to the live data: four stages, a stage's input
-    # and its scaled spectrum; the samples and their power; the fine spectrum
+    # the call's arrays, cut to the live data: four stages, a stage's input and
+    # its scaled spectrum; the samples' power; the fine spectrum, samples in it
     stages = np.empty((6,) + c.shape, dtype=complex)
-    real = np.empty((2, len(data), cfg.pad * grid.size))
+    real = np.empty((len(data), cfg.pad * grid.size))
     fine = np.empty(len(data) * (cfg.pad * grid.size // 2 + 1), dtype=complex)
     kept = 1  # rows of out written
     live = len(data)  # rows 0 .. live-1 of c are data 0 .. live-1
@@ -618,9 +620,9 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
         for _ in range(nsub):
             # per (back, step, e) of steps, k = back * flux(x), then the next x =
             # e * (c + step * k), in place, with the formula's left operands
-            power, x = partial(G.apply_values, out=real[1]), c
+            power, x = partial(G.apply_values, out=real), c
             for k, (back, step, e) in zip(stages, steps):
-                _dealiased_map(x, grid, power, cfg.pad, real[0], stages[5], fine, k)
+                _dealiased_map(x, grid, power, cfg.pad, stages[5], fine, k)
                 np.multiply(flux_multiplier, k, out=k)
                 if back is not None:
                     np.multiply(back, k, out=k)
@@ -642,7 +644,7 @@ def reference_solve(u0: Union[SpectralField, Sequence[SpectralField]], G: Nonlin
                     f"norm left the trusted regime after t = {times[m]:.6g}",
                     time=float(times[m]), trace=head, datum=i,
                 )
-                live, c, stages, real = i, c[:i], stages[:, :i], real[:, :i]
+                live, c, stages, real = i, c[:i], stages[:, :i], real[:i]
                 break
         if m + 1 == idx[kept]:
             out[:live, kept] = c

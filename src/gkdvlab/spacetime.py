@@ -25,10 +25,10 @@ from .spectral import (
     Grid1D,
     SpectralField,
     _check_modes,
-    _map_rows,
     _plan,
     _real_ends,
     _real_samples,
+    _row_blocks,
     _scope,
     _scratch,
     coeffs_to_values,
@@ -287,7 +287,7 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0) -> float:
 
     Time is inside: trapezoid weights on the stored sample times, then the
     lattice sum with weight dx over space; infinite exponents take maxima
-    over the samples.  The rows go through _map_rows into one (M, N) array
+    over the samples.  The rows go through _row_blocks into one (M, N) array
     of |.|^q (|.| at q = inf), through one block-sized coarse spectrum, both
     from the work buffer in a _work_buffer scope.
     """
@@ -295,18 +295,16 @@ def mixed_norm(trace: TimeTrace, p: float, q: float, s: float = 0.0) -> float:
     _validate_exponent("q", q)
     weights = None if s == 0 else riesz_weights(trace.grid, s, half=True)
     powers = _scratch((trace.sample_count, trace.grid.size), float)
-
-    def body(rows, work):
-        block = powers[rows]
-        coeffs = trace.coeffs[rows]
-        spec = np.ndarray(coeffs.shape, complex, work)
+    blocks = _row_blocks(trace.coeffs)
+    spec = _scratch(trace.coeffs[blocks[0]].shape, complex, powers.nbytes)
+    for rows in blocks:
+        block, coeffs = powers[rows], trace.coeffs[rows]
+        work = spec[:len(coeffs)]
         if weights is not None:
-            coeffs = np.multiply(coeffs, weights, out=spec)
-        np.abs(_real_samples(coeffs, trace.grid, 1, block, spec), out=block)
+            coeffs = np.multiply(coeffs, weights, out=work)
+        np.abs(_real_samples(coeffs, trace.grid, 1, block, work), out=block)
         if q != math.inf:
             block **= q
-
-    _map_rows(trace.coeffs, lambda rows: trace.coeffs[rows].nbytes, body, powers.nbytes)
     inner = np.max(powers, axis=0) if q == math.inf \
         else np.einsum("m,mj->j", trapezoid_weights(trace.times), powers) ** (1.0 / q)
     return weighted_power_sum(inner, trace.grid.dx, p)

@@ -403,11 +403,12 @@ _work: ContextVar[list | None] = ContextVar("gkdvlab_work_buffer", default=None)
 def _work_buffer():
     """Let the row kernels called in this scope reuse one work buffer.
 
-    Each thread of a verify ensemble leg opens one, and so does each Picard
-    loop.  The kernels take their throwaway arrays from it, grown to the
-    largest request, instead of fresh pages per sample or iteration.  No
-    kernel returns a view of it, and no pointwise map's func may call
-    mixed_norm or apply_pointwise_matrix.
+    Each thread of a verify ensemble leg opens one, and so do each Picard
+    loop and duhamel_map.  The kernels take their throwaway arrays from it,
+    grown to the largest request, instead of fresh pages per sample or
+    iteration, and take rows in half blocks (_row_blocks).  No kernel
+    returns a view of it, and no pointwise map's func may call mixed_norm
+    or apply_pointwise_matrix.
     """
     return _scope(_work, lambda: [np.empty(0, dtype=np.uint8)])
 
@@ -424,9 +425,11 @@ def _scratch(shape: tuple, dtype, offset: int = 0) -> np.ndarray:
     return work[0][offset:end].view(dtype).reshape(shape)
 
 
-def _row_blocks(a: np.ndarray, halved: bool = False) -> list:
-    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES (halved: half that, at
-    most half the rows rounded up) or one row each; 1-d or one whole block: [...]."""
+def _row_blocks(a: np.ndarray) -> list:
+    """Indices of blocks of rows (axis -2) of a, _BLOCK_BYTES or one row each; 1-d or
+    one whole block: [...].  Inside a _work_buffer scope, where two samples' or a
+    Picard step's work is in flight, half that, at most half the rows rounded up."""
+    halved = _work.get() is not None
     if a.ndim < 2 or (a.nbytes <= _BLOCK_BYTES and not halved):
         return [...]
     rows = a.shape[-2]
@@ -438,9 +441,6 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-_busy = threading.Lock()  # held while an ensemble leg maps its samples on two threads
-
-
 def _map_items(items, func) -> None:
     """Call func(item) on each item: on this thread and on a helper thread
     started for this call and joined before it returns, in a copy of this
@@ -448,8 +448,8 @@ def _map_items(items, func) -> None:
 
     Both take items in order from one iterator.  After an exception neither
     takes another; once both are done, the one of the lowest item is re-raised
-    (every item before it has run, as on one thread).  On one CPU, or with the
-    helper taken (_busy), this thread maps alone.
+    (every item before it has run, as on one thread).  On one CPU this
+    thread maps alone.
     """
     pending, errors = enumerate(items), {}
 
@@ -462,7 +462,7 @@ def _map_items(items, func) -> None:
         except BaseException as exc:
             errors[i] = exc
 
-    helped = _cpus() > 1 and _busy.acquire(blocking=False)
+    helped = _cpus() > 1
     if helped:
         ctx = copy_context()
         ctx.run(_work.set, None if _work.get() is None else [np.empty(0, dtype=np.uint8)])
@@ -471,34 +471,21 @@ def _map_items(items, func) -> None:
     run()
     if helped:
         helper.join()
-        _busy.release()
     if errors:
         raise errors[min(errors)]
 
 
-def _map_rows(a: np.ndarray, nbytes, body, offset: int = 0) -> None:
-    """Call body(rows, work) on each block of rows of a, on this thread, work
-    being nbytes(largest block) bytes from offset on of the work buffer.
-
-    Inside an ensemble sample, where the helper is taken (_busy) and two
-    samples' work is in flight, the blocks are half blocks, halving even one
-    block; elsewhere they are whole.
-    """
-    blocks = _row_blocks(a, halved=_busy.locked())
-    work = _scratch((nbytes(blocks[0]),), np.uint8, offset)
-    for rows in blocks:
-        body(rows, work)
-
-
-def _dealiased_map(block, grid, func, pad, samples, spec, fine, target) -> None:
+def _dealiased_map(block, grid, func, pad, spec, fine, target) -> None:
     """The dealiased map of a block of half-spectra rows, into arrays the caller owns.
 
-    The block, scaled into spec (fresh if None), is irfft'd into samples
-    (real, pad*N per row, last axis contiguous); func maps them, the rfft
-    of its result goes into the bytes of fine, and its bins 0 .. N/2,
-    scaled, into target, with real ends.
+    The block, scaled into spec (fresh if None), is irfft'd into real
+    samples (pad*N per row, contiguous) in the bytes of fine, a contiguous
+    array of at least the block's rows times pad*N/2 + 1 complex; func maps
+    them, the rfft of its result goes into those bytes, and its bins
+    0 .. N/2, scaled, into target, with real ends.
     """
     half, m = grid.size // 2, pad * grid.size
+    samples = np.ndarray(block.shape[:-1] + (m,), float, fine)
     mapped = np.asarray(func(_real_samples(block, grid, pad, samples, spec)))
     if mapped.shape[-1] != m or mapped.shape[:-1] != target.shape[:-1]:
         raise ValueError(f"pointwise map returned shape {mapped.shape}, expected last "
@@ -523,20 +510,15 @@ def apply_pointwise_matrix(coeffs: np.ndarray, grid: Grid1D, func, pad: int = 2,
     coeffs or a row-aligned part of it: a block's rows are read before they
     are written.  func keeps the rows along axis -2 and may combine the
     axes before it only as far as out's shape does.  The rows go through
-    _map_rows on the calling thread: each block's samples, then the rfft of
-    its mapped samples, go into one fine complex block of work, and its
+    _row_blocks on the calling thread: each block's samples, then the rfft
+    of its mapped samples, go into one fine complex block of work, and its
     coarse spectrum is fresh, freed before func runs.
     """
     coeffs = np.asarray(coeffs)
     _check_modes(coeffs, grid)
-    m = pad * grid.size
-    fine = (m // 2 + 1,)
     out = np.empty(coeffs.shape, dtype=complex) if out is None else out
-
-    def body(rows, work):
-        block = coeffs[rows]
-        samples = np.ndarray(block.shape[:-1] + fine, complex, work).view(float)[..., :m]
-        _dealiased_map(block, grid, func, pad, samples, None, work, out[rows])
-
-    _map_rows(coeffs, lambda rows: math.prod(coeffs[rows].shape[:-1]) * 16 * fine[0], body)
+    blocks = _row_blocks(coeffs)
+    fine = _scratch(coeffs[blocks[0]].shape[:-1] + (pad * grid.size // 2 + 1,), complex)
+    for rows in blocks:
+        _dealiased_map(coeffs[rows], grid, func, pad, None, fine, out[rows])
     return out

@@ -274,6 +274,22 @@ def test_drift_gate_with_a_zero_base(tmp_path, monkeypatch, refined, drift, code
     assert doc["passed"] is (code == 0)
 
 
+def test_a_nan_ratio_fails_the_gate_with_a_report(tmp_path, capsys):
+    """At amplitude 1e100 the power map overflows and every ratio is NaN.
+
+    The report used to refuse NaN statistics, so the run exited 1 with no
+    report; now the gate judges them: exit 2, an infinite drift, a report.
+    """
+    argv = ["verify", "--id", "nonlinear_ii", "--amplitude", "1e100", "--size", "64",
+            "--half-length", "16", "--samples-per-unit", "16", "--ensemble", "4"]
+    with np.errstate(all="ignore"):
+        assert run(tmp_path, argv) == 2
+    doc = load_report(tmp_path)
+    assert doc["passed"] is False and doc["stability"]["drift"] == "inf"
+    assert doc["report"]["max_ratio"] == "nan"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 ENERGY = ["scatter", "--protocol", "energy-threshold", "--mu", "-1", "--t-end", "2",
           "--size", "256", "--half-length", "64"]
 

@@ -4,7 +4,8 @@ estimates._ensemble maps a leg's samples on the calling thread and a
 helper thread, started for the leg and joined before it ends, through
 spectral._map_items.  spectral._cpus is the seam that
 turns the helper on or off here.  A sample that fails makes the run fail
-with the error of the lowest failing sample, as a run on one thread does.
+with the error of the lowest failing sample, as a run on one thread does;
+a shape error or np.errstate on the helper reaches the caller as its own.
 """
 
 import sys
@@ -21,8 +22,9 @@ from gkdvlab.cli import main
 from gkdvlab.estimates import ESTIMATE_IDS, EstimateSpec, _REGISTRY, _ensemble
 from gkdvlab.solver import NonlinearityG
 from gkdvlab.spacetime import _airy_table, _phi2_weights, _shared_tables, free_evolution
-from gkdvlab.spectral import Grid1D, apply_pointwise_matrix, random_band_limited
+from gkdvlab.spectral import Grid1D, apply_pointwise_matrix, gaussian_profile, random_band_limited
 
+G5 = NonlinearityG(alpha=5.0)
 SMALL = ["--size", "64", "--half-length", "16", "--ensemble", "6", "--seed", "3"]
 TRACED = [i for i in ESTIMATE_IDS if not _REGISTRY[i].static]
 ROWS = dict(_REGISTRY)
@@ -189,17 +191,18 @@ def test_a_degenerate_denominator_names_the_sample_of_one_thread(tmp_path, monke
 
 def test_a_multi_block_map_inside_a_sample_maps_alone(monkeypatch):
     """Each sample maps a trace of several row blocks and one of a single block:
-    on the sample's own thread, in half blocks (the single block halved too),
-    with the bytes of a map outside any sample, and no wait."""
+    on the sample's own thread, in the half blocks of its thread's work-buffer
+    scope (the single block halved too), with the bytes of a map outside
+    every scope, and no wait."""
     grid = Grid1D(256.0, 1024)
-    G5 = NonlinearityG(alpha=5.0)
     long = free_evolution(random_band_limited(grid, 1.0, 128, 9), np.linspace(0.0, 2.0, 257))
     short = long.restricted(1.0).coeffs
     assert len(spectral._row_blocks(long.coeffs)) > 1 and len(spectral._row_blocks(short)) == 1
-    # half blocks, as two threads take them
-    traces = [(c, apply_pointwise_matrix(c, grid, G5.apply_values).tobytes(),
-               len(spectral._row_blocks(c, halved=True))) for c in (long.coeffs, short)]
-    assert traces[0][2] > len(spectral._row_blocks(long.coeffs)) and traces[1][2] == 2
+    with spectral._work_buffer():  # the half blocks of a scope
+        halves = [len(spectral._row_blocks(c)) for c in (long.coeffs, short)]
+    traces = [(c, apply_pointwise_matrix(c, grid, G5.apply_values).tobytes(), n)
+              for c, n in zip((long.coeffs, short), halves)]
+    assert halves[0] > len(spectral._row_blocks(long.coeffs)) and halves[1] == 2
     runs = []
 
     def one(grid_, times, band, decay, child):
@@ -226,6 +229,78 @@ def test_a_multi_block_map_inside_a_sample_maps_alone(monkeypatch):
     assert not outer.is_alive() and len(done) == 1
     assert len(runs) == 8 and len({mine for mine, _ in runs}) == 2
     assert all(ok for _, ok in runs)
+
+
+def _on_two_threads(task):
+    """task() once on each thread of one _map_items call, both at the same time,
+    as two ensemble samples run; the results in no particular order."""
+    together, got = threading.Barrier(2), {}
+
+    def item(_):
+        together.wait(timeout=60)  # one item on each thread
+        got[threading.current_thread()] = task()
+
+    spectral._map_items([0, 1], item)
+    assert len(got) == 2
+    return list(got.values())
+
+
+def _long_trace():
+    """257 rows at N = 1024: several row blocks."""
+    grid = Grid1D(256.0, 1024)
+    datum = gaussian_profile(grid, 0.3) + random_band_limited(grid, 1.0, 128, 1024)
+    return free_evolution(datum, np.linspace(0.0, 2.0, 257))
+
+
+def test_a_shape_error_on_the_helper_reaches_the_caller(monkeypatch):
+    """A map's shape error inside a sample on the leg's helper thread is the leg's
+    error, raised once the helper is joined."""
+    _cpus(monkeypatch, 2)
+    trace = _long_trace()
+    helper = []
+
+    def func(v):
+        if threading.current_thread() is threading.main_thread():
+            return G5.apply_values(v)
+        helper.append(v.shape)
+        return v[..., ::2]
+
+    with pytest.raises(ValueError, match="pointwise map returned shape") as info:
+        _on_two_threads(lambda: apply_pointwise_matrix(trace.coeffs, trace.grid, func))
+    assert helper and info.value.args[0].startswith(
+        f"pointwise map returned shape {helper[0][:-1] + (trace.grid.size,)}")
+    assert not [t for t in threading.enumerate() if t.name == "gkdvlab-rows"]
+    # the next call maps on both threads again
+    want = apply_pointwise_matrix(trace.coeffs, trace.grid, G5.apply_values)
+    for got in _on_two_threads(
+            lambda: apply_pointwise_matrix(trace.coeffs, trace.grid, G5.apply_values)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("on_helper", [False, True])
+def test_errstate_holds_on_both_threads(on_helper, monkeypatch):
+    """np.errstate is a context variable: the leg's helper runs in a copy of the caller's context."""
+    _cpus(monkeypatch, 2)
+    trace = _long_trace()
+    overflowed = []
+
+    def func(v):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller != on_helper:
+            overflowed.append(on_caller)
+            return v * 1e308 * 1e308
+        return np.array(v)
+
+    def task():
+        return apply_pointwise_matrix(trace.coeffs, trace.grid, func)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _on_two_threads(task)
+    assert overflowed and all(on_caller != on_helper for on_caller in overflowed)
+    with np.errstate(all="ignore"):
+        outs = _on_two_threads(task)
+    assert sorted(bool(np.all(np.isfinite(out))) for out in outs) == [False, True]
 
 
 def test_two_threads_in_one_scope_build_a_table_once(monkeypatch):

@@ -47,8 +47,6 @@ def test_spec_validation():
         EstimateSpec("kato", interval=(1.0, 1.0))
     with pytest.raises(ValueError):
         EstimateSpec("kato", amplitude=0.0)
-    with pytest.raises(ValueError):
-        EstimateSpec("kato", decays=())
     with pytest.raises(ValueError, match="samples_per_unit"):
         EstimateSpec("kato", samples_per_unit=1)
 

@@ -1,20 +1,22 @@
-"""The row kernels on the two threads of a verify leg: the same bytes as alone, and the same failures.
+"""The row kernels read no thread state: their blocks follow the work-buffer scope alone.
 
-apply_pointwise_matrix and mixed_norm map their row blocks on the calling
-thread only.  A verify leg maps its ensemble samples on the calling thread
-and a helper thread through spectral._map_items, and a kernel called inside
-a sample there maps its rows in half blocks.  spectral._cpus is the seam
-that turns the leg's helper on or off here.
+apply_pointwise_matrix, mixed_norm, retarded_integral and the Picard pass
+(solver._duhamel_rows, duhamel_map) map their rows on the calling thread.
+Inside a spectral._work_buffer() scope, which each thread of a verify leg
+and each Picard loop holds, they take half blocks; outside every scope,
+whole blocks.  Rows never mix, so both give the same bytes.  No test here
+starts a thread; tests/test_ensemble_threads.py checks the leg's threads.
 """
 
+import contextlib
 import math
 import threading
 
 import numpy as np
 import pytest
 
-from gkdvlab import spectral
-from gkdvlab.solver import NonlinearityG
+from gkdvlab import solver, spacetime, spectral
+from gkdvlab.solver import NonlinearityG, SolverConfig, retarded_integral
 from gkdvlab.spacetime import free_evolution, mixed_norm
 from gkdvlab.spectral import Grid1D, apply_pointwise_matrix, gaussian_profile, random_band_limited
 
@@ -33,20 +35,6 @@ def _trace(size):
     return free_evolution(datum, np.linspace(0.0, 2.0, 257))
 
 
-def _on_two_threads(task):
-    """task() once on each thread of one _map_items call, both at the same time,
-    as two ensemble samples run; the results in no particular order."""
-    together, got = threading.Barrier(2), {}
-
-    def item(_):
-        together.wait(timeout=60)  # one item on each thread
-        got[threading.current_thread()] = task()
-
-    spectral._map_items([0, 1], item)
-    assert len(got) == 2
-    return list(got.values())
-
-
 def _recording(func, seen):
     def wrapped(v):
         seen.append(threading.current_thread())
@@ -54,14 +42,16 @@ def _recording(func, seen):
     return wrapped
 
 
-class _Recording(np.ndarray):
-    """An array whose row slices are recorded, by thread, as they are taken."""
+def _counting(monkeypatch, module, name):
+    """Record a call of module.name per call, for the kernels that make one per row block."""
+    calls, inner = [], getattr(module, name)
 
-    seen: list = []
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
 
-    def __getitem__(self, key):
-        _Recording.seen.append(threading.current_thread())
-        return np.asarray(self)[key]
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def _same_bytes(a, b):
@@ -72,31 +62,25 @@ def _same_bytes(a, b):
 @pytest.mark.parametrize("pad", [2, 3])
 @pytest.mark.parametrize("size", [1024, 4096])
 @pytest.mark.parametrize("stack", [False, True])
-def test_pointwise_map_on_two_threads_matches_one_bytewise(size, pad, stack, monkeypatch):
-    """Each thread of a leg maps in half blocks, on itself, with the bytes of a lone map."""
+def test_pointwise_map_on_two_threads_matches_one_bytewise(size, pad, stack):
+    """Inside a work-buffer scope, as on either thread of a verify leg, a map takes
+    half blocks on the calling thread, with the bytes of a map outside every scope."""
     trace = _trace(size)
     coeffs = np.stack((trace.coeffs, trace.coeffs[::-1])) if stack else trace.coeffs
     func = (lambda w: w[0] * w[1]) if stack else G5.apply_values
 
-    def mapped(f):  # the product of a stack has the rows of one trace
-        return apply_pointwise_matrix(coeffs, trace.grid, f, pad=pad,
+    def mapped(seen):  # the product of a stack has the rows of one trace
+        return apply_pointwise_matrix(coeffs, trace.grid, _recording(func, seen), pad=pad,
                                       out=np.empty(trace.coeffs.shape, dtype=complex))
 
-    halves = len(spectral._row_blocks(coeffs, halved=True))
-    assert 1 < len(spectral._row_blocks(coeffs)) < halves
-    want = mapped(func)
-    _cpus(monkeypatch, 2)
-    alone = []
-
-    def task():
-        seen = []
-        rows = mapped(_recording(func, seen))
-        alone.append(seen == [threading.current_thread()] * halves)
-        return rows
-
-    for got in _on_two_threads(task):
-        _same_bytes(got, want)
-    assert alone == [True, True]
+    whole, halves = [], []
+    want = mapped(whole)
+    with spectral._work_buffer():
+        got = mapped(halves)
+        assert len(halves) == len(spectral._row_blocks(coeffs))
+    assert 1 < len(whole) == len(spectral._row_blocks(coeffs)) < len(halves)
+    assert set(whole + halves) == {threading.current_thread()}
+    _same_bytes(got, want)
 
 
 NORMS = {
@@ -111,85 +95,93 @@ NORMS = {
 @pytest.mark.parametrize("size", [1024, 4096])
 @pytest.mark.parametrize("case", sorted(NORMS))
 def test_mixed_norm_on_two_threads_matches_one_bytewise(size, case, monkeypatch):
-    """Each thread of a leg takes its trace's rows in half blocks, with the bits of a lone norm."""
+    """Inside a work-buffer scope, as on either thread of a verify leg, a norm takes
+    its trace's rows in half blocks, with the bits of a norm outside every scope."""
     trace = _trace(size)
     kw = NORMS[case]
-    halves = len(spectral._row_blocks(trace.coeffs, halved=True))
-    assert 1 < len(spectral._row_blocks(trace.coeffs)) < halves
+    blocks = _counting(monkeypatch, spacetime, "_real_samples")  # one per block
     want = mixed_norm(trace, **kw)
-    _cpus(monkeypatch, 2)
-    _Recording.seen = []
-    trace.coeffs = trace.coeffs.view(_Recording)
-    got = _on_two_threads(lambda: mixed_norm(trace, **kw))
-    assert [g.hex() for g in got] == [want.hex()] * 2
-    # each thread sizes its work from its first half block, then maps every one
-    assert sorted(_Recording.seen.count(t) for t in set(_Recording.seen)) == [halves + 1] * 2
+    whole = len(blocks)
+    blocks.clear()
+    with spectral._work_buffer():
+        got = mixed_norm(trace, **kw)
+        assert len(blocks) == len(spectral._row_blocks(trace.coeffs))
+    assert 1 < whole == len(spectral._row_blocks(trace.coeffs)) < len(blocks)
+    assert got.hex() == want.hex()
 
 
-def test_a_shape_error_on_the_helper_reaches_the_caller(monkeypatch):
-    """A map's shape error inside a sample on the leg's helper thread is the leg's error."""
-    _cpus(monkeypatch, 2)
-    trace = _trace(1024)
-    helper = []
+@pytest.mark.parametrize("size", [1024, 4096])
+def test_retarded_and_picard_kernels_in_a_work_buffer_scope_match_them_outside_bytewise(
+        size, monkeypatch):
+    """retarded_integral and the Picard pass take half blocks inside a scope, with the
+    bytes of their whole blocks outside; duhamel_map opens a scope of its own."""
+    trace = _trace(size)
+    u0 = trace.field(0)
+    cfg = SolverConfig(grid=trace.grid, t_start=0.0, t_end=2.0)
+    steps = []
+    rows_of = solver._retarded_rows
 
-    def func(v):
-        if threading.current_thread() is threading.main_thread():
-            return G5.apply_values(v)
-        helper.append(v.shape)
-        return v[..., ::2]
+    def counting(*args):  # the retarded block step runs once per block in every kernel
+        up, step = rows_of(*args)
 
-    with pytest.raises(ValueError, match="pointwise map returned shape") as info:
-        _on_two_threads(lambda: apply_pointwise_matrix(trace.coeffs, trace.grid, func))
-    assert helper and info.value.args[0].startswith(
-        f"pointwise map returned shape {helper[0][:-1] + (trace.grid.size,)}")
-    # the helper is free again and the next leg maps on both threads
-    want = apply_pointwise_matrix(trace.coeffs, trace.grid, G5.apply_values)
-    for got in _on_two_threads(
-            lambda: apply_pointwise_matrix(trace.coeffs, trace.grid, G5.apply_values)):
+        def counted(*block):
+            steps.append(1)
+            step(*block)
+
+        return up, counted
+
+    monkeypatch.setattr(solver, "_retarded_rows", counting)
+
+    def duhamel_rows():
+        rows = trace.coeffs.copy()
+        solver._duhamel_rows(rows, trace.times, u0, G5, cfg.pad)
+        return rows
+
+    def run(kernel):
+        steps.clear()
+        return kernel(), len(steps)
+
+    kernels = (lambda: retarded_integral(trace).coeffs, duhamel_rows)
+    outside = [run(k) for k in kernels]
+    with spectral._work_buffer():
+        halves = len(spectral._row_blocks(trace.coeffs))
+        inside = [run(k) for k in kernels]
+    whole = len(spectral._row_blocks(trace.coeffs))
+    assert 1 < whole < halves
+    assert [n for _, n in outside] == [whole] * 2 and [n for _, n in inside] == [halves] * 2
+    for (want, _), (got, _) in zip(outside, inside):
         _same_bytes(got, want)
-
-
-@pytest.mark.parametrize("on_helper", [False, True])
-def test_errstate_holds_on_both_threads(on_helper, monkeypatch):
-    """np.errstate is a context variable: the leg's helper runs in a copy of the caller's context."""
-    _cpus(monkeypatch, 2)
-    trace = _trace(1024)
-    overflowed = []
-
-    def func(v):
-        on_caller = threading.current_thread() is threading.main_thread()
-        if on_caller != on_helper:
-            overflowed.append(on_caller)
-            return v * 1e308 * 1e308
-        return np.array(v)
-
-    def task():
-        return apply_pointwise_matrix(trace.coeffs, trace.grid, func)
-
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            _on_two_threads(task)
-    assert overflowed and all(on_caller != on_helper for on_caller in overflowed)
-    with np.errstate(all="ignore"):
-        outs = _on_two_threads(task)
-    assert sorted(bool(np.all(np.isfinite(out))) for out in outs) == [False, True]
+    mapped, blocks = run(lambda: solver.duhamel_map(trace, u0, G5, cfg).coeffs)
+    assert blocks == halves and spectral._work.get() is None
+    _same_bytes(mapped, outside[1][0])
 
 
 def test_one_block_or_one_cpu_maps_on_the_caller(monkeypatch):
+    """The CPUs change no kernel's blocks: outside a scope a trace of one block maps
+    in one call of func and a longer one in whole blocks, inside a scope both in
+    half blocks, every call on the calling thread."""
     grid = GRIDS[1024]
     short = free_evolution(gaussian_profile(grid, 0.3), np.linspace(0.0, 0.5, 65))
-    assert len(spectral._row_blocks(short.coeffs)) == 1
-    seen = []
-    _cpus(monkeypatch, 2)
-    apply_pointwise_matrix(short.coeffs, grid, _recording(G5.apply_values, seen))
-    _cpus(monkeypatch, 1)
     trace = _trace(1024)
-    apply_pointwise_matrix(trace.coeffs, grid, _recording(G5.apply_values, seen))
-    assert seen == [threading.main_thread()] * (1 + len(spectral._row_blocks(trace.coeffs)))
+    assert len(spectral._row_blocks(short.coeffs)) == 1
+    calls = {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for scope in (contextlib.nullcontext, spectral._work_buffer):
+            seen = []
+            with scope():
+                for c in (short.coeffs, trace.coeffs):
+                    apply_pointwise_matrix(c, grid, _recording(G5.apply_values, seen))
+                want = sum(len(spectral._row_blocks(c)) for c in (short.coeffs, trace.coeffs))
+            assert seen == [threading.main_thread()] * want
+            calls[cpus, scope] = len(seen)
+    whole, halves = calls[1, contextlib.nullcontext], calls[1, spectral._work_buffer]
+    assert whole == 1 + len(spectral._row_blocks(trace.coeffs)) and halves > whole + 1
+    assert calls[2, contextlib.nullcontext] == whole and calls[2, spectral._work_buffer] == halves
 
 
 def test_no_helper_thread_outlives_a_map(monkeypatch):
-    """A map of several blocks on two CPUs starts no thread: it maps on the caller, in whole blocks."""
+    """A row kernel starts no thread, on two CPUs too, inside a work-buffer scope or outside."""
     _cpus(monkeypatch, 2)
 
     def no_thread(*args, **kwargs):
@@ -197,17 +189,19 @@ def test_no_helper_thread_outlives_a_map(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     trace = _trace(1024)
-    blocks = len(spectral._row_blocks(trace.coeffs))
-    assert blocks > 1
-    seen = []
-    apply_pointwise_matrix(trace.coeffs, trace.grid, _recording(G5.apply_values, seen))
-    mixed_norm(trace, 4.0, 6.0, 0.5)
-    assert seen == [threading.main_thread()] * blocks
+    for scope in (contextlib.nullcontext, spectral._work_buffer):
+        with scope():
+            blocks = len(spectral._row_blocks(trace.coeffs))
+            seen = []
+            apply_pointwise_matrix(trace.coeffs, trace.grid, _recording(G5.apply_values, seen))
+            mixed_norm(trace, 4.0, 6.0, 0.5)
+            retarded_integral(trace)
+        assert blocks > 1 and seen == [threading.main_thread()] * blocks
     assert not [t for t in threading.enumerate() if t.name == "gkdvlab-rows"]
 
 
-def test_a_map_inside_a_map_runs_on_its_own_thread():
-    """A func that maps a trace itself: no deadlock, the same bytes."""
+def test_a_map_inside_a_map_gives_the_same_bytes():
+    """Outside every scope, a func that maps a trace itself gets and gives the lone bytes."""
     trace = _trace(1024)
     want = (apply_pointwise_matrix(trace.coeffs, trace.grid, G5.apply_values),
             mixed_norm(trace, 4.0, 6.0))
@@ -217,11 +211,5 @@ def test_a_map_inside_a_map_runs_on_its_own_thread():
         inner.append(mixed_norm(trace, 4.0, 6.0).hex())
         return G5.apply_values(v)
 
-    got = []
-    outer = threading.Thread(target=lambda: got.append(
-        apply_pointwise_matrix(trace.coeffs, trace.grid, func)), daemon=True)
-    outer.start()
-    outer.join(timeout=120)
-    assert not outer.is_alive() and len(got) == 1
-    _same_bytes(got[0], want[0])
-    assert set(inner) == {want[1].hex()}
+    _same_bytes(apply_pointwise_matrix(trace.coeffs, trace.grid, func), want[0])
+    assert len(inner) == len(spectral._row_blocks(trace.coeffs)) and set(inner) == {want[1].hex()}

@@ -523,7 +523,8 @@ def test_row_block_pass_gives_the_one_block_bytes(rows, mu, monkeypatch):
         assert len(spectral._row_blocks(forcing.coeffs)) == -(-times.size // rows)
         assert retarded_integral(forcing).coeffs.tobytes() == want_integral.tobytes()
     _blocks_of(monkeypatch, 2 * rows, GRID)  # half blocks of rows
-    assert len(spectral._row_blocks(v.coeffs, halved=True)) == -(-times.size // rows)
+    with spectral._work_buffer():
+        assert len(spectral._row_blocks(v.coeffs)) == -(-times.size // rows)
     assert solver.duhamel_map(v, u0, G, cfg).coeffs.tobytes() == want_map.tobytes()
     res = picard_solve(u0, G, cfg)
     assert res.converged and res.update_distances == dists and len(dists) >= 3
@@ -615,7 +616,8 @@ def test_a_picard_loop_maps_in_one_work_buffer(monkeypatch):
 
     monkeypatch.setattr(NonlinearityG, "apply_values", apply_values)
     res = picard_solve(gaussian_profile(GRID, 0.05), G5, cfg)
-    blocks = len(spectral._row_blocks(res.trace.coeffs, halved=True))
+    with spectral._work_buffer():
+        blocks = len(spectral._row_blocks(res.trace.coeffs))
     assert res.iterations == 3 and blocks > 1 and len(buffers) == 3 * blocks
     assert buffers[0] is not None and all(b is buffers[0] for b in buffers)
     assert spectral._work.get() is None

@@ -461,18 +461,21 @@ def test_plan_scales_are_complex_rows_with_the_real_scales_bytes():
 
 
 def test_halved_blocks_cover_the_rows_once():
-    """Half blocks from row 0 on, each row once; one block splits into two halves."""
+    """Inside a work-buffer scope, half blocks from row 0 on, each row once; one
+    block splits into two halves.  Outside every scope, whole blocks."""
+    short = np.zeros((129, 513), dtype=complex)
     for size, count in ((1024, 4), (4096, 14)):
         coeffs = np.zeros((257, size // 2 + 1), dtype=complex)  # 257 rows: several blocks
-        rows = [range(257)[r[-2]] for r in spectral._row_blocks(coeffs, halved=True)]
+        with spectral._work_buffer():
+            rows = [range(257)[r[-2]] for r in spectral._row_blocks(coeffs)]
         assert len(rows) == count and rows[0].start == 0
         assert [i for block in rows for i in block] == list(range(257))
         whole = range(257)[spectral._row_blocks(coeffs)[0][-2]]
         assert 2 * len(rows[0]) <= len(whole)
-    short = np.zeros((129, 513), dtype=complex)
     assert len(spectral._row_blocks(short)) == 1
-    assert [range(129)[r[-2]] for r in spectral._row_blocks(short, halved=True)] == \
-        [range(0, 65), range(65, 129)]
+    with spectral._work_buffer():
+        assert [range(129)[r[-2]] for r in spectral._row_blocks(short)] == \
+            [range(0, 65), range(65, 129)]
 
 
 def test_concurrent_callers_each_get_their_own_bytes():
